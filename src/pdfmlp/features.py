@@ -24,6 +24,7 @@ from .pdf import (
     canonical_filter_name,
     iter_name_occurrences,
 )
+from .pdf.objects import HEX_DIGITS
 
 __all__ = [
     "SCHEMA_ID",
@@ -442,16 +443,13 @@ def _longest_hex_run(info: Optional[dict]) -> int:
     for data in _info_string_values(info):
         run = 0
         for b in data:
-            if b in _HEX_BYTES:
+            if b in HEX_DIGITS:
                 run += 1
                 if run > longest:
                     longest = run
             else:
                 run = 0
     return longest
-
-
-_HEX_BYTES = frozenset(b"0123456789abcdefABCDEF")
 
 
 def _has_xmp(doc: PdfDocument) -> bool:

@@ -12,15 +12,23 @@ import base64
 import zlib
 from typing import Any, Optional, Sequence
 
+import numpy as np
+
+from .objects import HEX_DIGITS, WHITESPACE
+
 __all__ = [
+    "MAX_DECODED",
     "StreamDecodeError",
     "UnknownFilterError",
     "canonical_filter_name",
     "decode_stream",
 ]
 
-_HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF")
-_WHITESPACE = frozenset(b"\x00\t\n\x0c\r ")
+# Every filter stage stops with StreamDecodeError once its output would
+# pass this many bytes; it bounds memory and time under bomb inputs.
+MAX_DECODED = 1 << 26
+
+_INFLATE_CHUNK = 1 << 20
 
 # Abbreviated filter names are legal inside inline images and show up in
 # malformed files elsewhere too; treat them as their long forms.
@@ -54,6 +62,10 @@ class UnknownFilterError(StreamDecodeError):
         super().__init__(filter_name, "unsupported filter")
 
 
+def _over_cap(filter_name: str) -> StreamDecodeError:
+    return StreamDecodeError(filter_name, "decoded output exceeds size cap")
+
+
 def canonical_filter_name(name: Any) -> str:
     """Normalize a /Filter entry to its long name without the slash."""
     text = str(name)
@@ -75,7 +87,9 @@ def decode_stream(
     ``filters``.  An empty filter list returns ``raw`` unchanged.
 
     Raises StreamDecodeError (UnknownFilterError for filters outside the
-    supported set) and never returns partial output.
+    supported set) and never returns partial output.  A stage whose output
+    would exceed MAX_DECODED bytes fails while it decodes, before the
+    output is built.
     """
     param_list = _normalize_params(params, len(filters))
     data = raw
@@ -119,21 +133,47 @@ def _param(parm: Optional[dict], key: str, default: int) -> int:
 
 def _flate_decode(data: bytes, parm: Optional[dict]) -> bytes:
     try:
-        out = zlib.decompress(data)
+        out = _inflate(data, zlib.MAX_WBITS, strict=True)
     except zlib.error:
         # Retry tolerantly: accept trailing garbage, then headerless deflate.
         try:
-            d = zlib.decompressobj()
-            out = d.decompress(data) + d.flush()
+            out = _inflate(data, zlib.MAX_WBITS)
             if not out:
                 raise zlib.error("empty")
         except zlib.error:
             try:
-                d = zlib.decompressobj(wbits=-15)
-                out = d.decompress(data) + d.flush()
+                out = _inflate(data, -zlib.MAX_WBITS)
             except zlib.error as exc:
                 raise StreamDecodeError("FlateDecode", str(exc)) from exc
     return _apply_predictor(out, parm, "FlateDecode")
+
+
+def _inflate(data: bytes, wbits: int, strict: bool = False) -> bytes:
+    """Inflate ``data`` at most ``_INFLATE_CHUNK`` bytes at a time.
+
+    Raises StreamDecodeError as soon as the output passes MAX_DECODED, so a
+    bomb costs at most the cap in memory and time.  ``strict`` also demands
+    the end-of-stream marker, as ``zlib.decompress`` does; otherwise a
+    truncated stream yields what it decoded.  Bytes after the end of the
+    stream are ignored either way.
+    """
+    d = zlib.decompressobj(wbits)
+    parts: list[bytes] = []
+    size = 0
+    pending = data
+    while not d.eof:
+        # max_length stays >= 1 (0 would mean unlimited) and stops one byte past the cap.
+        chunk = d.decompress(pending, min(_INFLATE_CHUNK, MAX_DECODED + 1 - size))
+        if not chunk:  # input used up and nothing buffered
+            break
+        size += len(chunk)
+        if size > MAX_DECODED:
+            raise _over_cap("FlateDecode")
+        parts.append(chunk)
+        pending = d.unconsumed_tail
+    if strict and not d.eof:
+        raise zlib.error("incomplete or truncated stream")
+    return b"".join(parts)
 
 
 def _lzw_decode_with_params(data: bytes, parm: Optional[dict]) -> bytes:
@@ -183,6 +223,8 @@ def _lzw_decode(data: bytes, early_change: int = 1) -> bytes:
             else:
                 raise StreamDecodeError("LZWDecode", f"code {code} out of range")
             out += entry
+            if len(out) > MAX_DECODED:
+                raise _over_cap("LZWDecode")
             prev = entry
             if len(table) + early_change >= (1 << bits) and bits < 12:
                 bits += 1
@@ -194,23 +236,31 @@ def _asciihex_decode(data: bytes) -> bytes:
     for byte in data:
         if byte == 0x3E:  # ">"
             break
-        if byte in _WHITESPACE:
+        if byte in WHITESPACE:
             continue
-        if byte not in _HEX_DIGITS:
+        if byte not in HEX_DIGITS:
             raise StreamDecodeError("ASCIIHexDecode", f"invalid byte 0x{byte:02x}")
         digits.append(byte)
+    if (len(digits) + 1) // 2 > MAX_DECODED:
+        raise _over_cap("ASCIIHexDecode")
     if len(digits) % 2:
         digits.append(0x30)  # odd count: final digit is the high nibble
     return bytes.fromhex(digits.decode("ascii"))
 
 
 def _ascii85_decode(data: bytes) -> bytes:
-    body = bytes(b for b in data if b not in _WHITESPACE)
+    body = bytes(b for b in data if b not in WHITESPACE)
     if body.startswith(b"<~"):
         body = body[2:]
     end = body.find(b"~>")
     if end != -1:
         body = body[:end]
+    # Output size of valid input: 4 bytes per "z", 4 per 5-character group
+    # and k - 1 for a final group of k characters.
+    zeros = body.count(b"z")
+    rest = len(body) - zeros
+    if 4 * zeros + 4 * (rest // 5) + max(rest % 5 - 1, 0) > MAX_DECODED:
+        raise _over_cap("ASCII85Decode")
     try:
         return base64.a85decode(body, adobe=False)
     except ValueError as exc:
@@ -234,8 +284,10 @@ def _runlength_decode(data: bytes) -> bytes:
         else:
             if i + 1 >= n:
                 raise StreamDecodeError("RunLengthDecode", "repeat run truncated")
-            out += bytes([data[i + 1]]) * (257 - length)
+            out += data[i + 1 : i + 2] * (257 - length)
             i += 2
+        if len(out) > MAX_DECODED:
+            raise _over_cap("RunLengthDecode")
     # Missing EOD is tolerated; everything decoded so far is complete.
     return bytes(out)
 
@@ -260,11 +312,13 @@ def _tiff_predictor(data: bytes, colors: int, bpc: int, columns: int, who: str) 
     row_len = colors * columns
     if row_len <= 0 or len(data) % row_len:
         raise StreamDecodeError(who, "predictor row size mismatch")
-    out = bytearray(data)
-    for row_start in range(0, len(out), row_len):
-        for i in range(row_start + colors, row_start + row_len):
-            out[i] = (out[i] + out[i - colors]) & 0xFF
-    return bytes(out)
+    if not data:
+        return data
+    if colors < 0:
+        raise StreamDecodeError(who, f"TIFF predictor with {colors} colors")
+    # Each sample is the running sum of its row's deltas in the same color lane.
+    samples = np.frombuffer(data, np.uint8).reshape(-1, columns, colors)
+    return samples.cumsum(axis=1, dtype=np.uint8).tobytes()
 
 
 def _png_predictor(data: bytes, colors: int, bpc: int, columns: int, who: str) -> bytes:
@@ -273,41 +327,68 @@ def _png_predictor(data: bytes, colors: int, bpc: int, columns: int, who: str) -
     stride = row_len + 1  # each row is prefixed with its filter type
     if row_len <= 0 or len(data) % stride:
         raise StreamDecodeError(who, "predictor row size mismatch")
-    out = bytearray()
-    prev = bytearray(row_len)
-    for row_start in range(0, len(data), stride):
-        ftype = data[row_start]
-        row = bytearray(data[row_start + 1 : row_start + stride])
-        if ftype == 0:
-            pass
-        elif ftype == 1:  # Sub
-            for i in range(bpp, row_len):
-                row[i] = (row[i] + row[i - bpp]) & 0xFF
-        elif ftype == 2:  # Up
-            for i in range(row_len):
-                row[i] = (row[i] + prev[i]) & 0xFF
-        elif ftype == 3:  # Average
-            for i in range(row_len):
-                left = row[i - bpp] if i >= bpp else 0
-                row[i] = (row[i] + (left + prev[i]) // 2) & 0xFF
-        elif ftype == 4:  # Paeth
-            for i in range(row_len):
-                left = row[i - bpp] if i >= bpp else 0
-                up = prev[i]
-                up_left = prev[i - bpp] if i >= bpp else 0
-                row[i] = (row[i] + _paeth(left, up, up_left)) & 0xFF
-        else:
+    if not data:
+        return data
+    encoded = np.frombuffer(data, np.uint8).reshape(-1, stride)
+    ftypes = encoded[:, 0].tolist()
+    for ftype in ftypes:
+        if ftype > 4:
             raise StreamDecodeError(who, f"unknown PNG row filter {ftype}")
-        out += row
+    # Rows are padded to a whole number of pixels, so that each byte lane
+    # (the bytes bpp apart) has the same length and Sub is one cumsum per lane.
+    # Padding bytes come last in their lane and never feed back into the row.
+    width = -(-row_len // bpp) * bpp
+    out = np.zeros((len(ftypes), width), np.uint8)
+    out[:, :row_len] = encoded[:, 1:]
+    prev = np.zeros(width, np.uint8)
+    for ftype, row in zip(ftypes, out):
+        if ftype == 1:  # Sub
+            lanes = row.reshape(-1, bpp)
+            lanes.cumsum(axis=0, dtype=np.uint8, out=lanes)
+        elif ftype == 2:  # Up
+            row += prev
+        elif ftype >= 3:  # Average, Paeth: each byte depends on the decoded left byte
+            unfilter = _png_average if ftype == 3 else _png_paeth
+            row[:] = np.frombuffer(unfilter(row.tobytes(), prev.tobytes(), bpp), np.uint8)
         prev = row
-    return bytes(out)
+    return out[:, :row_len].tobytes()
 
 
-def _paeth(a: int, b: int, c: int) -> int:
-    p = a + b - c
-    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-    if pa <= pb and pa <= pc:
-        return a
-    if pb <= pc:
-        return b
-    return c
+def _png_average(raw: bytes, prev: bytes, bpp: int) -> bytearray:
+    out = bytearray(len(raw))
+    for lane in range(bpp):
+        left = 0
+        decoded = bytearray()
+        for x, up in zip(raw[lane::bpp], prev[lane::bpp]):
+            left = (x + ((left + up) >> 1)) & 0xFF
+            decoded.append(left)
+        out[lane::bpp] = decoded
+    return out
+
+
+def _png_paeth(raw: bytes, prev: bytes, bpp: int) -> bytearray:
+    out = bytearray(len(raw))
+    for lane in range(bpp):
+        left = up_left = 0
+        decoded = bytearray()
+        for x, up in zip(raw[lane::bpp], prev[lane::bpp]):
+            # Distances from p = left + up - up_left to left, up and up_left.
+            pa = up - up_left
+            pb = left - up_left
+            pc = pa + pb
+            if pa < 0:
+                pa = -pa
+            if pb < 0:
+                pb = -pb
+            if pc < 0:
+                pc = -pc
+            if pa <= pb and pa <= pc:
+                left = (x + left) & 0xFF
+            elif pb <= pc:
+                left = (x + up) & 0xFF
+            else:
+                left = (x + up_left) & 0xFF
+            decoded.append(left)
+            up_left = up
+        out[lane::bpp] = decoded
+    return out

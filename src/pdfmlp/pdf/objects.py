@@ -6,6 +6,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
 
+# Byte classes of the PDF lexer, shared by the parser, the filters and the
+# feature extractor.
+WHITESPACE = frozenset(b"\x00\t\n\x0c\r ")
+HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF")
+
 
 class DiagnosticKind(str, Enum):
     BAD_XREF = "bad-xref"

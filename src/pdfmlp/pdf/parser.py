@@ -18,6 +18,8 @@ from typing import Any, Optional
 
 from .filters import StreamDecodeError, UnknownFilterError, decode_stream
 from .objects import (
+    HEX_DIGITS,
+    WHITESPACE,
     DiagnosticKind,
     ParseDiagnostic,
     PdfDocument,
@@ -31,9 +33,7 @@ __all__ = ["parse_pdf", "iter_name_occurrences", "MAX_NESTING_DEPTH"]
 
 MAX_NESTING_DEPTH = 64
 
-_WS = b"\x00\t\n\x0c\r "
-_WS_SET = frozenset(_WS)
-_REGULAR_END = _WS_SET | frozenset(b"()<>[]{}/%")
+_REGULAR_END = WHITESPACE | frozenset(b"()<>[]{}/%")
 
 _OBJ_RE = re.compile(
     rb"(\d{1,10})[\x00\t\n\x0c\r ]+(\d{1,5})[\x00\t\n\x0c\r ]+obj(?![0-9A-Za-z])"
@@ -53,10 +53,6 @@ _UINT_RE = re.compile(rb"\d{1,15}")
 _STOP_KEYWORDS = frozenset(
     [b"endobj", b"endstream", b"obj", b"stream", b"trailer", b"startxref", b"xref"]
 )
-
-# Streams larger than this after decoding are treated as decode failures;
-# it bounds memory under decompression-bomb inputs.
-_MAX_DECODED = 1 << 26
 
 
 class _Truncated(Exception):
@@ -95,7 +91,7 @@ class _Scanner:
         data, n = self.data, len(self.data)
         while self.pos < n:
             b = data[self.pos]
-            if b in _WS_SET:
+            if b in WHITESPACE:
                 self.pos += 1
             elif b == 0x25:  # '%' comment runs to end of line
                 eol = self.pos
@@ -308,14 +304,13 @@ class _Scanner:
                 if len(digits) % 2:
                     digits.append(0x30)
                 return PdfString(bytes.fromhex(digits.decode("ascii")), hex=True)
-            if b in _HEX_SET:
+            if b in HEX_DIGITS:
                 digits.append(b)
             # anything else (whitespace or junk) is skipped
         raise _Truncated
 
 
 _SKIPPED = object()
-_HEX_SET = frozenset(b"0123456789abcdefABCDEF")
 _STRING_ESCAPES = {
     0x6E: 0x0A,  # \n
     0x72: 0x0D,  # \r
@@ -509,9 +504,6 @@ class _DocumentParser:
             return None
         except Exception as exc:  # pragma: no cover - belt and braces
             self.diag(at, DiagnosticKind.DECODE_ERROR, f"unexpected: {exc}")
-            return None
-        if len(decoded) > _MAX_DECODED:
-            self.diag(at, DiagnosticKind.DECODE_ERROR, "decoded output exceeds size cap")
             return None
         return decoded
 

@@ -1,0 +1,88 @@
+"""Reference decoders that the library's filters are checked against.
+
+These are the straightforward versions: whole-buffer ``zlib.decompress``
+with the same three attempts the library makes, and one Python step per
+byte for the PNG and TIFF predictors.  They have no size cap, so tests use
+them only on inputs well below ``MAX_DECODED``.
+"""
+
+import zlib
+
+from pdfmlp.pdf.filters import StreamDecodeError
+
+
+def inflate(data: bytes) -> bytes:
+    try:
+        return zlib.decompress(data)
+    except zlib.error:
+        try:
+            d = zlib.decompressobj()
+            out = d.decompress(data) + d.flush()
+            if not out:
+                raise zlib.error("empty")
+            return out
+        except zlib.error:
+            try:
+                d = zlib.decompressobj(wbits=-15)
+                return d.decompress(data) + d.flush()
+            except zlib.error as exc:
+                raise StreamDecodeError("FlateDecode", str(exc)) from exc
+
+
+def tiff_predictor(data: bytes, colors: int, bpc: int, columns: int, who: str) -> bytes:
+    if bpc != 8:
+        raise StreamDecodeError(who, f"TIFF predictor with {bpc} bits per component")
+    row_len = colors * columns
+    if row_len <= 0 or len(data) % row_len:
+        raise StreamDecodeError(who, "predictor row size mismatch")
+    out = bytearray(data)
+    for row_start in range(0, len(out), row_len):
+        for i in range(row_start + colors, row_start + row_len):
+            out[i] = (out[i] + out[i - colors]) & 0xFF
+    return bytes(out)
+
+
+def png_predictor(data: bytes, colors: int, bpc: int, columns: int, who: str) -> bytes:
+    bpp = max(1, (colors * bpc) // 8)
+    row_len = (colors * bpc * columns + 7) // 8
+    stride = row_len + 1  # each row is prefixed with its filter type
+    if row_len <= 0 or len(data) % stride:
+        raise StreamDecodeError(who, "predictor row size mismatch")
+    out = bytearray()
+    prev = bytearray(row_len)
+    for row_start in range(0, len(data), stride):
+        ftype = data[row_start]
+        row = bytearray(data[row_start + 1 : row_start + stride])
+        if ftype == 0:
+            pass
+        elif ftype == 1:  # Sub
+            for i in range(bpp, row_len):
+                row[i] = (row[i] + row[i - bpp]) & 0xFF
+        elif ftype == 2:  # Up
+            for i in range(row_len):
+                row[i] = (row[i] + prev[i]) & 0xFF
+        elif ftype == 3:  # Average
+            for i in range(row_len):
+                left = row[i - bpp] if i >= bpp else 0
+                row[i] = (row[i] + (left + prev[i]) // 2) & 0xFF
+        elif ftype == 4:  # Paeth
+            for i in range(row_len):
+                left = row[i - bpp] if i >= bpp else 0
+                up = prev[i]
+                up_left = prev[i - bpp] if i >= bpp else 0
+                row[i] = (row[i] + _paeth(left, up, up_left)) & 0xFF
+        else:
+            raise StreamDecodeError(who, f"unknown PNG row filter {ftype}")
+        out += row
+        prev = row
+    return bytes(out)
+
+
+def _paeth(a: int, b: int, c: int) -> int:
+    p = a + b - c
+    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+    if pa <= pb and pa <= pc:
+        return a
+    if pb <= pc:
+        return b
+    return c

@@ -9,9 +9,11 @@ import binascii
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import filters_reference as reference
+from pdfmlp.pdf import filters
 from pdfmlp.pdf.filters import (
     StreamDecodeError,
     UnknownFilterError,
@@ -220,3 +222,129 @@ def test_roundtrip_cascade(data):
     staged = encode_ascii85(encode_runlength(zlib.compress(data)))
     out = decode_stream(staged, ["ASCII85Decode", "RunLengthDecode", "FlateDecode"])
     assert out == data
+
+
+# -- equivalence with the reference decoders ---------------------------------
+
+
+def outcome(decode, *args):
+    """Decoded bytes, or the error text, so both sides compare with ==."""
+    try:
+        return decode(*args)
+    except StreamDecodeError as exc:
+        return f"error: {exc}"
+
+
+def _raw_deflate(data: bytes) -> bytes:
+    c = zlib.compressobj(wbits=-15)
+    return c.compress(data) + c.flush()
+
+
+_TEXT = b"flate equivalence " * 40
+_BIG = zlib.compress(bytes(range(256)) * 12_000)  # inflates over several bounded chunks
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        zlib.compress(_TEXT),
+        zlib.compress(_TEXT) + b"trailing junk",
+        zlib.compress(_TEXT) + zlib.compress(b"second stream"),
+        zlib.compress(_TEXT)[:-7],
+        zlib.compress(_TEXT)[:-1] + b"\x00",
+        zlib.compress(_TEXT)[:2],
+        zlib.compress(b""),
+        b"",
+        _raw_deflate(_TEXT),
+        _raw_deflate(_TEXT)[:-3],
+        b"this is not deflate",
+        _BIG,
+        _BIG[: len(_BIG) // 2],
+    ],
+    ids=[
+        "valid",
+        "trailing-junk",
+        "two-streams",
+        "truncated",
+        "bad-checksum",
+        "header-only",
+        "empty-zlib-stream",
+        "empty-input",
+        "headerless-deflate",
+        "headerless-truncated",
+        "not-deflate",
+        "multi-chunk",
+        "multi-chunk-truncated",
+    ],
+)
+def test_flate_matches_zlib_decompress_semantics(data):
+    expected = outcome(reference.inflate, data)
+    assert outcome(decode_stream, data, ["FlateDecode"]) == expected
+
+
+@st.composite
+def predictor_cases(draw, colors=st.integers(1, 5), bpc=st.sampled_from([1, 2, 4, 8, 16])):
+    """Rows of a PNG-predicted image: a row type 0-4, then row_len bytes."""
+    colors, bpc = draw(colors), draw(bpc)
+    columns = draw(st.integers(1, 40))
+    row_len = (colors * bpc * columns + 7) // 8
+    types = draw(st.lists(st.integers(0, 4), max_size=6))
+    body = draw(st.binary(min_size=len(types) * row_len, max_size=len(types) * row_len))
+    rows = [bytes([t]) + body[k * row_len : (k + 1) * row_len] for k, t in enumerate(types)]
+    tail = draw(st.sampled_from([b"", b"", b"", b"\x01"]))  # sometimes a row size mismatch
+    return b"".join(rows) + tail, colors, bpc, columns
+
+
+# colors 5 at 4 bits per component: 2 bytes per pixel but 3 bytes per row
+_ODD_ROW = (bytes([1, 9, 8, 7, 2, 1, 2, 3, 3, 200, 100, 50, 4, 7, 255, 3, 1, 250, 6, 5]), 5, 4, 1)
+
+
+@given(st.one_of(predictor_cases(), predictor_cases(st.just(5), st.just(4))))
+@example(_ODD_ROW)
+@example((bytes([7, 1, 2, 3]), 1, 8, 3))  # unknown row type
+@settings(max_examples=400, deadline=None)
+def test_png_predictor_matches_reference(case):
+    data, colors, bpc, columns = case
+    parms = {"/Predictor": 12, "/Colors": colors, "/BitsPerComponent": bpc, "/Columns": columns}
+    expected = outcome(reference.png_predictor, data, colors, bpc, columns, "FlateDecode")
+    assert outcome(decode_stream, zlib.compress(data), ["FlateDecode"], parms) == expected
+
+
+@given(
+    st.integers(1, 5),
+    st.sampled_from([1, 2, 4, 8, 16]),
+    st.integers(1, 40),
+    st.integers(0, 6),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_tiff_predictor_matches_reference(colors, bpc, columns, rows, data):
+    size = rows * colors * columns + data.draw(st.sampled_from([0, 0, 0, 1]))
+    raw = data.draw(st.binary(min_size=size, max_size=size))
+    parms = {"/Predictor": 2, "/Colors": colors, "/BitsPerComponent": bpc, "/Columns": columns}
+    expected = outcome(reference.tiff_predictor, raw, colors, bpc, columns, "FlateDecode")
+    assert outcome(decode_stream, zlib.compress(raw), ["FlateDecode"], parms) == expected
+
+
+# -- the size cap --------------------------------------------------------------
+
+_CAP = 1000
+_ENCODERS = {
+    "FlateDecode": zlib.compress,
+    "LZWDecode": encode_lzw,
+    "RunLengthDecode": encode_runlength,
+    "ASCIIHexDecode": encode_asciihex,
+    "ASCII85Decode": encode_ascii85,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENCODERS))
+@pytest.mark.parametrize("payload", [bytes(_CAP + 1), bytes(range(256)) * 4], ids=["zeros", "bytes"])
+def test_every_filter_stops_one_byte_past_the_cap(monkeypatch, name, payload):
+    monkeypatch.setattr(filters, "MAX_DECODED", _CAP)
+    encode = _ENCODERS[name]
+    at_cap = payload[:_CAP]
+    assert decode_stream(encode(at_cap), [name]) == at_cap
+    with pytest.raises(StreamDecodeError, match="decoded output exceeds size cap") as info:
+        decode_stream(encode(payload[: _CAP + 1]), [name])
+    assert info.value.filter_name == name

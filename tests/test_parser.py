@@ -1,5 +1,6 @@
 """Parser behavior: recovery, diagnostics, totality, name canonicalization."""
 
+import tracemalloc
 import zlib
 
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from pdfmlp.pdf import (
     iter_name_occurrences,
     parse_pdf,
 )
+from pdfmlp.pdf.filters import MAX_DECODED
 
 from pdfbuild import assemble_pdf, minimal_pdf, pdf_with_objstm, pdf_with_stream, stream_body
 
@@ -140,6 +142,51 @@ def test_string_escapes():
     raw = b"1 0 obj\n<< /S (a\\164b\\n\\(c\\nd) >>\nendobj"
     doc = parse_pdf(raw)
     assert doc.objects[(1, 0)]["/S"].data == b"atb\n(c\nd"
+
+
+def _bomb_stream_pdf(filters: bytes, payload: bytes) -> bytes:
+    return assemble_pdf(
+        [
+            b"<< /Type /Catalog /Pages 2 0 R >>",
+            b"<< /Type /Pages /Kids [] /Count 0 >>",
+            stream_body(b"<< /Filter " + filters + b" >>", payload),
+        ]
+    )
+
+
+def _parse_with_peak(raw: bytes):
+    tracemalloc.start()
+    try:
+        doc = parse_pdf(raw)
+        return doc, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _assert_rejected_within_bound(raw: bytes, filter_name: str) -> None:
+    doc, peak = _parse_with_peak(raw)
+    errors = [d for d in doc.diagnostics if d.kind is DiagnosticKind.DECODE_ERROR]
+    assert [d.detail for d in errors] == [f"{filter_name}: decoded output exceeds size cap"]
+    assert doc.objects[(3, 0)].decoded is None
+    # The cap stops the decoder before the output is built: the peak stays
+    # near the cap, not near the 128 MiB the stream would decode to.
+    assert peak < 1.25 * MAX_DECODED
+
+
+def test_flate_bomb_is_stopped_at_the_cap():
+    # ~0.6 MB of level-1 deflate that inflates to 128 MiB of zeros.
+    c = zlib.compressobj(1)
+    zeros = bytes(1 << 20)
+    payload = b"".join([c.compress(zeros) for _ in range((2 * MAX_DECODED) >> 20)] + [c.flush()])
+    _assert_rejected_within_bound(_bomb_stream_pdf(b"/FlateDecode", payload), "FlateDecode")
+
+
+def test_runlength_bomb_under_flate_is_stopped_at_the_cap():
+    # Each (129, byte) pair repeats the byte 128 times: 2 MiB of runs
+    # decode to 128 MiB, and flate shrinks the runs to a few kilobytes.
+    runs = bytes([129, 0x41]) * (2 * MAX_DECODED // 128) + b"\x80"
+    raw = _bomb_stream_pdf(b"[/FlateDecode /RunLengthDecode]", zlib.compress(runs, 9))
+    _assert_rejected_within_bound(raw, "RunLengthDecode")
 
 
 def test_nesting_depth_capped():
