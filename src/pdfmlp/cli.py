@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .evaluate import evaluate, write_report_files
-from .features import SCHEMA_ID, describe_schema, extract_features
+from .features import SCHEMA_ID, FeatureVector, describe_schema, extract_features
 from .mlp import predict
 from .pdf import parse_pdf
 from .preprocess import Dataset, read_features_csv, transform, write_features_csv
@@ -69,16 +69,20 @@ def _default_seed(value: Optional[int]) -> int:
         raise CliError(f"PDFMLP_SEED must be an integer, got {env!r}")
 
 
+def _read_features(path: str) -> FeatureVector:
+    """Read, parse and extract one file; a read failure raises OSError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return extract_features(parse_pdf(raw), raw)
+
+
 def _extract_row(item: tuple[str, int]) -> tuple[str, int, Optional[list[float]]]:
     path, label = item
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        vector = _read_features(path)
     except OSError:
         return path, label, None
-    doc = parse_pdf(raw)
-    vector = extract_features(doc, raw)
-    return path, label, [float(v) for v in vector.values]
+    return path, label, vector.values.tolist()
 
 
 def _collect_corpus(args: argparse.Namespace) -> list[tuple[str, int]]:
@@ -200,14 +204,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
     operational_error = False
     for path in args.files:
         try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
+            vector = _read_features(path)
         except OSError as exc:
             _warn(f"cannot read {path}: {exc}")
             operational_error = True
             continue
-        doc = parse_pdf(raw)
-        vector = extract_features(doc, raw)
         probability, verdict = predict(model, transform(scaler, vector))
         print(f"{path}\t{probability:.4f}\t{verdict}")
         if verdict == "malicious":

@@ -74,26 +74,22 @@ def evaluate(
     mal_sorted = np.sort(scores[labels == 1])
     ben_sorted = np.sort(scores[labels == 0])
 
-    def rates(threshold: float) -> SweepPoint:
-        tp = n_mal - int(np.searchsorted(mal_sorted, threshold, side="left"))
-        fp = n_ben - int(np.searchsorted(ben_sorted, threshold, side="left"))
-        tpr = tp / n_mal
-        fpr = fp / n_ben
-        return SweepPoint(threshold=float(threshold), tpr=tpr, fpr=fpr, fnr=1.0 - tpr)
+    def rates(values) -> list[SweepPoint]:
+        values = np.asarray(values, dtype=np.float64)
+        tpr = (n_mal - np.searchsorted(mal_sorted, values, side="left")) / n_mal
+        fpr = (n_ben - np.searchsorted(ben_sorted, values, side="left")) / n_ben
+        return list(map(SweepPoint, values.tolist(), tpr.tolist(), fpr.tolist(), (1.0 - tpr).tolist()))
 
+    distinct = np.unique(scores)
     if thresholds is None:
-        sweep_values = sorted(set(float(s) for s in scores) | {float(model.threshold)})
+        sweep = rates(np.union1d(distinct, [model.threshold]))
     else:
         if len(thresholds) == 0:
             raise ValueError("thresholds must be nonempty")
-        sweep_values = sorted(float(t) for t in thresholds)
-    sweep = [rates(t) for t in sweep_values]
+        sweep = rates(np.sort(np.asarray(thresholds, dtype=np.float64), kind="stable"))
 
     # ROC from high threshold to low: starts at (0,0), ends at (1,1).
-    roc_points = [(0.0, 0.0)]
-    for t in np.unique(np.concatenate([mal_sorted, ben_sorted]))[::-1]:
-        p = rates(float(t))
-        roc_points.append((p.fpr, p.tpr))
+    roc_points = [(0.0, 0.0)] + [(p.fpr, p.tpr) for p in rates(distinct[::-1])]
     if roc_points[-1] != (1.0, 1.0):
         roc_points.append((1.0, 1.0))
 
@@ -107,7 +103,7 @@ def evaluate(
         sweep=sweep,
         roc_points=roc_points,
         auc=float(auc),
-        operating_point=rates(model.threshold),
+        operating_point=rates([model.threshold])[0],
     )
 
 

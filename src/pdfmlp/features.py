@@ -9,6 +9,8 @@ degenerate document produces zeros, never an error.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple, Optional
 
@@ -264,9 +266,10 @@ def _version_number(header_version: Optional[str]) -> float:
     if not header_version:
         return 0.0
     try:
-        return float(header_version)
+        version = float(header_version)
     except ValueError:
         return 0.0
+    return version if math.isfinite(version) else 0.0
 
 
 def _bytes_after_last_eof(doc: PdfDocument) -> int:
@@ -403,22 +406,20 @@ def _page_count(doc: PdfDocument) -> float:
             pages += 1
     if pages:
         return float(pages)
-    # Fall back to the declared count in the root page tree.
+    # Fall back to the declared /Count of the root page tree, then of any page tree.
     root = None
     for trailer in doc.trailer_dicts:
         if "/Root" in trailer:
             root = _resolve(doc, trailer["/Root"])
+    trees = [value for value in doc.objects.values()
+             if isinstance(value, dict) and value.get("/Type") == "/Pages"]
     if isinstance(root, dict):
-        tree = _resolve(doc, root.get("/Pages"))
-        if isinstance(tree, dict):
-            count = _resolve(doc, tree.get("/Count"))
-            if isinstance(count, int) and count >= 0:
-                return float(count)
-    for value in doc.objects.values():
-        if isinstance(value, dict) and value.get("/Type") == "/Pages":
-            count = _resolve(doc, value.get("/Count"))
-            if isinstance(count, int) and count >= 0:
-                return float(count)
+        trees.insert(0, _resolve(doc, root.get("/Pages")))
+    for tree in trees:
+        count = _resolve(doc, tree.get("/Count")) if isinstance(tree, dict) else None
+        # a count that is no integer, or too large for a float, is skipped
+        if isinstance(count, int) and 0 <= count <= sys.float_info.max:
+            return float(count)
     return 0.0
 
 

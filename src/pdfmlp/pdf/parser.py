@@ -48,6 +48,10 @@ _REF_TAIL_RE = re.compile(rb"[\x00\t\n\x0c\r ]+(\d{1,10})[\x00\t\n\x0c\r ]+R(?![
 _XREF_ENTRY_RE = re.compile(rb"(\d{10})[\x00\t\n\x0c\r ](\d{5})[\x00\t\n\x0c\r ]([nf])")
 _KEYWORD_RE = re.compile(rb"[A-Za-z]{1,32}")
 _UINT_RE = re.compile(rb"\d{1,15}")
+# Number tokens longer than this are read as reals.  It is Python's default
+# int-string limit, fixed here so the parse never raises on a long integer
+# and does not depend on sys.set_int_max_str_digits.
+_MAX_INT_DIGITS = 4300
 
 # Keywords that terminate a value context instead of being values.
 _STOP_KEYWORDS = frozenset(
@@ -200,7 +204,7 @@ class _Scanner:
             return None
         text = m.group()
         self.pos = m.end()
-        if b"." in text:
+        if b"." in text or len(text) > _MAX_INT_DIGITS:
             try:
                 return float(text)
             except ValueError:

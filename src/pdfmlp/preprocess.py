@@ -175,6 +175,7 @@ def read_features_csv(path: str) -> Dataset:
     paths: list[str] = []
     labels: list[int] = []
     rows: list[list[float]] = []
+    linenos: list[int] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -191,9 +192,13 @@ def read_features_csv(path: str) -> Dataset:
                 raise ValueError(f"{path}:{lineno}: label must be -1, 0 or 1")
             labels.append(label)
             rows.append([float(v) for v in row[2:]])
+            linenos.append(lineno)
     features = (
         np.asarray(rows, dtype=np.float64)
         if rows
         else np.empty((0, N_FEATURES), dtype=np.float64)
     )
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{linenos[bad[0]]}: feature values must be finite")
     return Dataset(features=features, labels=np.asarray(labels, dtype=np.int64), paths=paths)

@@ -36,6 +36,8 @@ class TrainConfig:
     early_stop_loss: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if self.epochs < 0:
+            raise ValueError("epochs must be at least 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if not 0.0 < self.validation_fraction < 1.0:
@@ -100,12 +102,6 @@ def train(
     """
     if config.epochs < 1:
         raise ValueError("no training performed: epochs must be at least 1")
-    _require_both_classes(train_set)
-
-    fit_part, val_part = split_train_validation(
-        train_set, config.validation_fraction, config.seed
-    )
-    scaler = fit_scaler(fit_part)
     model = build_model(
         input_width=train_set.features.shape[1],
         hidden_widths=hidden_widths,
@@ -114,16 +110,7 @@ def train(
         threshold=threshold,
         rng=_rng(config.seed, 0),
     )
-    report = _sgd_loop(model, scaler, fit_part, val_part, config)
-    best = report.pop("best_model")
-    out = TrainReport(
-        records=report["records"],
-        selected_epoch=report["selected_epoch"],
-        final_model_checksum=model_checksum(
-            best, scaler, _fingerprint(train_set, config)
-        ),
-    )
-    return best, scaler, out
+    return _fit(model, train_set, config, None)
 
 
 def resume(
@@ -151,57 +138,39 @@ def resume(
         )
     if config.epochs == 0:
         return model, TrainReport()
-    _require_both_classes(train_set)
+    best, _, report = _fit(model, train_set, config, scaler)
+    return best, report
 
+
+def _fit(
+    model: MlpModel,
+    dataset: Dataset,
+    config: TrainConfig,
+    scaler: Optional[Scaler],
+) -> tuple[MlpModel, Scaler, TrainReport]:
+    """Split, scale (fitting a scaler when none is given) and run SGD on ``model``.
+
+    Returns the snapshot with the lowest validation loss, the scaler and
+    the per-epoch report.
+    """
+    if np.any((dataset.labels != 0) & (dataset.labels != 1)):
+        raise ValueError("training labels must be 0 or 1")
+    if 0 in dataset.class_counts():
+        raise ValueError("training needs both classes present")
     fit_part, val_part = split_train_validation(
-        train_set, config.validation_fraction, config.seed
+        dataset, config.validation_fraction, config.seed
     )
     if scaler is None:
         scaler = fit_scaler(fit_part)
-    report = _sgd_loop(model, scaler, fit_part, val_part, config)
-    best = report.pop("best_model")
-    out = TrainReport(
-        records=report["records"],
-        selected_epoch=report["selected_epoch"],
-        final_model_checksum=model_checksum(best, scaler, _fingerprint(train_set, config)),
-    )
-    return best, out
-
-
-def _require_both_classes(dataset: Dataset) -> None:
-    if np.any((dataset.labels != 0) & (dataset.labels != 1)):
-        raise ValueError("training labels must be 0 or 1")
-    n_benign, n_malicious = dataset.class_counts()
-    if n_benign == 0 or n_malicious == 0:
-        raise ValueError("training needs both classes present")
-
-
-def _fingerprint(dataset: Dataset, config: TrainConfig) -> dict:
-    return {
-        "seed": config.seed,
-        "epochs": config.epochs,
-        "eta": config.eta,
-        "data_checksum": dataset_checksum(dataset),
-    }
-
-
-def _sgd_loop(
-    model: MlpModel,
-    scaler: Scaler,
-    fit_part: Dataset,
-    val_part: Dataset,
-    config: TrainConfig,
-) -> dict:
     X = scaler.transform_matrix(fit_part.features)
     y = fit_part.labels.astype(np.float64)
     X_val = scaler.transform_matrix(val_part.features)
     y_val = val_part.labels
 
     n = X.shape[0]
-    records: list[EpochRecord] = []
+    report = TrainReport()
     best_loss = np.inf
-    best_model = model.copy()
-    selected = -1
+    best = model.copy()
 
     for epoch in range(config.epochs):
         shuffle = _rng(config.seed, 1, epoch)
@@ -219,15 +188,22 @@ def _sgd_loop(
         val_probs, _ = forward(model, X_val, mode="infer")
         val_loss = mean_cross_entropy(val_probs, y_val.astype(np.float64))
         tpr, fpr = _rates_at_half(val_probs, y_val)
-        records.append(EpochRecord(epoch, train_loss, val_loss, tpr, fpr))
+        report.records.append(EpochRecord(epoch, train_loss, val_loss, tpr, fpr))
 
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
         if val_loss < best_loss:
             best_loss = val_loss
-            best_model = model.copy()
-            selected = epoch
+            best = model.copy()
+            report.selected_epoch = epoch
         if config.early_stop_loss is not None and val_loss < config.early_stop_loss:
             break
 
-    return {"records": records, "selected_epoch": selected, "best_model": best_model}
+    fingerprint = {
+        "seed": config.seed,
+        "epochs": config.epochs,
+        "eta": config.eta,
+        "data_checksum": dataset_checksum(dataset),
+    }
+    report.final_model_checksum = model_checksum(best, scaler, fingerprint)
+    return best, scaler, report

@@ -93,3 +93,34 @@ def pdf_with_objstm(inner: Sequence[tuple[int, bytes]]) -> bytes:
             objstm,
         ]
     )
+
+
+def long_number_pdfs() -> dict[str, bytes]:
+    """Documents whose numbers exceed Python's int-string limit or a float.
+
+    The integer token has 5,000 digits; the header version and the root
+    page tree's /Count have 400, which overflow a float.  A second page
+    tree declares /Count 3.
+    """
+    digits = b"9" * 400
+    catalog = b"<< /Type /Catalog /Pages 2 0 R /OpenAction 3 0 R >>"
+    return {
+        "long-integer.pdf": assemble_pdf(
+            [
+                catalog,
+                b"<< /Type /Pages /Kids [] /Count 1 >>",
+                b"<< /S /JavaScript /JS (app.alert(1)) /Pad " + b"7" * 5000 + b" >>",
+            ]
+        ),
+        "long-version.pdf": assemble_pdf(
+            [catalog, b"<< /Type /Pages /Kids [] /Count 1 >>"],
+            header=b"%PDF-" + digits + b"\n",
+        ),
+        "long-count.pdf": assemble_pdf(
+            [
+                catalog,
+                b"<< /Type /Pages /Kids [] /Count " + digits + b" >>",
+                b"<< /Type /Pages /Kids [] /Count 3 >>",
+            ]
+        ),
+    }

@@ -10,7 +10,7 @@ import pytest
 from pdfmlp import cli
 from pdfmlp.preprocess import read_features_csv
 
-from pdfbuild import minimal_pdf
+from pdfbuild import long_number_pdfs, minimal_pdf
 
 
 def run_cli(args, **kwargs):
@@ -152,6 +152,17 @@ def test_extract_unreadable_file_omitted(corpus, tmp_path, capsys, monkeypatch):
     assert len(read_features_csv(out)) == 39
 
 
+def test_extract_long_numbers_writes_every_row(tmp_path, capsys):
+    hostile = tmp_path / "hostile"
+    hostile.mkdir()
+    for name, raw in long_number_pdfs().items():
+        (hostile / name).write_bytes(raw)
+    out = str(tmp_path / "out.csv")
+    assert cli.main(["extract", "--malicious", str(hostile), "--out", out]) == 0
+    dataset = read_features_csv(out)
+    assert [os.path.basename(p) for p in dataset.paths] == sorted(long_number_pdfs())
+
+
 def test_extract_no_files_is_an_error(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -238,6 +249,20 @@ def test_train_malformed_csv_is_error(tmp_path, capsys):
     rc = cli.main(["train", "--features", str(bad), "--out", str(tmp_path / "m.bin")])
     assert rc == 2
     assert "not a feature CSV" in capsys.readouterr().err
+
+
+def test_train_non_finite_csv_is_error(features_csv, tmp_path):
+    lines = open(features_csv).read().splitlines()
+    fields = lines[5].split(",")
+    fields[10] = "nan"
+    lines[5] = ",".join(fields)
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    result = run_cli(["train", "--features", str(bad), "--out", str(tmp_path / "m.bin")])
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        f"pdfmlp: error: {bad}:6: feature values must be finite"
+    ]
 
 
 def test_train_single_class_csv_is_error(corpus, tmp_path, capsys):

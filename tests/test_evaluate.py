@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdfmlp import Dataset, evaluate, pick_threshold
 from pdfmlp.evaluate import ThresholdNotReachable, score_dataset, write_report_files
 from pdfmlp.features import N_FEATURES
 from pdfmlp.mlp import DenseLayer, MlpModel
 from pdfmlp.preprocess import Scaler
+
+import evaluate_reference as reference
 
 
 def passthrough_model(threshold: float = 0.5) -> MlpModel:
@@ -32,6 +36,13 @@ def dataset_with_scores(mal_scores, ben_scores) -> Dataset:
     X = np.zeros((len(scores), N_FEATURES))
     X[:, 0] = [math.log(s / (1.0 - s)) for s in scores]  # logits
     return Dataset(features=X, labels=np.array(labels), paths=[str(i) for i in range(len(scores))])
+
+
+def dataset_with_logits(mal_logits, ben_logits) -> Dataset:
+    X = np.zeros((len(mal_logits) + len(ben_logits), N_FEATURES))
+    X[:, 0] = list(mal_logits) + list(ben_logits)
+    labels = [1] * len(mal_logits) + [0] * len(ben_logits)
+    return Dataset(features=X, labels=np.array(labels), paths=[str(i) for i in range(len(X))])
 
 
 def brute_force_auc(mal_scores, ben_scores) -> float:
@@ -136,6 +147,41 @@ def test_operating_point_uses_model_threshold():
     assert op.threshold == 0.62
     assert op.tpr == pytest.approx(2.0 / 3.0)
     assert op.fpr == 0.0
+
+
+# Quarter-step logits repeat often, so many scores tie.
+_logits = st.one_of(st.integers(-12, 12).map(lambda k: k / 4.0), st.floats(-30.0, 30.0))
+
+
+@given(
+    mal=st.lists(_logits, min_size=1, max_size=40),
+    ben=st.lists(_logits, min_size=1, max_size=40),
+    model_threshold=st.floats(0.001, 0.999),
+    explicit=st.none() | st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=10),
+    data=st.data(),
+)
+@example(
+    mal=[1.0, 1.0, 0.0],
+    ben=[0.0, -1.0, -1.0],
+    model_threshold=0.5,
+    explicit=[2.0, 0.5, -1.0, 0.5, 0.5],
+    data=None,
+)
+@settings(max_examples=150, deadline=None)
+def test_evaluate_equals_per_threshold_reference(mal, ben, model_threshold, explicit, data):
+    d = dataset_with_logits(mal, ben)
+    model, scaler = passthrough_model(model_threshold), identity_scaler()
+    if explicit is not None and data is not None:
+        # duplicate some thresholds and hit some scores exactly
+        scores = score_dataset(model, scaler, d).tolist()
+        explicit = explicit + data.draw(st.lists(st.sampled_from(explicit + scores), max_size=8))
+    got = evaluate(model, scaler, d, thresholds=explicit)
+    want = reference.evaluate(model, scaler, d, thresholds=explicit)
+    assert got.sweep == want.sweep
+    assert got.roc_points == want.roc_points
+    assert got.auc == want.auc
+    assert got.operating_point == want.operating_point
+    assert (got.n_benign, got.n_malicious) == (want.n_benign, want.n_malicious)
 
 
 # -- pick_threshold ------------------------------------------------------------

@@ -18,7 +18,7 @@ from pdfmlp import (
 )
 from pdfmlp.features import CATEGORIES, FeatureVector
 
-from pdfbuild import assemble_pdf, minimal_pdf, pdf_with_stream, stream_body
+from pdfbuild import assemble_pdf, long_number_pdfs, minimal_pdf, pdf_with_stream, stream_body
 
 
 def extract(raw: bytes) -> FeatureVector:
@@ -239,6 +239,17 @@ def test_page_count_falls_back_to_pages_count_entry():
         ]
     )
     assert extract(raw)["page_count"] == 17
+
+
+def test_long_numbers_keep_extraction_total():
+    docs = long_number_pdfs()
+    integer = extract(docs["long-integer.pdf"])
+    assert integer["count_javascript"] == 1
+    assert integer["page_count"] == 1
+    version = extract(docs["long-version.pdf"])
+    assert version["header_version"] == 0.0
+    # the root tree's /Count overflows a float and is skipped like a non-integer
+    assert extract(docs["long-count.pdf"])["page_count"] == 3
 
 
 def test_xmp_presence():

@@ -1,7 +1,10 @@
 """Parser behavior: recovery, diagnostics, totality, name canonicalization."""
 
+import sys
 import tracemalloc
 import zlib
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,14 @@ from pdfmlp.pdf import (
 )
 from pdfmlp.pdf.filters import MAX_DECODED
 
-from pdfbuild import assemble_pdf, minimal_pdf, pdf_with_objstm, pdf_with_stream, stream_body
+from pdfbuild import (
+    assemble_pdf,
+    long_number_pdfs,
+    minimal_pdf,
+    pdf_with_objstm,
+    pdf_with_stream,
+    stream_body,
+)
 
 
 def kinds(doc):
@@ -136,6 +146,37 @@ def test_value_types_roundtrip():
     assert d["/A"] == [1, 2, [3]]
     assert d["/Ref"] == PdfRef(1, 0)
     assert doc.diagnostics == []
+
+
+def test_overlong_integer_is_read_as_a_real():
+    doc = parse_pdf(long_number_pdfs()["long-integer.pdf"])
+    assert len(doc.objects) == 3
+    assert doc.objects[(3, 0)]["/Pad"] == float("inf")
+    assert iter_name_occurrences(doc, "/JavaScript") == 1
+    assert iter_name_occurrences(doc, "/OpenAction") == 1
+
+
+def test_integer_token_length_rule():
+    at_limit = b"1" * 4300
+    doc = parse_pdf(assemble_pdf([b"[" + at_limit + b" -" + at_limit[1:] + b" " + at_limit + b"1]"]))
+    small, negative, over = doc.objects[(1, 0)]
+    assert small == int(at_limit)
+    assert negative == -int(at_limit[1:])
+    assert isinstance(over, float) and over == float(at_limit + b"1")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-string limit")
+def test_long_integers_parse_the_same_without_the_int_string_limit():
+    raw = long_number_pdfs()["long-integer.pdf"]
+    limited = parse_pdf(raw)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        unlimited = parse_pdf(raw)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert unlimited.objects == limited.objects
+    assert unlimited.diagnostics == limited.diagnostics
 
 
 def test_string_escapes():

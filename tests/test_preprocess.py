@@ -231,6 +231,20 @@ def test_csv_rejects_bad_label(tmp_path):
         read_features_csv(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_csv_rejects_non_finite_values(tmp_path, cell):
+    d = make_dataset(np.zeros((3, N_FEATURES)), [0, 1, 0])
+    path = str(tmp_path / "features.csv")
+    write_features_csv(path, d)
+    lines = open(path).read().splitlines()
+    fields = lines[2].split(",")
+    fields[7] = cell
+    lines[2] = ",".join(fields)
+    open(path, "w").write("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"features\.csv:3: feature values must be finite"):
+        read_features_csv(path)
+
+
 def test_csv_accepts_unlabeled_rows(tmp_path):
     d = Dataset(
         features=np.zeros((3, N_FEATURES)),

@@ -44,6 +44,8 @@ def test_config_validation():
         TrainConfig(validation_fraction=1.0)
     with pytest.raises(ValueError):
         TrainConfig(eta=0.0)
+    with pytest.raises(ValueError, match="epochs"):
+        TrainConfig(epochs=-1)
 
 
 # -- learning capacity ---------------------------------------------------------------
