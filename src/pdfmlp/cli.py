@@ -21,7 +21,7 @@ from .mlp import predict
 from .pdf import parse_pdf
 from .preprocess import Dataset, read_features_csv, transform, write_features_csv
 from .store import ModelStoreError, dataset_checksum, load, save
-from .train import TrainConfig, train
+from .train import TrainConfig, TrainingDivergedError, train
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -154,10 +154,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=_default_seed(args.seed),
         early_stop_loss=args.early_stop_loss,
     )
-    try:
+    # A diverging run is reported once, by TrainingDivergedError, not by
+    # numpy's overflow warnings on the way there.
+    with np.errstate(all="ignore"):
         model, scaler, report = train(dataset, config, threshold=args.threshold)
-    except ValueError as exc:
-        raise CliError(str(exc))
 
     fingerprint = {
         "seed": config.seed,
@@ -184,10 +184,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = read_features_csv(args.features)
     if np.any(dataset.labels == -1):
         raise CliError("evaluation data contains unlabeled rows")
-    try:
-        report = evaluate(model, scaler, dataset)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    report = evaluate(model, scaler, dataset)
     write_report_files(report, args.out_dir)
     op = report.operating_point
     print(
@@ -289,7 +286,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, OSError, ValueError) as exc:
+    except (CliError, OSError, ValueError, TrainingDivergedError) as exc:
         print(f"pdfmlp: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

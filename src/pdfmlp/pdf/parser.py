@@ -38,10 +38,11 @@ _REGULAR_END = WHITESPACE | frozenset(b"()<>[]{}/%")
 _OBJ_RE = re.compile(
     rb"(\d{1,10})[\x00\t\n\x0c\r ]+(\d{1,5})[\x00\t\n\x0c\r ]+obj(?![0-9A-Za-z])"
 )
-_XREF_RE = re.compile(rb"(?<![A-Za-z])xref(?![0-9A-Za-z])")
-_TRAILER_RE = re.compile(rb"(?<![A-Za-z])trailer(?![0-9A-Za-z])")
-_STARTXREF_RE = re.compile(rb"(?<![A-Za-z])startxref(?![0-9A-Za-z])")
-_EOF_RE = re.compile(rb"%%EOF")
+# Object headers and the structural markers in one alternation.  A header
+# starts with a digit and a marker holds none, so matches never overlap.
+# The markers' word boundaries are checked by the caller: a lookbehind here
+# would stop the regex engine from searching for the literals.
+_SCAN_RE = re.compile(_OBJ_RE.pattern + rb"|startxref|xref|trailer|%%EOF")
 _HEADER_RE = re.compile(rb"%PDF-(\d+(?:\.\d+)?)")
 _NUMBER_RE = re.compile(rb"[+-]?(?:\d+(?:\.\d*)?|\.\d+)")
 _REF_TAIL_RE = re.compile(rb"[\x00\t\n\x0c\r ]+(\d{1,10})[\x00\t\n\x0c\r ]+R(?![0-9A-Za-z])")
@@ -327,13 +328,22 @@ _STRING_ESCAPES = {
 }
 
 
+def _skip_eol(data: bytes, pos: int) -> int:
+    """Position just past one EOL marker (CRLF, LF or CR) at pos, if there is one."""
+    if data.startswith(b"\r\n", pos):
+        return pos + 2
+    if data[pos : pos + 1] in (b"\n", b"\r"):
+        return pos + 1
+    return pos
+
+
 class _DocumentParser:
     def __init__(self, data: bytes):
         self.data = data
         self.diags: list[ParseDiagnostic] = []
         self.objects: dict[tuple[int, int], Any] = {}
         self.object_offsets: dict[tuple[int, int], int] = {}
-        self.extents: list[tuple[int, int]] = []
+        self.xref_section_count = 0
 
     def diag(self, offset: int, kind: DiagnosticKind, detail: str = "") -> None:
         offset = max(0, min(offset, len(self.data)))
@@ -348,10 +358,7 @@ class _DocumentParser:
             return PdfDocument(total_size=0, diagnostics=self.diags)
 
         header_version = self._parse_header()
-        self._scan_objects()
-        trailer_dicts = self._scan_xref_and_trailers()
-        startxref_offsets = self._scan_startxref()
-        eof_offsets = [m.start() for m in _EOF_RE.finditer(data) if self._outside(m.start())]
+        trailer_dicts, startxref_offsets, eof_offsets = self._scan()
         self._expand_object_streams()
 
         xref_streams = self._xref_stream_trailers()
@@ -375,25 +382,55 @@ class _DocumentParser:
         self.diag(0, DiagnosticKind.GARBAGE_BYTES, "no %PDF- header in first 1024 bytes")
         return None
 
-    # -- pass 1: linear object scan -------------------------------------------
+    # -- pass 1: one linear scan for objects and the xref/trailer markers -----
 
-    def _scan_objects(self) -> None:
+    def _scan(self) -> tuple[list[tuple[int, dict]], list[int], list[int]]:
+        """Parse every object, xref table, trailer, startxref and %%EOF in file order.
+
+        Returns (offset, trailer dict) pairs, startxref values and %%EOF
+        offsets.  A match that starts inside the last parsed object belongs
+        to that object and is skipped.
+        """
+        data = self.data
+        trailers: list[tuple[int, dict]] = []
+        consumed_trailers: set[int] = set()
+        startxref_offsets: list[int] = []
+        eof_offsets: list[int] = []
         cursor = 0
-        for m in _OBJ_RE.finditer(self.data):
-            if m.start() < cursor:
+        for m in _SCAN_RE.finditer(data):
+            at = m.start()
+            if at < cursor:
                 continue
-            key = (int(m.group(1)), int(m.group(2)))
-            value, end = self._parse_object_body(m.end())
-            if key in self.objects:
-                self.diag(
-                    m.start(),
-                    DiagnosticKind.DUPLICATE_OBJECT,
-                    f"object {key[0]} {key[1]} redefined; keeping the later definition",
-                )
-            self.objects[key] = value
-            self.object_offsets[key] = m.start()
-            self.extents.append((m.start(), end))
-            cursor = end
+            if m.group(1) is not None:
+                key = (int(m.group(1)), int(m.group(2)))
+                value, cursor = self._parse_object_body(m.end())
+                if key in self.objects:
+                    self.diag(
+                        at,
+                        DiagnosticKind.DUPLICATE_OBJECT,
+                        f"object {key[0]} {key[1]} redefined; keeping the later definition",
+                    )
+                self.objects[key] = value
+                self.object_offsets[key] = at
+                continue
+            word = m.group()
+            if word == b"%%EOF":
+                eof_offsets.append(at)
+            elif data[at - 1 : at].isalpha() or data[m.end() : m.end() + 1].isalnum():
+                continue  # the keyword is part of a longer word
+            elif word == b"xref":
+                self.xref_section_count += 1
+                self._parse_xref_table(m, trailers, consumed_trailers)
+            elif word == b"trailer":
+                if at not in consumed_trailers:
+                    entry = self._parse_trailer_dict(at)
+                    if entry is not None:
+                        trailers.append(entry)
+            else:
+                value = self._parse_startxref(m)
+                if value is not None:
+                    startxref_offsets.append(value)
+        return trailers, startxref_offsets, eof_offsets
 
     def _parse_object_body(self, pos: int) -> tuple[Any, int]:
         sc = _Scanner(self.data, pos)
@@ -427,12 +464,7 @@ class _DocumentParser:
     def _read_stream(self, sc: _Scanner, dictionary: dict) -> PdfStream:
         data = self.data
         keyword_at = sc.pos
-        sc.pos += 6  # consume 'stream'
-        if data.startswith(b"\r\n", sc.pos):
-            sc.pos += 2
-        elif data[sc.pos : sc.pos + 1] in (b"\n", b"\r"):
-            sc.pos += 1
-        start = sc.pos
+        start = _skip_eol(data, sc.pos + 6)  # past 'stream' and its EOL
 
         declared = dictionary.get("/Length")
         end: Optional[int] = None
@@ -473,12 +505,8 @@ class _DocumentParser:
 
     def _endstream_after(self, pos: int) -> Optional[int]:
         """Position just past 'endstream' if it follows pos (EOL allowed)."""
-        data = self.data
-        if data.startswith(b"\r\n", pos):
-            pos += 2
-        elif data[pos : pos + 1] in (b"\n", b"\r"):
-            pos += 1
-        if data.startswith(b"endstream", pos):
+        pos = _skip_eol(self.data, pos)
+        if self.data.startswith(b"endstream", pos):
             return pos + 9
         return None
 
@@ -511,36 +539,7 @@ class _DocumentParser:
             return None
         return decoded
 
-    # -- pass 2: xref tables, trailers, startxref ------------------------------
-
-    def _outside(self, offset: int) -> bool:
-        lo, hi = 0, len(self.extents)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.extents[mid][0] <= offset:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == 0:
-            return True
-        return offset >= self.extents[lo - 1][1]
-
-    def _scan_xref_and_trailers(self) -> list[tuple[int, dict]]:
-        trailers: list[tuple[int, dict]] = []
-        consumed_trailer_offsets: set[int] = set()
-        self.xref_section_count = 0
-        for m in _XREF_RE.finditer(self.data):
-            if not self._outside(m.start()):
-                continue
-            self.xref_section_count += 1
-            self._parse_xref_table(m, trailers, consumed_trailer_offsets)
-        for m in _TRAILER_RE.finditer(self.data):
-            if not self._outside(m.start()) or m.start() in consumed_trailer_offsets:
-                continue
-            entry = self._parse_trailer_dict(m.start())
-            if entry is not None:
-                trailers.append(entry)
-        return trailers
+    # -- xref tables, trailers, startxref -------------------------------------
 
     def _parse_xref_table(
         self,
@@ -613,32 +612,28 @@ class _DocumentParser:
             self.diag(keyword_at, DiagnosticKind.TRUNCATED, "unterminated trailer dictionary")
             return None
 
-    def _scan_startxref(self) -> list[int]:
-        offsets: list[int] = []
+    def _parse_startxref(self, m: re.Match) -> Optional[int]:
+        """The offset after a startxref keyword, checked against the file."""
         data = self.data
-        for m in _STARTXREF_RE.finditer(data):
-            if not self._outside(m.start()):
-                continue
-            sc = _Scanner(data, m.end())
-            sc.skip_ws()
-            value = sc.read_uint()
-            if value is None:
-                self.diag(m.start(), DiagnosticKind.BAD_XREF, "startxref without offset")
-                continue
-            offsets.append(value)
-            if value >= len(data):
-                self.diag(m.start(), DiagnosticKind.BAD_XREF, f"startxref {value} is past end of file")
-                continue
-            target = _Scanner(data, value)
-            target.skip_ws()
-            b = target.peek()
-            if not (target.starts_with(b"xref") or 0x30 <= b <= 0x39):
-                self.diag(
-                    m.start(),
-                    DiagnosticKind.BAD_XREF,
-                    f"startxref {value} does not point at cross-reference data",
-                )
-        return offsets
+        sc = _Scanner(data, m.end())
+        sc.skip_ws()
+        value = sc.read_uint()
+        if value is None:
+            self.diag(m.start(), DiagnosticKind.BAD_XREF, "startxref without offset")
+            return None
+        if value >= len(data):
+            self.diag(m.start(), DiagnosticKind.BAD_XREF, f"startxref {value} is past end of file")
+            return value
+        target = _Scanner(data, value)
+        target.skip_ws()
+        b = target.peek()
+        if not (target.starts_with(b"xref") or 0x30 <= b <= 0x39):
+            self.diag(
+                m.start(),
+                DiagnosticKind.BAD_XREF,
+                f"startxref {value} does not point at cross-reference data",
+            )
+        return value
 
     def _xref_stream_trailers(self) -> list[tuple[int, dict]]:
         found = []
@@ -647,7 +642,7 @@ class _DocumentParser:
                 found.append((self.object_offsets.get(key, 0), value.dictionary))
         return found
 
-    # -- pass 3: object streams -----------------------------------------------
+    # -- pass 2: object streams -----------------------------------------------
 
     def _expand_object_streams(self) -> None:
         containers = [

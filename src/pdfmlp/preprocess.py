@@ -187,11 +187,15 @@ def read_features_csv(path: str) -> Dataset:
             if len(row) != len(CSV_HEADER):
                 raise ValueError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
             paths.append(row[0])
-            label = int(row[1])
+            try:
+                label = int(row[1])
+                values = [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if label not in (-1, 0, 1):
                 raise ValueError(f"{path}:{lineno}: label must be -1, 0 or 1")
             labels.append(label)
-            rows.append([float(v) for v in row[2:]])
+            rows.append(values)
             linenos.append(lineno)
     features = (
         np.asarray(rows, dtype=np.float64)

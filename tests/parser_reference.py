@@ -1,0 +1,130 @@
+"""The parser's former five-pass scan, kept as an oracle for the one-pass scan.
+
+It ran one whole-file regex pass for object headers and then one each for
+``xref``, ``trailer``, ``startxref`` and ``%%EOF``.  A marker counted only
+when it lay outside every parsed object's extent, found by binary search
+over the recorded extents.  The per-item parsers (object bodies, xref
+tables, trailer dictionaries, object streams) are the library's own, so a
+test that compares the two isolates the scan.
+"""
+
+import re
+
+from pdfmlp.pdf.objects import DiagnosticKind, PdfDocument
+from pdfmlp.pdf.parser import _OBJ_RE, _DocumentParser, _Scanner
+
+_XREF_RE = re.compile(rb"(?<![A-Za-z])xref(?![0-9A-Za-z])")
+_TRAILER_RE = re.compile(rb"(?<![A-Za-z])trailer(?![0-9A-Za-z])")
+_STARTXREF_RE = re.compile(rb"(?<![A-Za-z])startxref(?![0-9A-Za-z])")
+_EOF_RE = re.compile(rb"%%EOF")
+
+
+class FivePassParser(_DocumentParser):
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.extents: list[tuple[int, int]] = []
+
+    def parse(self) -> PdfDocument:
+        data = self.data
+        if not data:
+            self.diag(0, DiagnosticKind.TRUNCATED, "empty input")
+            return PdfDocument(total_size=0, diagnostics=self.diags)
+
+        header_version = self._parse_header()
+        self._scan_objects()
+        trailer_dicts = self._scan_xref_and_trailers()
+        startxref_offsets = self._scan_startxref()
+        eof_offsets = [m.start() for m in _EOF_RE.finditer(data) if self._outside(m.start())]
+        self._expand_object_streams()
+
+        xref_streams = self._xref_stream_trailers()
+        all_trailers = sorted(trailer_dicts + xref_streams, key=lambda pair: pair[0])
+
+        return PdfDocument(
+            header_version=header_version,
+            objects=self.objects,
+            trailer_dicts=[d for _, d in all_trailers],
+            xref_section_count=self.xref_section_count + len(xref_streams),
+            startxref_offsets=startxref_offsets,
+            eof_marker_offsets=eof_offsets,
+            total_size=len(data),
+            diagnostics=self.diags,
+        )
+
+    def _scan_objects(self) -> None:
+        cursor = 0
+        for m in _OBJ_RE.finditer(self.data):
+            if m.start() < cursor:
+                continue
+            key = (int(m.group(1)), int(m.group(2)))
+            value, end = self._parse_object_body(m.end())
+            if key in self.objects:
+                self.diag(
+                    m.start(),
+                    DiagnosticKind.DUPLICATE_OBJECT,
+                    f"object {key[0]} {key[1]} redefined; keeping the later definition",
+                )
+            self.objects[key] = value
+            self.object_offsets[key] = m.start()
+            self.extents.append((m.start(), end))
+            cursor = end
+
+    def _outside(self, offset: int) -> bool:
+        lo, hi = 0, len(self.extents)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.extents[mid][0] <= offset:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == 0:
+            return True
+        return offset >= self.extents[lo - 1][1]
+
+    def _scan_xref_and_trailers(self) -> list[tuple[int, dict]]:
+        trailers: list[tuple[int, dict]] = []
+        consumed_trailer_offsets: set[int] = set()
+        self.xref_section_count = 0
+        for m in _XREF_RE.finditer(self.data):
+            if not self._outside(m.start()):
+                continue
+            self.xref_section_count += 1
+            self._parse_xref_table(m, trailers, consumed_trailer_offsets)
+        for m in _TRAILER_RE.finditer(self.data):
+            if not self._outside(m.start()) or m.start() in consumed_trailer_offsets:
+                continue
+            entry = self._parse_trailer_dict(m.start())
+            if entry is not None:
+                trailers.append(entry)
+        return trailers
+
+    def _scan_startxref(self) -> list[int]:
+        offsets: list[int] = []
+        data = self.data
+        for m in _STARTXREF_RE.finditer(data):
+            if not self._outside(m.start()):
+                continue
+            sc = _Scanner(data, m.end())
+            sc.skip_ws()
+            value = sc.read_uint()
+            if value is None:
+                self.diag(m.start(), DiagnosticKind.BAD_XREF, "startxref without offset")
+                continue
+            offsets.append(value)
+            if value >= len(data):
+                self.diag(m.start(), DiagnosticKind.BAD_XREF, f"startxref {value} is past end of file")
+                continue
+            target = _Scanner(data, value)
+            target.skip_ws()
+            b = target.peek()
+            if not (target.starts_with(b"xref") or 0x30 <= b <= 0x39):
+                self.diag(
+                    m.start(),
+                    DiagnosticKind.BAD_XREF,
+                    f"startxref {value} does not point at cross-reference data",
+                )
+        return offsets
+
+
+def parse_pdf(data: bytes) -> PdfDocument:
+    return FivePassParser(bytes(data)).parse()

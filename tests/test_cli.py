@@ -265,6 +265,14 @@ def test_train_non_finite_csv_is_error(features_csv, tmp_path):
     ]
 
 
+def test_train_divergence_is_error(features_csv, tmp_path):
+    out = str(tmp_path / "m.bin")
+    result = run_cli(["train", "--features", features_csv, "--out", out, "--epochs", "3", "--eta", "1e300"])
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == ["pdfmlp: error: non-finite loss at epoch 0"]
+    assert not os.path.exists(out)
+
+
 def test_train_single_class_csv_is_error(corpus, tmp_path, capsys):
     out = str(tmp_path / "benign-only.csv")
     rc = cli.main(["extract", "--benign", str(corpus["benign"]), "--out", out])

@@ -1,5 +1,6 @@
 """Parser behavior: recovery, diagnostics, totality, name canonicalization."""
 
+import dataclasses
 import sys
 import tracemalloc
 import zlib
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from pdfmlp.pdf import (
     DiagnosticKind,
+    PdfDocument,
     PdfRef,
     PdfStream,
     PdfString,
@@ -27,6 +29,8 @@ from pdfbuild import (
     pdf_with_stream,
     stream_body,
 )
+import parser_reference
+from test_acceptance import _fuzz_corpus
 
 
 def kinds(doc):
@@ -360,3 +364,96 @@ def test_mutated_real_pdfs_parse(data):
         base[pos] = data.draw(st.integers(0, 255))
     doc = parse_pdf(bytes(base))
     assert doc.total_size == len(base)
+
+
+# -- the one-pass scan against the former five-pass scan -------------------------
+
+
+def _diagnostic_order(d):
+    return (d.offset, d.kind, d.detail)
+
+
+def assert_same_as_five_pass_scan(data: bytes) -> None:
+    """Every PdfDocument field equals the oracle's; diagnostics in any order."""
+    new, old = parse_pdf(data), parser_reference.parse_pdf(data)
+    for f in dataclasses.fields(PdfDocument):
+        a, b = getattr(new, f.name), getattr(old, f.name)
+        if f.name == "diagnostics":
+            a, b = sorted(a, key=_diagnostic_order), sorted(b, key=_diagnostic_order)
+        assert a == b, f.name
+
+
+_KEYWORD_CASES = {
+    "Xstartxref": minimal_pdf().replace(b"startxref", b"Xstartxref"),
+    "axref": minimal_pdf().replace(b"xref\n0 ", b"axref\n0 "),
+    "xrefs": minimal_pdf().replace(b"xref\n0 ", b"xrefs\n0 "),
+    "xref%%EOF": minimal_pdf() + b"xref%%EOF",
+    "%%%EOF": minimal_pdf().replace(b"%%EOF", b"%%%EOF"),
+    "%%EOFxref": minimal_pdf() + b"%%EOFxref\n",
+    "xref-then-digit": minimal_pdf() + b"xref1 0 obj\nnull\nendobj\n",
+    "keywords-in-string": assemble_pdf(
+        [
+            b"<< /Type /Catalog /Pages 2 0 R /T (xref trailer << >> startxref 0 %%EOF) >>",
+            b"<< /Type /Pages /Kids [] /Count 0 >>",
+        ]
+    ),
+    "keywords-in-stream": pdf_with_stream(b"xref\n0 1\ntrailer\n<< /Size 1 >>\nstartxref\n0\n%%EOF"),
+    "keywords-in-stream-bad-length": pdf_with_stream(b"trailer << >> startxref 7 %%EOF", length=999),
+    "standalone-trailer-before-table": minimal_pdf().replace(
+        b"xref\n", b"trailer\n<< /Size 9 >>\nxref\n"
+    ),
+    "trailer-consumed-by-table": minimal_pdf(),
+    "trailer-in-table-comment": minimal_pdf().replace(b"xref\n", b"xref\n% trailer << /C 1 >>\n"),
+    "two-tables-one-trailer": minimal_pdf().replace(b"xref\n", b"xref\n% xref\n"),
+    "table-without-trailer": minimal_pdf().replace(b"trailer", b"Xtrailer"),
+    "keywords-at-both-ends": b"startxref" + minimal_pdf()[9:] + b"xref",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KEYWORD_CASES))
+def test_scan_matches_five_pass_scan_on_keyword_cases(name):
+    assert_same_as_five_pass_scan(_KEYWORD_CASES[name])
+
+
+def test_keywords_inside_longer_words_are_not_markers():
+    doc = parse_pdf(_KEYWORD_CASES["Xstartxref"])
+    assert doc.startxref_offsets == []
+    assert parse_pdf(_KEYWORD_CASES["xrefs"]).xref_section_count == 0
+    assert len(parse_pdf(_KEYWORD_CASES["%%%EOF"]).eof_marker_offsets) == 1
+    assert parse_pdf(_KEYWORD_CASES["xref%%EOF"]).xref_section_count == 2
+    doc = parse_pdf(_KEYWORD_CASES["standalone-trailer-before-table"])
+    assert [t.get("/Size") for t in doc.trailer_dicts] == [9, 4]
+
+
+def test_scan_matches_five_pass_scan_on_fuzz_corpus():
+    for data in _fuzz_corpus(10_000):
+        assert_same_as_five_pass_scan(data)
+
+
+_SPLICE_BASES = [
+    minimal_pdf(),
+    pdf_with_stream(b"xref trailer startxref 9 %%EOF"),
+    pdf_with_objstm([(7, b"(xref trailer %%EOF)"), (8, b"<< /A 1 >>")]),
+    _KEYWORD_CASES["keywords-in-string"],
+]
+_SPLICES = [
+    b"Xstartxref", b"axref", b"xrefs", b"xref%%EOF", b"%%%EOF", b"%%EOFxref",
+    b"xref", b"trailer", b"startxref", b"%%EOF", b"startxref\n0\n", b"trailer\n<< /Size 3 >>\n",
+    b"xref\n0 1\n0000000000 65535 f \n", b"(xref trailer)", b"% startxref\n",
+    b"1 0 obj", b"endobj", b"stream\n", b"endstream", b"<<", b">>", b"(", b" ",
+]
+
+
+@st.composite
+def spliced_documents(draw):
+    data = bytearray(draw(st.sampled_from(_SPLICE_BASES)))
+    for _ in range(draw(st.integers(1, 6))):
+        pos = draw(st.integers(0, len(data)))
+        data[pos:pos] = draw(st.sampled_from(_SPLICES))
+    return bytes(data)
+
+
+@given(spliced_documents())
+@settings(max_examples=300, deadline=None)
+def test_scan_matches_five_pass_scan_on_spliced_keywords(data):
+    assert_same_as_five_pass_scan(data)

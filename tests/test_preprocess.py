@@ -231,17 +231,30 @@ def test_csv_rejects_bad_label(tmp_path):
         read_features_csv(path)
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
-def test_csv_rejects_non_finite_values(tmp_path, cell):
+def _csv_with_cell(tmp_path, column, cell):
+    """A three-row feature CSV whose line 3 holds ``cell`` in ``column``."""
     d = make_dataset(np.zeros((3, N_FEATURES)), [0, 1, 0])
     path = str(tmp_path / "features.csv")
     write_features_csv(path, d)
     lines = open(path).read().splitlines()
     fields = lines[2].split(",")
-    fields[7] = cell
+    fields[column] = cell
     lines[2] = ",".join(fields)
     open(path, "w").write("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_csv_rejects_non_finite_values(tmp_path, cell):
+    path = _csv_with_cell(tmp_path, 7, cell)
     with pytest.raises(ValueError, match=r"features\.csv:3: feature values must be finite"):
+        read_features_csv(path)
+
+
+@pytest.mark.parametrize("column, cell", [(1, "1.0"), (7, "abc")])
+def test_csv_unparseable_cell_names_its_line(tmp_path, column, cell):
+    path = _csv_with_cell(tmp_path, column, cell)
+    with pytest.raises(ValueError, match=rf"features\.csv:3: .*'{cell}'"):
         read_features_csv(path)
 
 
