@@ -34,6 +34,8 @@ __all__ = ["parse_pdf", "iter_name_occurrences", "MAX_NESTING_DEPTH"]
 MAX_NESTING_DEPTH = 64
 
 _REGULAR_END = WHITESPACE | frozenset(b"()<>[]{}/%")
+# A run of regular bytes, which is what a name holds after its '/'.
+_NAME_RE = re.compile(b"[^" + re.escape(bytes(sorted(_REGULAR_END))) + b"]*")
 
 _OBJ_RE = re.compile(
     rb"(\d{1,10})[\x00\t\n\x0c\r ]+(\d{1,5})[\x00\t\n\x0c\r ]+obj(?![0-9A-Za-z])"
@@ -48,6 +50,7 @@ _NUMBER_RE = re.compile(rb"[+-]?(?:\d+(?:\.\d*)?|\.\d+)")
 _REF_TAIL_RE = re.compile(rb"[\x00\t\n\x0c\r ]+(\d{1,10})[\x00\t\n\x0c\r ]+R(?![0-9A-Za-z])")
 _XREF_ENTRY_RE = re.compile(rb"(\d{10})[\x00\t\n\x0c\r ](\d{5})[\x00\t\n\x0c\r ]([nf])")
 _KEYWORD_RE = re.compile(rb"[A-Za-z]{1,32}")
+_NAME_ESCAPE_RE = re.compile(rb"#([0-9A-Fa-f]{2})")
 _UINT_RE = re.compile(rb"\d{1,15}")
 # Number tokens longer than this are read as reals.  It is Python's default
 # int-string limit, fixed here so the parse never raises on a long integer
@@ -233,23 +236,12 @@ class _Scanner:
         return _SKIPPED
 
     def read_name(self) -> PdfName:
-        self.pos += 1  # consume '/'
-        data, n = self.data, len(self.data)
-        raw = bytearray()
-        while self.pos < n:
-            b = data[self.pos]
-            if b in _REGULAR_END:
-                break
-            if b == 0x23 and self.pos + 2 < n:  # '#xx' escape
-                pair = data[self.pos + 1 : self.pos + 3]
-                try:
-                    raw.append(int(pair, 16))
-                    self.pos += 3
-                    continue
-                except ValueError:
-                    pass
-            raw.append(b)
-            self.pos += 1
+        m = _NAME_RE.match(self.data, self.pos + 1)  # past '/'
+        self.pos = m.end()
+        raw = m.group()
+        if b"#" in raw:
+            # '#' and two hex digits is one escaped byte; any other '#' is literal.
+            raw = _NAME_ESCAPE_RE.sub(lambda e: bytes((int(e.group(1), 16),)), raw)
         return PdfName("/" + raw.decode("latin-1"))
 
     def read_literal_string(self) -> PdfString:
@@ -388,22 +380,21 @@ class _DocumentParser:
         """Parse every object, xref table, trailer, startxref and %%EOF in file order.
 
         Returns (offset, trailer dict) pairs, startxref values and %%EOF
-        offsets.  A match that starts inside the last parsed object belongs
-        to that object and is skipped.
+        offsets.  The search resumes after each parsed object, so the
+        bytes of an object body, stream payloads included, are read only
+        by the object parser; a marker among them belongs to the object.
         """
         data = self.data
         trailers: list[tuple[int, dict]] = []
         consumed_trailers: set[int] = set()
         startxref_offsets: list[int] = []
         eof_offsets: list[int] = []
-        cursor = 0
-        for m in _SCAN_RE.finditer(data):
-            at = m.start()
-            if at < cursor:
-                continue
+        pos = 0
+        while (m := _SCAN_RE.search(data, pos)) is not None:
+            at, pos = m.span()
             if m.group(1) is not None:
                 key = (int(m.group(1)), int(m.group(2)))
-                value, cursor = self._parse_object_body(m.end())
+                value, pos = self._parse_object_body(pos)
                 if key in self.objects:
                     self.diag(
                         at,
@@ -416,7 +407,7 @@ class _DocumentParser:
             word = m.group()
             if word == b"%%EOF":
                 eof_offsets.append(at)
-            elif data[at - 1 : at].isalpha() or data[m.end() : m.end() + 1].isalnum():
+            elif data[at - 1 : at].isalpha() or data[pos : pos + 1].isalnum():
                 continue  # the keyword is part of a longer word
             elif word == b"xref":
                 self.xref_section_count += 1
@@ -730,31 +721,25 @@ def iter_name_occurrences(doc: PdfDocument, name: str) -> int:
     target = name if name.startswith("/") else "/" + name
     seen: set[int] = set()
     count = 0
-
-    def walk(value: Any) -> None:
-        nonlocal count
+    stack: list[Any] = [*doc.trailer_dicts, *doc.objects.values()]
+    while stack:
+        value = stack.pop()
         if isinstance(value, PdfName):
             if value == target:
                 count += 1
         elif isinstance(value, dict):
             if id(value) in seen:
-                return
+                continue
             seen.add(id(value))
-            for key, item in value.items():
-                if isinstance(key, PdfName) and key == target:
-                    count += 1
-                walk(item)
+            # The stored key must be a name: a plain str key equal to it is not.
+            if target in value and any(isinstance(k, PdfName) and k == target for k in value):
+                count += 1
+            stack.extend(value.values())
         elif isinstance(value, list):
             if id(value) in seen:
-                return
+                continue
             seen.add(id(value))
-            for item in value:
-                walk(item)
+            stack.extend(value)
         elif isinstance(value, PdfStream):
-            walk(value.dictionary)
-
-    for trailer in doc.trailer_dicts:
-        walk(trailer)
-    for obj in doc.objects.values():
-        walk(obj)
+            stack.append(value.dictionary)
     return count

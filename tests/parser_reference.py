@@ -1,17 +1,24 @@
-"""The parser's former five-pass scan, kept as an oracle for the one-pass scan.
+"""Former parser code, kept as oracles for the code that replaced it.
 
-It ran one whole-file regex pass for object headers and then one each for
-``xref``, ``trailer``, ``startxref`` and ``%%EOF``.  A marker counted only
-when it lay outside every parsed object's extent, found by binary search
-over the recorded extents.  The per-item parsers (object bodies, xref
-tables, trailer dictionaries, object streams) are the library's own, so a
-test that compares the two isolates the scan.
+``FivePassParser`` is the former five-pass scan, the oracle for the
+one-pass scan.  It ran one whole-file regex pass for object headers and
+then one each for ``xref``, ``trailer``, ``startxref`` and ``%%EOF``.  A
+marker counted only when it lay outside every parsed object's extent,
+found by binary search over the recorded extents.  The per-item parsers
+(object bodies, xref tables, trailer dictionaries, object streams) and
+the tokenizer are the library's own, so a test that compares the two
+isolates the scan.
+
+``read_name`` is the per-byte name reader, the oracle for
+``_Scanner.read_name``, and ``iter_name_occurrences`` is the recursive
+name walk, the oracle for the stack walk.
 """
 
 import re
+from typing import Any
 
-from pdfmlp.pdf.objects import DiagnosticKind, PdfDocument
-from pdfmlp.pdf.parser import _OBJ_RE, _DocumentParser, _Scanner
+from pdfmlp.pdf.objects import HEX_DIGITS, DiagnosticKind, PdfDocument, PdfName, PdfStream
+from pdfmlp.pdf.parser import _OBJ_RE, _REGULAR_END, _DocumentParser, _Scanner
 
 _XREF_RE = re.compile(rb"(?<![A-Za-z])xref(?![0-9A-Za-z])")
 _TRAILER_RE = re.compile(rb"(?<![A-Za-z])trailer(?![0-9A-Za-z])")
@@ -128,3 +135,60 @@ class FivePassParser(_DocumentParser):
 
 def parse_pdf(data: bytes) -> PdfDocument:
     return FivePassParser(bytes(data)).parse()
+
+
+def read_name(data: bytes, pos: int) -> tuple[PdfName, int]:
+    """The name whose '/' is at pos, and the position just past it."""
+    pos += 1  # consume '/'
+    n = len(data)
+    raw = bytearray()
+    while pos < n:
+        b = data[pos]
+        if b in _REGULAR_END:
+            break
+        if (
+            b == 0x23  # '#xx' escape
+            and pos + 2 < n
+            and data[pos + 1] in HEX_DIGITS
+            and data[pos + 2] in HEX_DIGITS
+        ):
+            raw.append(int(data[pos + 1 : pos + 3], 16))
+            pos += 3
+            continue
+        raw.append(b)
+        pos += 1
+    return PdfName("/" + raw.decode("latin-1")), pos
+
+
+def iter_name_occurrences(doc: PdfDocument, name: str) -> int:
+    target = name if name.startswith("/") else "/" + name
+    seen: set[int] = set()
+    count = 0
+
+    def walk(value: Any) -> None:
+        nonlocal count
+        if isinstance(value, PdfName):
+            if value == target:
+                count += 1
+        elif isinstance(value, dict):
+            if id(value) in seen:
+                return
+            seen.add(id(value))
+            for key, item in value.items():
+                if isinstance(key, PdfName) and key == target:
+                    count += 1
+                walk(item)
+        elif isinstance(value, list):
+            if id(value) in seen:
+                return
+            seen.add(id(value))
+            for item in value:
+                walk(item)
+        elif isinstance(value, PdfStream):
+            walk(value.dictionary)
+
+    for trailer in doc.trailer_dicts:
+        walk(trailer)
+    for obj in doc.objects.values():
+        walk(obj)
+    return count

@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdfmlp.features import _COUNTED_NAMES
 from pdfmlp.pdf import (
+    MAX_NESTING_DEPTH,
     DiagnosticKind,
     PdfDocument,
+    PdfName,
     PdfRef,
     PdfStream,
     PdfString,
@@ -20,6 +23,8 @@ from pdfmlp.pdf import (
     parse_pdf,
 )
 from pdfmlp.pdf.filters import MAX_DECODED
+from pdfmlp.pdf.objects import WHITESPACE
+from pdfmlp.pdf.parser import _Scanner
 
 from pdfbuild import (
     assemble_pdf,
@@ -299,6 +304,38 @@ def test_hex_escaped_name_counts_as_canonical():
     assert iter_name_occurrences(parse_pdf(escaped), "/JavaScript") == 1
 
 
+def test_name_escape_needs_two_hex_digits():
+    # PDF 32000-1 7.3.5: '#' escapes a byte only when two hex digits follow.
+    raw = b"1 0 obj\n[/A#+1 /A# 1 /A#1 /B /A#4g /A#-1 /A#41 /A##41 /A#4]\nendobj"
+    assert parse_pdf(raw).objects[(1, 0)] == [
+        "/A#+1", "/A#", 1, "/A#1", "/B", "/A#4g", "/A#-1", "/AA", "/A#A", "/A#4"
+    ]
+
+
+_NAME_PIECES = st.one_of(
+    st.sampled_from([bytes([b]) for b in b"AZaz09.+-_!~\x80\xff"]),  # regular
+    st.sampled_from([bytes([b]) for b in b"()<>[]{}/%"]),  # delimiters
+    st.sampled_from([bytes([b]) for b in sorted(WHITESPACE)]),
+    st.lists(st.sampled_from([bytes([b]) for b in b"09afAF#gG +-/"]), max_size=2).map(
+        lambda tail: b"#" + b"".join(tail)
+    ),
+)
+
+
+@given(
+    st.lists(_NAME_PIECES, max_size=12).map(b"".join),
+    st.sampled_from([b"", b"#", b"#4", b"#g", b"4#", b"##"]),  # '#' among the last two bytes
+)
+@settings(max_examples=400, deadline=None)
+def test_read_name_matches_per_byte_reader(body, tail):
+    data = b"/" + body + tail
+    sc = _Scanner(data, 0)
+    name = sc.read_name()
+    expected, end = parser_reference.read_name(data, 0)
+    assert (name, sc.pos) == (expected, end)
+    assert type(name) is PdfName
+
+
 @given(st.text(alphabet="ABCdef123", min_size=1, max_size=12), st.data())
 @settings(max_examples=50, deadline=None)
 def test_any_escaping_counts_identically(name, data):
@@ -329,6 +366,72 @@ def test_xref_stream_counts_as_section_and_trailer():
     doc = parse_pdf(raw)
     assert doc.xref_section_count == 2  # classic table from the builder + the stream
     assert len(doc.trailer_dicts) == 2
+
+
+_ALL_COUNTED_NAMES = [
+    n for entry in _COUNTED_NAMES for n in (entry if isinstance(entry, tuple) else (entry,))
+]
+
+
+def assert_same_name_counts_as_recursive_walk(doc):
+    for name in _ALL_COUNTED_NAMES:
+        expected = parser_reference.iter_name_occurrences(doc, name)
+        assert iter_name_occurrences(doc, name) == expected, name
+
+
+def test_name_counts_match_recursive_walk_on_fuzz_corpus():
+    for data in _fuzz_corpus(10_000):
+        assert_same_name_counts_as_recursive_walk(parse_pdf(data))
+
+
+def _nested(depth, leaf):
+    value = leaf
+    for level in range(depth):
+        value = [value] if level % 2 else {PdfName("/K"): value}
+    return value
+
+
+_JS = PdfName("/JS")
+_SHARED = {_JS: _JS}
+_NAME_WALK_CASES = {
+    # (document, expected count of /JS)
+    "dict-shared-by-trailer-and-object": (
+        PdfDocument(objects={(1, 0): _SHARED, (2, 0): [_SHARED]}, trailer_dicts=[_SHARED]),
+        2,
+    ),
+    "plain-str-key": (PdfDocument(objects={(1, 0): {"/JS": 1}, (2, 0): {"/JS": _JS}}), 1),
+    "nested-lists": (PdfDocument(objects={(1, 0): [[_JS, [_JS, []]], _JS], (2, 0): _JS}), 4),
+    "stream-dictionaries": (
+        PdfDocument(objects={(1, 0): PdfStream({_JS: [_JS], PdfName("/Length"): 0}, b"/JS")}),
+        2,
+    ),
+    "nested-to-max-depth": (
+        PdfDocument(
+            objects={(1, 0): _nested(MAX_NESTING_DEPTH, _JS)},
+            trailer_dicts=[_nested(MAX_NESTING_DEPTH, {_JS: 1})],
+        ),
+        2,
+    ),
+    "parsed-stream-and-max-depth": (
+        parse_pdf(
+            assemble_pdf(
+                [
+                    b"<< /OpenAction << /S /JavaScript /JS (x) >> >>",
+                    stream_body(b"<< /JS /JS >>", b"/JS /JS"),
+                    b"[" * MAX_NESTING_DEPTH + b"/JS" + b"]" * MAX_NESTING_DEPTH,
+                ]
+            )
+        ),
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NAME_WALK_CASES))
+def test_name_counts_match_recursive_walk_on_hand_built_documents(name):
+    doc, expected = _NAME_WALK_CASES[name]
+    assert iter_name_occurrences(doc, "/JS") == expected
+    assert_same_name_counts_as_recursive_walk(doc)
 
 
 # -- totality and idempotence --------------------------------------------------
@@ -407,6 +510,18 @@ _KEYWORD_CASES = {
     "two-tables-one-trailer": minimal_pdf().replace(b"xref\n", b"xref\n% xref\n"),
     "table-without-trailer": minimal_pdf().replace(b"trailer", b"Xtrailer"),
     "keywords-at-both-ends": b"startxref" + minimal_pdf()[9:] + b"xref",
+    # Where an object body ends: the scan resumes there.
+    "number-then-header": b"1 0 obj 5 6 0 obj",
+    "keyword-then-header": b"1 0 obj true12 0 obj",
+    "long-number-then-header": b"1 0 obj 12345678901 0 obj",
+    "value-before-startxref": b"%PDF-1.4\n1 0 obj\n<< /A 5 >>startxref\n0\n%%EOF\n",
+    "keyword-splits-startxref": b"1 0 obj " + b"a" * 27 + b"startxref 0\n%%EOF",
+    "too-deep-recovers-at-endobj": b"%PDF-1.4\n1 0 obj\n"
+    + b"[" * (MAX_NESTING_DEPTH + 1)
+    + b" 3 0 obj xref trailer << >> startxref 0 %%EOF\nendobj\n2 0 obj\nnull\nendobj\n",
+    "stream-hides-header-and-markers": pdf_with_stream(
+        b"3 0 obj\nnull\nendobj\nxref\n0 1\ntrailer\n<< /Size 1 >>\nstartxref\n0\n%%EOF"
+    ),
 }
 
 
