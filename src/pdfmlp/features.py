@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Iterable, NamedTuple, Optional
+from itertools import repeat
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -46,6 +47,9 @@ CATEGORIES = ("structure", "object-properties", "content-stats", "metadata")
 
 # Tokens whose presence inside JavaScript payloads indicates obfuscation.
 _OBFUSCATION_TOKENS = (b"eval", b"unescape", b"String.fromCharCode", b"charCodeAt")
+
+# Maps every byte that is no hex digit to a space, so split() yields the hex runs.
+_HEX_RUNS = bytes(b if b in HEX_DIGITS else 0x20 for b in range(256))
 
 # Names counted by the object-properties block, in schema order.  The
 # /GoToR-or-GoToE entry sums two names.
@@ -220,7 +224,7 @@ def extract_features(doc: PdfDocument, raw: bytes) -> FeatureVector:
     values[6] = len(doc.startxref_offsets)
     values[7] = len(doc.eof_marker_offsets)
     values[8] = _bytes_after_last_eof(doc)
-    values[9] = max((_nesting_depth(v) for v in doc.objects.values()), default=0)
+    values[9], values[41] = _graph_facts(doc)
     values[10] = doc.diagnostic_count(DiagnosticKind.DUPLICATE_OBJECT)
     values[11] = len(doc.diagnostics)
 
@@ -245,7 +249,6 @@ def extract_features(doc: PdfDocument, raw: bytes) -> FeatureVector:
     values[39] = sum(1 for s in streams if s.decoded is None)
     info = _info_dict(doc)
     values[40] = _longest_hex_run(info)
-    values[41] = _obfuscation_score(doc)
 
     # metadata
     values[42] = _page_count(doc)
@@ -276,18 +279,6 @@ def _bytes_after_last_eof(doc: PdfDocument) -> int:
     if not doc.eof_marker_offsets:
         return doc.total_size
     return max(0, doc.total_size - (max(doc.eof_marker_offsets) + 5))
-
-
-def _nesting_depth(value: Any, depth: int = 0) -> int:
-    if depth > 80:
-        return depth
-    if isinstance(value, dict):
-        return 1 + max((_nesting_depth(v, depth + 1) for v in value.values()), default=0)
-    if isinstance(value, list):
-        return 1 + max((_nesting_depth(v, depth + 1) for v in value), default=0)
-    if isinstance(value, PdfStream):
-        return 1 + _nesting_depth(value.dictionary, depth + 1)
-    return 0
 
 
 def _stream_entropies(streams: list[PdfStream]) -> tuple[float, float]:
@@ -362,41 +353,42 @@ def _resolve(doc: PdfDocument, value: Any, depth: int = 8) -> Any:
     return None if isinstance(value, PdfRef) else value
 
 
-def _iter_dicts(doc: PdfDocument) -> Iterable[dict]:
+def _graph_facts(doc: PdfDocument) -> tuple[int, int]:
+    """The deepest container nesting over the object values, and the JavaScript payload score.
+
+    One walk that visits each dict and list once.  An object value is at
+    level 1, a child one below its container, a stream's dictionary one
+    below the stream.  Trailers lie under the objects on the stack, so a
+    container an object shares with a trailer (an /XRef stream dictionary)
+    gets its object level; one reached only from a trailer has level -inf:
+    it counts for payloads, not for depth.  A container shared by two
+    objects counts at its first visit, not its deepest; parse_pdf never
+    builds one.  The score counts obfuscation tokens in /JS and /JavaScript
+    payloads.
+    """
+    depth = score = 0
     seen: set[int] = set()
-    stack: list[Any] = list(doc.trailer_dicts) + list(doc.objects.values())
+    stack: list[tuple[Any, float]] = [(t, -math.inf) for t in doc.trailer_dicts]
+    stack += [(v, 1) for v in doc.objects.values()]
     while stack:
-        value = stack.pop()
+        value, level = stack.pop()
         if isinstance(value, PdfStream):
-            value = value.dictionary
-        if isinstance(value, dict):
+            value, level = value.dictionary, level + 1
+        if isinstance(value, (dict, list)):
             if id(value) in seen:
                 continue
             seen.add(id(value))
-            yield value
-            stack.extend(value.values())
-        elif isinstance(value, list):
-            if id(value) in seen:
-                continue
-            seen.add(id(value))
-            stack.extend(value)
-
-
-def _obfuscation_score(doc: PdfDocument) -> int:
-    score = 0
-    for d in _iter_dicts(doc):
-        for key in ("/JS", "/JavaScript"):
-            if key not in d:
-                continue
-            payload = _resolve(doc, d[key])
-            if isinstance(payload, PdfString):
-                data = payload.data
-            elif isinstance(payload, PdfStream):
-                data = payload.data
-            else:
-                continue
-            score += sum(data.count(tok) for tok in _OBFUSCATION_TOKENS)
-    return score
+            if level > depth:
+                depth = level
+            if isinstance(value, dict):
+                for key in ("/JS", "/JavaScript"):
+                    if key in value:
+                        payload = _resolve(doc, value[key])
+                        if isinstance(payload, (PdfString, PdfStream)):
+                            score += sum(payload.data.count(tok) for tok in _OBFUSCATION_TOKENS)
+                value = value.values()
+            stack.extend(zip(value, repeat(level + 1)))
+    return depth, score
 
 
 def _page_count(doc: PdfDocument) -> float:
@@ -440,17 +432,8 @@ def _info_string_values(info: Optional[dict]) -> list[bytes]:
 
 
 def _longest_hex_run(info: Optional[dict]) -> int:
-    longest = 0
-    for data in _info_string_values(info):
-        run = 0
-        for b in data:
-            if b in HEX_DIGITS:
-                run += 1
-                if run > longest:
-                    longest = run
-            else:
-                run = 0
-    return longest
+    runs = (data.translate(_HEX_RUNS).split() for data in _info_string_values(info))
+    return max((max(map(len, r), default=0) for r in runs), default=0)
 
 
 def _has_xmp(doc: PdfDocument) -> bool:

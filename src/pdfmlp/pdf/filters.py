@@ -30,6 +30,10 @@ MAX_DECODED = 1 << 26
 
 _INFLATE_CHUNK = 1 << 20
 
+# The shared byte classes as deletion tables for bytes.translate.
+_WHITESPACE_BYTES = bytes(sorted(WHITESPACE))
+_HEX_DIGIT_BYTES = bytes(sorted(HEX_DIGITS))
+
 # Abbreviated filter names are legal inside inline images and show up in
 # malformed files elsewhere too; treat them as their long forms.
 _ALIASES = {
@@ -232,24 +236,20 @@ def _lzw_decode(data: bytes, early_change: int = 1) -> bytes:
 
 
 def _asciihex_decode(data: bytes) -> bytes:
-    digits = bytearray()
-    for byte in data:
-        if byte == 0x3E:  # ">"
-            break
-        if byte in WHITESPACE:
-            continue
-        if byte not in HEX_DIGITS:
-            raise StreamDecodeError("ASCIIHexDecode", f"invalid byte 0x{byte:02x}")
-        digits.append(byte)
+    end = data.find(b">")
+    digits = (data if end == -1 else data[:end]).translate(None, _WHITESPACE_BYTES)
+    invalid = digits.translate(None, _HEX_DIGIT_BYTES)
+    if invalid:
+        raise StreamDecodeError("ASCIIHexDecode", f"invalid byte 0x{invalid[0]:02x}")
     if (len(digits) + 1) // 2 > MAX_DECODED:
         raise _over_cap("ASCIIHexDecode")
     if len(digits) % 2:
-        digits.append(0x30)  # odd count: final digit is the high nibble
+        digits += b"0"  # odd count: final digit is the high nibble
     return bytes.fromhex(digits.decode("ascii"))
 
 
 def _ascii85_decode(data: bytes) -> bytes:
-    body = bytes(b for b in data if b not in WHITESPACE)
+    body = data.translate(None, _WHITESPACE_BYTES)
     if body.startswith(b"<~"):
         body = body[2:]
     end = body.find(b"~>")

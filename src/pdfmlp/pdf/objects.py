@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Any, Optional
 
 # Byte classes of the PDF lexer, shared by the parser, the filters and the
@@ -116,3 +118,28 @@ class PdfDocument:
 
     def diagnostic_count(self, kind: DiagnosticKind) -> int:
         return sum(1 for d in self.diagnostics if d.kind is kind)
+
+    @cached_property
+    def _name_counts(self) -> Counter:
+        """How often each PdfName occurs as a dict key or value; a plain str key is no name.
+
+        Walked once and cached, as the document is not mutated after parse_pdf
+        returns; two threads that ask at once may both walk, and store equal counts.
+        """
+        names: list[PdfName] = []
+        seen: set[int] = set()
+        stack: list[Any] = [*self.trailer_dicts, *self.objects.values()]
+        while stack:
+            value = stack.pop()
+            if isinstance(value, PdfName):
+                names.append(value)
+            elif isinstance(value, (dict, list)):
+                if id(value) in seen:
+                    continue
+                seen.add(id(value))
+                stack.extend(value)  # a dict's keys too
+                if isinstance(value, dict):
+                    stack.extend(value.values())
+            elif isinstance(value, PdfStream):
+                stack.append(value.dictionary)
+        return Counter(names)

@@ -49,6 +49,10 @@ _HEADER_RE = re.compile(rb"%PDF-(\d+(?:\.\d+)?)")
 _NUMBER_RE = re.compile(rb"[+-]?(?:\d+(?:\.\d*)?|\.\d+)")
 _REF_TAIL_RE = re.compile(rb"[\x00\t\n\x0c\r ]+(\d{1,10})[\x00\t\n\x0c\r ]+R(?![0-9A-Za-z])")
 _XREF_ENTRY_RE = re.compile(rb"(\d{10})[\x00\t\n\x0c\r ](\d{5})[\x00\t\n\x0c\r ]([nf])")
+# A run of literal-string bytes that are copied as they are: all but '(', ')'
+# and the backslash.  Written as ranges, the class is one bitmap test per byte.
+_LITERAL_RUN_RE = re.compile(rb"[\x00-\x27\x2a-\x5b\x5d-\xff]+")
+_NOT_HEX_DIGITS = bytes(sorted(frozenset(range(256)) - HEX_DIGITS))
 _KEYWORD_RE = re.compile(rb"[A-Za-z]{1,32}")
 _NAME_ESCAPE_RE = re.compile(rb"#([0-9A-Fa-f]{2})")
 _UINT_RE = re.compile(rb"\d{1,15}")
@@ -250,6 +254,11 @@ class _Scanner:
         out = bytearray()
         depth = 1
         while self.pos < n:
+            run = _LITERAL_RUN_RE.match(data, self.pos)
+            if run is not None:
+                out += run.group()
+                self.pos = run.end()
+                continue
             b = data[self.pos]
             if b == 0x5C:  # backslash
                 self.pos += 1
@@ -279,32 +288,25 @@ class _Scanner:
                 depth += 1
                 out.append(b)
                 self.pos += 1
-            elif b == 0x29:  # ')'
+            else:  # ')'
                 depth -= 1
                 self.pos += 1
                 if depth == 0:
                     return PdfString(bytes(out), hex=False)
                 out.append(b)
-            else:
-                out.append(b)
-                self.pos += 1
         raise _Truncated
 
     def read_hex_string(self) -> PdfString:
-        self.pos += 1  # consume '<'
-        data, n = self.data, len(self.data)
-        digits = bytearray()
-        while self.pos < n:
-            b = data[self.pos]
-            self.pos += 1
-            if b == 0x3E:  # '>'
-                if len(digits) % 2:
-                    digits.append(0x30)
-                return PdfString(bytes.fromhex(digits.decode("ascii")), hex=True)
-            if b in HEX_DIGITS:
-                digits.append(b)
-            # anything else (whitespace or junk) is skipped
-        raise _Truncated
+        end = self.data.find(b">", self.pos + 1)
+        if end == -1:
+            self.pos = len(self.data)
+            raise _Truncated
+        # whitespace and junk between the digits are dropped
+        digits = self.data[self.pos + 1 : end].translate(None, _NOT_HEX_DIGITS)
+        self.pos = end + 1
+        if len(digits) % 2:
+            digits += b"0"
+        return PdfString(bytes.fromhex(digits.decode("ascii")), hex=True)
 
 
 _SKIPPED = object()
@@ -716,30 +718,8 @@ def iter_name_occurrences(doc: PdfDocument, name: str) -> int:
     The query may be written with or without the leading slash; names in
     the document were canonicalized (#xx escapes resolved) at parse time,
     so obfuscated spellings are already folded in.  Objects unpacked from
-    object streams are part of the object map and therefore counted.
+    object streams are part of the object map and therefore counted.  A
+    query is a lookup into counts that one walk caches on the document.
     """
     target = name if name.startswith("/") else "/" + name
-    seen: set[int] = set()
-    count = 0
-    stack: list[Any] = [*doc.trailer_dicts, *doc.objects.values()]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, PdfName):
-            if value == target:
-                count += 1
-        elif isinstance(value, dict):
-            if id(value) in seen:
-                continue
-            seen.add(id(value))
-            # The stored key must be a name: a plain str key equal to it is not.
-            if target in value and any(isinstance(k, PdfName) and k == target for k in value):
-                count += 1
-            stack.extend(value.values())
-        elif isinstance(value, list):
-            if id(value) in seen:
-                continue
-            seen.add(id(value))
-            stack.extend(value)
-        elif isinstance(value, PdfStream):
-            stack.append(value.dictionary)
-    return count
+    return doc._name_counts[target]

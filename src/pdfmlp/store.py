@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -212,12 +213,17 @@ def _read_arrays(manifest: Any, payload: bytes) -> dict[str, np.ndarray]:
             shape = tuple(int(s) for s in entry["shape"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"bad manifest entry: {entry!r}") from exc
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        if any(s < 0 for s in shape):
+            raise ModelFormatError(f"bad manifest entry: {entry!r}")
+        count = math.prod(shape)  # exact: an int64 product could wrap
         nbytes = count * 8
         if offset + nbytes > len(payload):
             raise TruncatedModelError(f"array {name!r} extends past the data section")
         flat = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        arrays[name] = flat.astype(np.float64).reshape(shape)
+        try:
+            arrays[name] = flat.astype(np.float64).reshape(shape)
+        except ValueError as exc:  # a dimension numpy cannot index, next to a 0
+            raise ModelFormatError(f"bad manifest entry: {entry!r}") from exc
         offset += nbytes
     if offset != len(payload):
         raise ModelFormatError("data section has trailing bytes")

@@ -4,11 +4,18 @@ These are the straightforward versions: whole-buffer ``zlib.decompress``
 with the same three attempts the library makes, and one Python step per
 byte for the PNG and TIFF predictors.  They have no size cap, so tests use
 them only on inputs well below ``MAX_DECODED``.
+
+``asciihex_decode`` and ``ascii85_decode`` are the former ASCII filters,
+which strip whitespace one byte per step.  They keep the up-front size
+cap, read from ``filters.MAX_DECODED`` so a test can lower it.
 """
 
+import base64
 import zlib
 
-from pdfmlp.pdf.filters import StreamDecodeError
+from pdfmlp.pdf import filters
+from pdfmlp.pdf.filters import StreamDecodeError, _over_cap
+from pdfmlp.pdf.objects import HEX_DIGITS, WHITESPACE
 
 
 def inflate(data: bytes) -> bytes:
@@ -86,3 +93,37 @@ def _paeth(a: int, b: int, c: int) -> int:
     if pb <= pc:
         return b
     return c
+
+
+def asciihex_decode(data: bytes) -> bytes:
+    digits = bytearray()
+    for byte in data:
+        if byte == 0x3E:  # ">"
+            break
+        if byte in WHITESPACE:
+            continue
+        if byte not in HEX_DIGITS:
+            raise StreamDecodeError("ASCIIHexDecode", f"invalid byte 0x{byte:02x}")
+        digits.append(byte)
+    if (len(digits) + 1) // 2 > filters.MAX_DECODED:
+        raise _over_cap("ASCIIHexDecode")
+    if len(digits) % 2:
+        digits.append(0x30)  # odd count: final digit is the high nibble
+    return bytes.fromhex(digits.decode("ascii"))
+
+
+def ascii85_decode(data: bytes) -> bytes:
+    body = bytes(b for b in data if b not in WHITESPACE)
+    if body.startswith(b"<~"):
+        body = body[2:]
+    end = body.find(b"~>")
+    if end != -1:
+        body = body[:end]
+    zeros = body.count(b"z")
+    rest = len(body) - zeros
+    if 4 * zeros + 4 * (rest // 5) + max(rest % 5 - 1, 0) > filters.MAX_DECODED:
+        raise _over_cap("ASCII85Decode")
+    try:
+        return base64.a85decode(body, adobe=False)
+    except ValueError as exc:
+        raise StreamDecodeError("ASCII85Decode", str(exc)) from exc

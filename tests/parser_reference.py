@@ -9,16 +9,25 @@ found by binary search over the recorded extents.  The per-item parsers
 the tokenizer are the library's own, so a test that compares the two
 isolates the scan.
 
-``read_name`` is the per-byte name reader, the oracle for
-``_Scanner.read_name``, and ``iter_name_occurrences`` is the recursive
-name walk, the oracle for the stack walk.
+``read_name``, ``read_literal_string`` and ``read_hex_string`` are the
+per-byte readers, the oracles for the ``_Scanner`` methods of the same
+names; each returns the value (None where the input ends first) and the
+position after it.  ``iter_name_occurrences`` is the recursive name walk,
+the oracle for the one walk that counts every name.
 """
 
 import re
-from typing import Any
+from typing import Any, Optional
 
-from pdfmlp.pdf.objects import HEX_DIGITS, DiagnosticKind, PdfDocument, PdfName, PdfStream
-from pdfmlp.pdf.parser import _OBJ_RE, _REGULAR_END, _DocumentParser, _Scanner
+from pdfmlp.pdf.objects import (
+    HEX_DIGITS,
+    DiagnosticKind,
+    PdfDocument,
+    PdfName,
+    PdfStream,
+    PdfString,
+)
+from pdfmlp.pdf.parser import _OBJ_RE, _REGULAR_END, _STRING_ESCAPES, _DocumentParser, _Scanner
 
 _XREF_RE = re.compile(rb"(?<![A-Za-z])xref(?![0-9A-Za-z])")
 _TRAILER_RE = re.compile(rb"(?<![A-Za-z])trailer(?![0-9A-Za-z])")
@@ -158,6 +167,72 @@ def read_name(data: bytes, pos: int) -> tuple[PdfName, int]:
         raw.append(b)
         pos += 1
     return PdfName("/" + raw.decode("latin-1")), pos
+
+
+def read_literal_string(data: bytes, pos: int) -> tuple[Optional[PdfString], int]:
+    """The string whose '(' is at pos, and the position just past it."""
+    pos += 1  # consume '('
+    n = len(data)
+    out = bytearray()
+    depth = 1
+    while pos < n:
+        b = data[pos]
+        if b == 0x5C:  # backslash
+            pos += 1
+            if pos >= n:
+                break
+            e = data[pos]
+            mapped = _STRING_ESCAPES.get(e)
+            if mapped is not None:
+                out.append(mapped)
+                pos += 1
+            elif 0x30 <= e <= 0x37:  # octal, up to three digits
+                octal = 0
+                k = 0
+                while k < 3 and pos < n and 0x30 <= data[pos] <= 0x37:
+                    octal = octal * 8 + (data[pos] - 0x30)
+                    pos += 1
+                    k += 1
+                out.append(octal & 0xFF)
+            elif e in (0x0D, 0x0A):  # line continuation
+                pos += 1
+                if e == 0x0D and pos < n and data[pos] == 0x0A:
+                    pos += 1
+            else:
+                out.append(e)
+                pos += 1
+        elif b == 0x28:  # '('
+            depth += 1
+            out.append(b)
+            pos += 1
+        elif b == 0x29:  # ')'
+            depth -= 1
+            pos += 1
+            if depth == 0:
+                return PdfString(bytes(out), hex=False), pos
+            out.append(b)
+        else:
+            out.append(b)
+            pos += 1
+    return None, pos
+
+
+def read_hex_string(data: bytes, pos: int) -> tuple[Optional[PdfString], int]:
+    """The string whose '<' is at pos, and the position just past it."""
+    pos += 1  # consume '<'
+    n = len(data)
+    digits = bytearray()
+    while pos < n:
+        b = data[pos]
+        pos += 1
+        if b == 0x3E:  # '>'
+            if len(digits) % 2:
+                digits.append(0x30)
+            return PdfString(bytes.fromhex(digits.decode("ascii")), hex=True), pos
+        if b in HEX_DIGITS:
+            digits.append(b)
+        # anything else (whitespace or junk) is skipped
+    return None, pos
 
 
 def iter_name_occurrences(doc: PdfDocument, name: str) -> int:

@@ -282,6 +282,29 @@ def test_flate_matches_zlib_decompress_semantics(data):
     assert outcome(decode_stream, data, ["FlateDecode"]) == expected
 
 
+_ASCII_PIECES = st.one_of(
+    st.binary(max_size=5),
+    st.sampled_from([bytes([b]) for b in b"\x00\t\n\x0c\r 09afAFgz!u~<>v{\x80\xff"]),
+    st.sampled_from([b"<~", b"~>", b"zz", b"!!!!!", b"s8W-!"]),
+)
+
+
+@given(st.lists(_ASCII_PIECES, max_size=24).map(b"".join), st.sampled_from([None, 3, 8]))
+@example(b"41 4>", 3)
+@example(b"4 1 4 X>", None)
+@settings(max_examples=500, deadline=None)
+def test_ascii_filters_match_per_byte_strippers(data, cap):
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            patch.setattr(filters, "MAX_DECODED", cap)
+        assert outcome(decode_stream, data, ["ASCIIHexDecode"]) == outcome(
+            reference.asciihex_decode, data
+        )
+        assert outcome(decode_stream, data, ["ASCII85Decode"]) == outcome(
+            reference.ascii85_decode, data
+        )
+
+
 @st.composite
 def predictor_cases(draw, colors=st.integers(1, 5), bpc=st.sampled_from([1, 2, 4, 8, 16])):
     """Rows of a PNG-predicted image: a row type 0-4, then row_len bytes."""

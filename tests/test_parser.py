@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import time
 import tracemalloc
 import zlib
 
@@ -24,7 +25,7 @@ from pdfmlp.pdf import (
 )
 from pdfmlp.pdf.filters import MAX_DECODED
 from pdfmlp.pdf.objects import WHITESPACE
-from pdfmlp.pdf.parser import _Scanner
+from pdfmlp.pdf.parser import _Scanner, _Truncated
 
 from pdfbuild import (
     assemble_pdf,
@@ -192,6 +193,65 @@ def test_string_escapes():
     raw = b"1 0 obj\n<< /S (a\\164b\\n\\(c\\nd) >>\nendobj"
     doc = parse_pdf(raw)
     assert doc.objects[(1, 0)]["/S"].data == b"atb\n(c\nd"
+
+
+_STRING_PIECES = st.one_of(
+    st.binary(max_size=6),
+    st.sampled_from([b"(", b")", b"\\", b">", b"<", b"\r\n", b" ", b"0", b"a", b"F", b"g"]),
+    # an escape: the backslash, then a mapped byte, octal digits, an EOL or another byte
+    st.sampled_from([b"n", b"r", b"t", b"b", b"f", b"(", b")", b"\\", b"\r", b"\n", b"\r\n",
+                     b"0", b"7", b"12", b"377", b"4000", b"8", b"x", b""]).map(lambda e: b"\\" + e),
+)
+
+
+def read_string(data):
+    """The string the scanner reads at 0 (None if the input ends first) and its end."""
+    sc = _Scanner(data, 0)
+    try:
+        value = sc.read_literal_string() if data[:1] == b"(" else sc.read_hex_string()
+    except _Truncated:
+        value = None
+    return value, sc.pos
+
+
+@given(st.sampled_from([b"(", b"<"]), st.lists(_STRING_PIECES, max_size=16).map(b"".join))
+@settings(max_examples=600, deadline=None)
+def test_string_readers_match_per_byte_readers(opening, body):
+    data = opening + body
+    reference = (
+        parser_reference.read_literal_string if opening == b"(" else parser_reference.read_hex_string
+    )
+    assert read_string(data) == reference(data, 0)
+
+
+def best_time(call, runs=5):
+    """The shortest of a few wall-clock timings of call(), in seconds."""
+    best = float("inf")
+    for _ in range(runs):
+        started = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+_MIB = 1 << 20
+
+
+def test_long_literal_string_is_read_in_bounded_time():
+    # One regex match copies each run without a parenthesis or backslash:
+    # ~3 ms on this MiB, where the former per-byte reader took 100-200 ms
+    # (2-core VM, Python 3.11).
+    data = b"(" + b"var x = 'abc'; y = 2; " * (_MIB // 22) + b")"
+    assert read_string(data)[1] == len(data)
+    assert best_time(lambda: read_string(data)) < 0.02
+
+
+def test_long_hex_string_is_read_in_bounded_time():
+    # One find for '>' and one translate: ~2.5 ms, where per byte it took
+    # 100-160 ms (2-core VM, Python 3.11).
+    data = b"<" + b"6576616c 0a" * (_MIB // 11) + b">"
+    assert read_string(data)[1] == len(data)
+    assert best_time(lambda: read_string(data)) < 0.016
 
 
 def _bomb_stream_pdf(filters: bytes, payload: bytes) -> bytes:

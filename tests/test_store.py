@@ -1,5 +1,6 @@
 """Model persistence: bit-exact round trips and deliberate corruption."""
 
+import json
 import struct
 
 import numpy as np
@@ -115,6 +116,31 @@ def test_width_mismatch_detected(trained_pair):
     assert corrupted != blob
     with pytest.raises(ModelStoreError, match="width|match"):
         loads(corrupted)
+
+
+def _with_first_shape(blob: bytes, shape: list) -> bytes:
+    """blob with the first array manifest entry declaring shape."""
+    at = len(MAGIC) + 4
+    assert blob[at : at + 4] == b"META"
+    (length,) = struct.unpack_from("<Q", blob, at + 4)
+    meta = json.loads(blob[at + 12 : at + 12 + length])
+    meta["arrays"][0]["shape"] = shape
+    new_meta = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    return blob[:at] + b"META" + struct.pack("<Q", len(new_meta)) + new_meta + blob[at + 12 + length :]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [[-1], [-2, -24], [2**40, 2**40], [0, 2**63]],
+    ids=["minus-one", "two-negatives", "int64-wrap", "zero-by-huge"],
+)
+def test_bad_manifest_shape_is_a_model_error(trained_pair, shape):
+    # -1 reads the rest of the data; -2 x -24 is 48 elements but no shape; an
+    # int64 product of 2**40 x 2**40 wraps to 0; 0 x 2**63 holds no element,
+    # but numpy cannot index that dimension.  Each was a bare ValueError.
+    model, scaler = trained_pair
+    with pytest.raises(ModelStoreError):
+        loads(_with_first_shape(dumps(model, scaler), shape))
 
 
 def test_load_missing_file(tmp_path):
