@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, NamedTuple, Optional
 
 import numpy as np
@@ -224,7 +223,7 @@ def extract_features(doc: PdfDocument, raw: bytes) -> FeatureVector:
     values[6] = len(doc.startxref_offsets)
     values[7] = len(doc.eof_marker_offsets)
     values[8] = _bytes_after_last_eof(doc)
-    values[9], values[41] = _graph_facts(doc)
+    values[9] = doc._graph.depth
     values[10] = doc.diagnostic_count(DiagnosticKind.DUPLICATE_OBJECT)
     values[11] = len(doc.diagnostics)
 
@@ -249,6 +248,7 @@ def extract_features(doc: PdfDocument, raw: bytes) -> FeatureVector:
     values[39] = sum(1 for s in streams if s.decoded is None)
     info = _info_dict(doc)
     values[40] = _longest_hex_run(info)
+    values[41] = _obfuscation_score(doc)
 
     # metadata
     values[42] = _page_count(doc)
@@ -353,42 +353,14 @@ def _resolve(doc: PdfDocument, value: Any, depth: int = 8) -> Any:
     return None if isinstance(value, PdfRef) else value
 
 
-def _graph_facts(doc: PdfDocument) -> tuple[int, int]:
-    """The deepest container nesting over the object values, and the JavaScript payload score.
-
-    One walk that visits each dict and list once.  An object value is at
-    level 1, a child one below its container, a stream's dictionary one
-    below the stream.  Trailers lie under the objects on the stack, so a
-    container an object shares with a trailer (an /XRef stream dictionary)
-    gets its object level; one reached only from a trailer has level -inf:
-    it counts for payloads, not for depth.  A container shared by two
-    objects counts at its first visit, not its deepest; parse_pdf never
-    builds one.  The score counts obfuscation tokens in /JS and /JavaScript
-    payloads.
-    """
-    depth = score = 0
-    seen: set[int] = set()
-    stack: list[tuple[Any, float]] = [(t, -math.inf) for t in doc.trailer_dicts]
-    stack += [(v, 1) for v in doc.objects.values()]
-    while stack:
-        value, level = stack.pop()
-        if isinstance(value, PdfStream):
-            value, level = value.dictionary, level + 1
-        if isinstance(value, (dict, list)):
-            if id(value) in seen:
-                continue
-            seen.add(id(value))
-            if level > depth:
-                depth = level
-            if isinstance(value, dict):
-                for key in ("/JS", "/JavaScript"):
-                    if key in value:
-                        payload = _resolve(doc, value[key])
-                        if isinstance(payload, (PdfString, PdfStream)):
-                            score += sum(payload.data.count(tok) for tok in _OBFUSCATION_TOKENS)
-                value = value.values()
-            stack.extend(zip(value, repeat(level + 1)))
-    return depth, score
+def _obfuscation_score(doc: PdfDocument) -> int:
+    """Obfuscation tokens in the /JS and /JavaScript payloads that are strings or streams."""
+    score = 0
+    for payload in doc._graph.scripts:
+        payload = _resolve(doc, payload)
+        if isinstance(payload, (PdfString, PdfStream)):
+            score += sum(payload.data.count(tok) for tok in _OBFUSCATION_TOKENS)
+    return score
 
 
 def _page_count(doc: PdfDocument) -> float:

@@ -81,6 +81,8 @@ class DenseLayer:
         self.biases = np.asarray(self.biases, dtype=np.float64)
         if self.weights.ndim != 2 or self.biases.shape != (self.weights.shape[0],):
             raise ValueError("weight/bias shapes do not match")
+        if self.activation not in ("relu", "sigmoid"):
+            raise ValueError(f"unknown activation {self.activation!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
 

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Any, Optional
+from itertools import repeat
+from typing import Any, NamedTuple, Optional
 
 # Byte classes of the PDF lexer, shared by the parser, the filters and the
 # feature extractor.
@@ -92,6 +94,12 @@ class PdfStream:
 PdfValue = Any
 
 
+class _Graph(NamedTuple):  # see PdfDocument._graph
+    names: Counter  # PdfName -> occurrences as a dict key or value
+    depth: int  # deepest container level under an object, 0 if none
+    scripts: list[PdfValue]  # /JS and /JavaScript values, unresolved
+
+
 @dataclass
 class PdfDocument:
     """Everything recovered from one byte input.
@@ -120,26 +128,41 @@ class PdfDocument:
         return sum(1 for d in self.diagnostics if d.kind is kind)
 
     @cached_property
-    def _name_counts(self) -> Counter:
-        """How often each PdfName occurs as a dict key or value; a plain str key is no name.
+    def _graph(self) -> _Graph:
+        """Name counts, nesting depth and /JS-/JavaScript values from one walk.
 
-        Walked once and cached, as the document is not mutated after parse_pdf
-        returns; two threads that ask at once may both walk, and store equal counts.
+        Each dict and list is visited once.  An object value is at level 1, a
+        child one below its container, a stream's dictionary one below the
+        stream.  Trailers lie under the objects on the stack at level -inf: a
+        container an object shares with a trailer (an /XRef stream dictionary)
+        gets its object level, one reached only from a trailer no depth.  A
+        container shared by two objects counts at its first visit; parse_pdf
+        never builds one.  A plain str key is no name, but `in` finds scripts.
+        Cached, as the document is not mutated after parse_pdf returns; two
+        threads that ask at once may both walk, and store equal results.
         """
         names: list[PdfName] = []
+        scripts: list[PdfValue] = []
+        depth = 0
         seen: set[int] = set()
-        stack: list[Any] = [*self.trailer_dicts, *self.objects.values()]
+        stack: list[tuple[Any, float]] = [(t, -math.inf) for t in self.trailer_dicts]
+        stack += [(v, 1) for v in self.objects.values()]
         while stack:
-            value = stack.pop()
+            value, level = stack.pop()
             if isinstance(value, PdfName):
                 names.append(value)
-            elif isinstance(value, (dict, list)):
+                continue
+            if isinstance(value, PdfStream):
+                value, level = value.dictionary, level + 1
+            if isinstance(value, (dict, list)):
                 if id(value) in seen:
                     continue
                 seen.add(id(value))
-                stack.extend(value)  # a dict's keys too
+                if level > depth:
+                    depth = level
                 if isinstance(value, dict):
-                    stack.extend(value.values())
-            elif isinstance(value, PdfStream):
-                stack.append(value.dictionary)
-        return Counter(names)
+                    names += [key for key in value if isinstance(key, PdfName)]
+                    scripts += [value[key] for key in ("/JS", "/JavaScript") if key in value]
+                    value = value.values()
+                stack.extend(zip(value, repeat(level + 1)))
+        return _Graph(Counter(names), depth, scripts)

@@ -37,9 +37,9 @@ _REGULAR_END = WHITESPACE | frozenset(b"()<>[]{}/%")
 # A run of regular bytes, which is what a name holds after its '/'.
 _NAME_RE = re.compile(b"[^" + re.escape(bytes(sorted(_REGULAR_END))) + b"]*")
 
-_OBJ_RE = re.compile(
-    rb"(\d{1,10})[\x00\t\n\x0c\r ]+(\d{1,5})[\x00\t\n\x0c\r ]+obj(?![0-9A-Za-z])"
-)
+# The whitespace class of the regexes below.
+_WS = b"[" + re.escape(bytes(sorted(WHITESPACE))) + b"]"
+_OBJ_RE = re.compile(rb"(\d{1,10})" + _WS + rb"+(\d{1,5})" + _WS + rb"+obj(?![0-9A-Za-z])")
 # Object headers and the structural markers in one alternation.  A header
 # starts with a digit and a marker holds none, so matches never overlap.
 # The markers' word boundaries are checked by the caller: a lookbehind here
@@ -47,8 +47,10 @@ _OBJ_RE = re.compile(
 _SCAN_RE = re.compile(_OBJ_RE.pattern + rb"|startxref|xref|trailer|%%EOF")
 _HEADER_RE = re.compile(rb"%PDF-(\d+(?:\.\d+)?)")
 _NUMBER_RE = re.compile(rb"[+-]?(?:\d+(?:\.\d*)?|\.\d+)")
-_REF_TAIL_RE = re.compile(rb"[\x00\t\n\x0c\r ]+(\d{1,10})[\x00\t\n\x0c\r ]+R(?![0-9A-Za-z])")
-_XREF_ENTRY_RE = re.compile(rb"(\d{10})[\x00\t\n\x0c\r ](\d{5})[\x00\t\n\x0c\r ]([nf])")
+_REF_TAIL_RE = re.compile(_WS + rb"+(\d{1,10})" + _WS + rb"+R(?![0-9A-Za-z])")
+_XREF_ENTRY_RE = re.compile(rb"(\d{10})" + _WS + rb"(\d{5})" + _WS + rb"([nf])")
+# A comment runs from '%' to the end of the line.
+_COMMENT_RE = re.compile(rb"%[^\r\n]*")
 # A run of literal-string bytes that are copied as they are: all but '(', ')'
 # and the backslash.  Written as ranges, the class is one bitmap test per byte.
 _LITERAL_RUN_RE = re.compile(rb"[\x00-\x27\x2a-\x5b\x5d-\xff]+")
@@ -105,11 +107,8 @@ class _Scanner:
             b = data[self.pos]
             if b in WHITESPACE:
                 self.pos += 1
-            elif b == 0x25:  # '%' comment runs to end of line
-                eol = self.pos
-                while eol < n and data[eol] not in (0x0D, 0x0A):
-                    eol += 1
-                self.pos = eol
+            elif b == 0x25:  # '%'
+                self.pos = _COMMENT_RE.match(data, self.pos).end()
             else:
                 break
 
@@ -722,4 +721,4 @@ def iter_name_occurrences(doc: PdfDocument, name: str) -> int:
     query is a lookup into counts that one walk caches on the document.
     """
     target = name if name.startswith("/") else "/" + name
-    return doc._name_counts[target]
+    return doc._graph.names[target]

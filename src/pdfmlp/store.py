@@ -170,6 +170,8 @@ def loads(blob: bytes) -> tuple[MlpModel, Scaler, str]:
         )
         layers = []
         for i, spec in enumerate(meta["layers"]):
+            if not isinstance(spec, dict):
+                raise ModelFormatError(f"layer {i}: description is not an object")
             bn_spec = spec.get("batch_norm")
             bn = None
             if bn_spec is not None:

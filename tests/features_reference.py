@@ -2,9 +2,10 @@
 
 ``_nesting_depth`` is the recursive depth walk and ``_iter_dicts`` with
 ``_obfuscation_score`` the dict walk for the JavaScript payload score;
-``features._graph_facts`` computes both in one walk.  ``graph_facts``
-gives their results in its shape.  ``_longest_hex_run`` is the per-byte
-scan that ``features._longest_hex_run`` replaced with one regex.
+``PdfDocument._graph`` finds both, and the name counts, in one walk.
+``graph_facts`` gives their results in its shape.  ``_longest_hex_run`` is
+the per-byte scan that ``features._longest_hex_run`` replaced with a
+translate table.
 """
 
 from typing import Any, Iterable, Optional

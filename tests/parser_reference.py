@@ -12,8 +12,10 @@ isolates the scan.
 ``read_name``, ``read_literal_string`` and ``read_hex_string`` are the
 per-byte readers, the oracles for the ``_Scanner`` methods of the same
 names; each returns the value (None where the input ends first) and the
-position after it.  ``iter_name_occurrences`` is the recursive name walk,
-the oracle for the one walk that counts every name.
+position after it.  ``skip_ws`` is the per-byte skip of whitespace and
+comments; it returns the position after them.  ``iter_name_occurrences``
+is the recursive name walk, the oracle for the one walk that counts every
+name.
 """
 
 import re
@@ -21,6 +23,7 @@ from typing import Any, Optional
 
 from pdfmlp.pdf.objects import (
     HEX_DIGITS,
+    WHITESPACE,
     DiagnosticKind,
     PdfDocument,
     PdfName,
@@ -144,6 +147,21 @@ class FivePassParser(_DocumentParser):
 
 def parse_pdf(data: bytes) -> PdfDocument:
     return FivePassParser(bytes(data)).parse()
+
+
+def skip_ws(data: bytes, pos: int) -> int:
+    """The position after the whitespace and comments at pos, one byte per step."""
+    n = len(data)
+    while pos < n:
+        b = data[pos]
+        if b in WHITESPACE:
+            pos += 1
+        elif b == 0x25:  # '%' comment runs to end of line
+            while pos < n and data[pos] not in (0x0D, 0x0A):
+                pos += 1
+        else:
+            break
+    return pos
 
 
 def read_name(data: bytes, pos: int) -> tuple[PdfName, int]:

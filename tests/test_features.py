@@ -16,13 +16,13 @@ from pdfmlp import (
     parse_pdf,
     shannon_entropy,
 )
-from pdfmlp.features import CATEGORIES, FeatureVector, _graph_facts, _info_dict, _longest_hex_run
+from pdfmlp.features import CATEGORIES, FeatureVector, _info_dict, _longest_hex_run, _obfuscation_score
 from pdfmlp.pdf import MAX_NESTING_DEPTH, PdfDocument, PdfName, PdfRef, PdfStream, PdfString
 
 from pdfbuild import assemble_pdf, long_number_pdfs, minimal_pdf, pdf_with_stream, stream_body
 import features_reference
 from test_acceptance import _fuzz_corpus
-from test_parser import best_time
+from test_parser import assert_same_name_counts_as_recursive_walk, best_time
 
 
 def extract(raw: bytes) -> FeatureVector:
@@ -342,10 +342,15 @@ def test_feature_vector_rejects_wrong_shape():
 # -- the graph walk ------------------------------------------------------------
 
 
+def graph_facts(doc):
+    """max_nesting_depth and js_obfuscation_score as the extractor takes them."""
+    return doc._graph.depth, _obfuscation_score(doc)
+
+
 def test_graph_facts_match_former_walks_on_fuzz_corpus():
     for data in _fuzz_corpus(10_000):
         doc = parse_pdf(data)
-        assert _graph_facts(doc) == features_reference.graph_facts(doc)
+        assert graph_facts(doc) == features_reference.graph_facts(doc)
         info = _info_dict(doc)
         assert _longest_hex_run(info) == features_reference._longest_hex_run(info)
 
@@ -362,7 +367,7 @@ _EVAL = PdfString(b"eval(unescape(x))")  # two tokens
 _JS_DICT = {PdfName("/S"): PdfName("/JavaScript"), PdfName("/JS"): _EVAL}
 _XREF = {PdfName("/Type"): PdfName("/XRef"), PdfName("/W"): [1, 2, 1], PdfName("/JS"): _EVAL}
 _GRAPH_CASES = {
-    # (document, expected (max_nesting_depth, js_obfuscation_score))
+    # (document, expected max_nesting_depth, js_obfuscation_score, count of /JS)
     "stream-at-root-and-nested": (
         PdfDocument(objects={
             (1, 0): PdfStream({PdfName("/Length"): 0}, b""),
@@ -370,11 +375,13 @@ _GRAPH_CASES = {
         }),
         5,  # dict, list, stream, its dictionary, the array in it
         0,
+        0,
     ),
     "xref-stream-dictionary-is-object-and-trailer": (
         PdfDocument(objects={(1, 0): PdfStream(_XREF, b"")}, trailer_dicts=[_XREF]),
         3,
         2,  # scored once
+        1,
     ),
     "deep-trailer-only-dict": (
         PdfDocument(
@@ -383,6 +390,7 @@ _GRAPH_CASES = {
         ),
         1,
         2,
+        1,
     ),
     "js-dict-reached-twice": (
         PdfDocument(
@@ -391,6 +399,7 @@ _GRAPH_CASES = {
         ),
         2,
         2,  # scored once
+        1,
     ),
     "javascript-stream-payloads": (
         PdfDocument(objects={
@@ -401,6 +410,7 @@ _GRAPH_CASES = {
         }),
         3,  # dict, stream, its dictionary
         3,
+        0,
     ),
     "nested-to-max-depth": (
         PdfDocument(objects={
@@ -409,6 +419,16 @@ _GRAPH_CASES = {
         }),
         MAX_NESTING_DEPTH + 2,
         2,
+        1,
+    ),
+    "plain-str-and-pdfname-js-keys": (
+        PdfDocument(objects={
+            (1, 0): {"/JS": _EVAL},  # scores, but is no name
+            (2, 0): {PdfName("/JS"): PdfString(b"unescape")},
+        }),
+        1,
+        3,
+        1,
     ),
     "parsed-nesting-at-the-cap": (
         parse_pdf(assemble_pdf([
@@ -418,15 +438,18 @@ _GRAPH_CASES = {
         ])),
         MAX_NESTING_DEPTH + 2,
         1,
+        1,
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_GRAPH_CASES))
 def test_graph_facts_match_former_walks_on_hand_built_documents(name):
-    doc, depth, score = _GRAPH_CASES[name]
-    assert _graph_facts(doc) == (depth, score)
+    doc, depth, score, js_names = _GRAPH_CASES[name]
+    assert graph_facts(doc) == (depth, score)
     assert features_reference.graph_facts(doc) == (depth, score)
+    assert doc._graph.names["/JS"] == js_names
+    assert_same_name_counts_as_recursive_walk(doc, set(doc._graph.names))
 
 
 def test_shared_container_counts_at_its_first_visit():
@@ -436,5 +459,5 @@ def test_shared_container_counts_at_its_first_visit():
     # every path, also reached them at levels 3 and 4 through object 1.
     shared = {PdfName("/K"): [1]}
     doc = PdfDocument(objects={(1, 0): [[shared]], (2, 0): shared})
-    assert _graph_facts(doc) == (2, 0)
+    assert graph_facts(doc) == (2, 0)
     assert features_reference.graph_facts(doc) == (4, 0)

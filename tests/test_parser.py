@@ -254,6 +254,28 @@ def test_long_hex_string_is_read_in_bounded_time():
     assert best_time(lambda: read_string(data)) < 0.016
 
 
+@given(
+    st.lists(st.sampled_from([b" ", b"\x00", b"\t", b"\x0c", b"\r", b"\n", b"%", b"%%EOF", b"x", b"1"]),
+             max_size=20).map(b"".join),
+    st.integers(0, 20),
+)
+@settings(max_examples=600, deadline=None)
+def test_skip_ws_matches_per_byte_skip(data, pos):
+    sc = _Scanner(data, pos)
+    sc.skip_ws()
+    assert sc.pos == parser_reference.skip_ws(data, pos)
+
+
+def test_long_comment_is_skipped_in_bounded_time():
+    # One regex match skips the comment: ~7 ms on this MiB, where the former
+    # per-byte loop took ~95-105 ms (2-core VM, Python 3.11).
+    data = b"%" + b"eval(1);x=2 " * (_MIB // 12) + b"\r1"
+    sc = _Scanner(data, 0)
+    sc.skip_ws()
+    assert sc.pos == len(data) - 1
+    assert best_time(lambda: _Scanner(data, 0).skip_ws()) < 0.025
+
+
 def _bomb_stream_pdf(filters: bytes, payload: bytes) -> bytes:
     return assemble_pdf(
         [
@@ -433,8 +455,8 @@ _ALL_COUNTED_NAMES = [
 ]
 
 
-def assert_same_name_counts_as_recursive_walk(doc):
-    for name in _ALL_COUNTED_NAMES:
+def assert_same_name_counts_as_recursive_walk(doc, more_names=()):
+    for name in [*_ALL_COUNTED_NAMES, *more_names]:
         expected = parser_reference.iter_name_occurrences(doc, name)
         assert iter_name_occurrences(doc, name) == expected, name
 

@@ -118,13 +118,13 @@ def test_width_mismatch_detected(trained_pair):
         loads(corrupted)
 
 
-def _with_first_shape(blob: bytes, shape: list) -> bytes:
-    """blob with the first array manifest entry declaring shape."""
+def _with_meta(blob: bytes, edit) -> bytes:
+    """blob with its metadata passed through edit, which changes it in place."""
     at = len(MAGIC) + 4
     assert blob[at : at + 4] == b"META"
     (length,) = struct.unpack_from("<Q", blob, at + 4)
     meta = json.loads(blob[at + 12 : at + 12 + length])
-    meta["arrays"][0]["shape"] = shape
+    edit(meta)
     new_meta = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     return blob[:at] + b"META" + struct.pack("<Q", len(new_meta)) + new_meta + blob[at + 12 + length :]
 
@@ -139,8 +139,33 @@ def test_bad_manifest_shape_is_a_model_error(trained_pair, shape):
     # int64 product of 2**40 x 2**40 wraps to 0; 0 x 2**63 holds no element,
     # but numpy cannot index that dimension.  Each was a bare ValueError.
     model, scaler = trained_pair
+
+    def edit(meta):
+        meta["arrays"][0]["shape"] = shape
+
     with pytest.raises(ModelStoreError):
-        loads(_with_first_shape(dumps(model, scaler), shape))
+        loads(_with_meta(dumps(model, scaler), edit))
+
+
+def _spec_not_an_object(meta):
+    meta["layers"][0] = 1
+
+
+def _layers_a_string(meta):
+    meta["layers"] = "dense"
+
+
+def _hidden_tanh(meta):
+    meta["layers"][0]["activation"] = "tanh"
+
+
+@pytest.mark.parametrize("edit", [_spec_not_an_object, _layers_a_string, _hidden_tanh])
+def test_bad_layer_spec_is_a_model_error(trained_pair, edit):
+    # A spec that is no object escaped as a bare AttributeError, and a tanh
+    # hidden layer loaded and ran as a sigmoid.
+    model, scaler = trained_pair
+    with pytest.raises(ModelFormatError):
+        loads(_with_meta(dumps(model, scaler), edit))
 
 
 def test_load_missing_file(tmp_path):
