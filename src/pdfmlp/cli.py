@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import os
 import sys
 from typing import Optional
@@ -236,7 +237,13 @@ def _load_model(path: str):
     return model, scaler, schema_id
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and shared by later ones.
+
+    Each parse_args call fills a fresh Namespace, so requests do not share
+    state; the cmd_* functions are bound here, at the first build.
+    """
     parser = argparse.ArgumentParser(
         prog="pdfmlp",
         description="Static PDF malware detection with an MLP classifier.",

@@ -51,6 +51,7 @@ _REF_TAIL_RE = re.compile(_WS + rb"+(\d{1,10})" + _WS + rb"+R(?![0-9A-Za-z])")
 _XREF_ENTRY_RE = re.compile(rb"(\d{10})" + _WS + rb"(\d{5})" + _WS + rb"([nf])")
 # A comment runs from '%' to the end of the line.
 _COMMENT_RE = re.compile(rb"%[^\r\n]*")
+_WS_RUN_RE = re.compile(_WS + b"*")
 # A run of literal-string bytes that are copied as they are: all but '(', ')'
 # and the backslash.  Written as ranges, the class is one bitmap test per byte.
 _LITERAL_RUN_RE = re.compile(rb"[\x00-\x27\x2a-\x5b\x5d-\xff]+")
@@ -102,15 +103,26 @@ class _Scanner:
         return self.data[self.pos] if self.pos < len(self.data) else -1
 
     def skip_ws(self) -> None:
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            b = data[self.pos]
-            if b in WHITESPACE:
-                self.pos += 1
-            elif b == 0x25:  # '%'
-                self.pos = _COMMENT_RE.match(data, self.pos).end()
-            else:
-                break
+        data, pos = self.data, self.pos
+        run = 0
+        try:  # the end of the data raises IndexError, one test fewer per byte
+            while True:
+                b = data[pos]
+                if b in WHITESPACE:
+                    # Runs are mostly 0-2 bytes, cheaper to step over than
+                    # to match; the rest of a longer run is one match.
+                    pos += 1
+                    run += 1
+                    if run == 4:
+                        pos = _WS_RUN_RE.match(data, pos).end()
+                elif b == 0x25:  # '%'
+                    pos = _COMMENT_RE.match(data, pos).end()
+                    run = 0
+                else:
+                    break
+        except IndexError:
+            pass
+        self.pos = pos
 
     def starts_with(self, token: bytes) -> bool:
         return self.data.startswith(token, self.pos)

@@ -175,13 +175,22 @@ def loads(blob: bytes) -> tuple[MlpModel, Scaler, str]:
             bn_spec = spec.get("batch_norm")
             bn = None
             if bn_spec is not None:
+                momentum = float(bn_spec["momentum"])
+                epsilon = float(bn_spec["epsilon"])
+                # JSON reads NaN and Infinity, and NaN fails every comparison,
+                # so BatchNormState's epsilon <= 0 check lets it through.
+                if not (math.isfinite(momentum) and math.isfinite(epsilon)):
+                    raise ModelFormatError(
+                        f"layer {i}: batch-norm momentum {momentum!r} and epsilon "
+                        f"{epsilon!r} must be finite"
+                    )
                 bn = BatchNormState(
                     gamma=arrays.pop(f"layer{i}.gamma"),
                     beta=arrays.pop(f"layer{i}.beta"),
                     running_mean=arrays.pop(f"layer{i}.running_mean"),
                     running_var=arrays.pop(f"layer{i}.running_var"),
-                    momentum=float(bn_spec["momentum"]),
-                    epsilon=float(bn_spec["epsilon"]),
+                    momentum=momentum,
+                    epsilon=epsilon,
                 )
             layer = DenseLayer(
                 weights=arrays.pop(f"layer{i}.weights"),
@@ -229,6 +238,10 @@ def _read_arrays(manifest: Any, payload: bytes) -> dict[str, np.ndarray]:
         offset += nbytes
     if offset != len(payload):
         raise ModelFormatError("data section has trailing bytes")
+    # One check over the whole section: a NaN weight, scale or variance would
+    # otherwise load and score every file NaN, which reads as benign.
+    if not np.isfinite(np.frombuffer(payload, dtype="<f8")).all():
+        raise ModelFormatError("data section holds a non-finite value")
     return arrays
 
 

@@ -1,5 +1,6 @@
 """CLI contract: flags, outputs, exit codes (0 ok, 2 error, 3 malicious)."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -381,6 +382,21 @@ def test_scan_unreadable_target_is_operational_error(model_file, tmp_path, capsy
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_scan_model_with_a_nan_weight_is_a_load_error(corpus, model_file, tmp_path, capsys):
+    # A NaN weight scored every file NaN, which printed as benign with exit 0.
+    from pdfmlp.store import load, save
+
+    model, scaler, _ = load(model_file)
+    model.layers[0].weights[0, 0] = np.nan
+    bad = str(tmp_path / "nan.bin")
+    save(model, scaler, bad)
+    rc = cli.main(["scan", "--model", bad, str(corpus["malicious"] / "m00.pdf")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"pdfmlp: error: cannot load model {bad}: ")
+
+
 def test_scan_empty_file_list_usage_error(model_file):
     result = run_cli(["scan", "--model", model_file])
     assert result.returncode == 2
@@ -388,3 +404,77 @@ def test_scan_empty_file_list_usage_error(model_file):
 
 def test_unknown_command_usage_error():
     assert run_cli(["frobnicate"]).returncode == 2
+
+
+# -- the argument parser ------------------------------------------------------------
+
+
+def test_main_builds_its_argument_parser_at_most_once(model_file, corpus, monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "pdfmlp":  # the top-level parser, not a subcommand's
+            built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    target = str(corpus["benign"] / "b01.pdf")
+    for _ in range(3):
+        assert cli.main(["scan", "--model", model_file, target]) == 0
+        assert cli.main(["schema"]) == 0
+    assert len(built) <= 1
+
+
+def test_import_builds_no_argument_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "real_init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *a, **k):\n"
+        "    built.append(k.get('prog'))\n"
+        "    real_init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import pdfmlp.cli\n"
+        "print(len(built))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
+
+
+def test_append_options_do_not_carry_over_between_calls(tmp_path, capsys):
+    outs = []
+    for name in ("first", "second"):
+        directory = tmp_path / name
+        directory.mkdir()
+        (directory / f"{name}.pdf").write_bytes(minimal_pdf())
+        out = str(tmp_path / f"{name}.csv")
+        assert cli.main(["extract", "--benign", str(directory), "--out", out]) == 0
+        outs.append(out)
+    for name, out in zip(("first", "second"), outs):
+        assert read_features_csv(out).paths == [str(tmp_path / name / f"{name}.pdf")]
+
+
+def test_in_process_calls_match_a_fresh_process(model_file, corpus, monkeypatch, capsys):
+    # A usage error, then --version, then a scan in one process each print
+    # what a fresh interpreter prints for that request alone.
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "COLUMNS": "80"}
+    target = str(corpus["malicious"] / "m00.pdf")
+    requests = [["frobnicate"], ["--version"], ["scan", "--model", model_file, target]]
+    codes = []
+    for argv in requests:
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        code = codes[-1]
+        captured = capsys.readouterr()
+        fresh = run_cli(argv, env=env)
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode,
+            fresh.stdout,
+            fresh.stderr,
+        )
+    assert codes[:2] == [2, 0]

@@ -276,6 +276,16 @@ def test_long_comment_is_skipped_in_bounded_time():
     assert best_time(lambda: _Scanner(data, 0).skip_ws()) < 0.025
 
 
+def test_long_whitespace_run_is_skipped_in_bounded_time():
+    # The rest of a run after its first bytes is one regex match: ~3 ms on
+    # this MiB, where a step per byte took ~100-130 ms (2-core VM, Python 3.11).
+    data = bytes(sorted(WHITESPACE)) * (_MIB // len(WHITESPACE)) + b"1"
+    sc = _Scanner(data, 0)
+    sc.skip_ws()
+    assert sc.pos == len(data) - 1
+    assert best_time(lambda: _Scanner(data, 0).skip_ws()) < 0.025
+
+
 def _bomb_stream_pdf(filters: bytes, payload: bytes) -> bytes:
     return assemble_pdf(
         [

@@ -168,6 +168,54 @@ def test_bad_layer_spec_is_a_model_error(trained_pair, edit):
         loads(_with_meta(dumps(model, scaler), edit))
 
 
+def _nan_weight(model, scaler):
+    model.layers[0].weights[3, 5] = np.nan
+
+
+def _nan_scaler_std(model, scaler):
+    scaler.stds[7] = np.nan
+
+
+def _nan_running_var(model, scaler):
+    model.layers[1].batch_norm.running_var[0] = np.nan
+
+
+def _infinite_scaler_mean(model, scaler):
+    scaler.means[0] = np.inf
+
+
+@pytest.mark.parametrize(
+    "poison", [_nan_weight, _nan_scaler_std, _nan_running_var, _infinite_scaler_mean]
+)
+def test_non_finite_array_is_a_model_error(trained_pair, poison):
+    # NaN passes the std and variance sign checks, so such a model loaded and
+    # scored every file NaN, which reads as benign.
+    model, scaler = trained_pair
+    poison(model, scaler)
+    with pytest.raises(ModelFormatError, match="non-finite"):
+        loads(dumps(model, scaler))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epsilon", float("nan")),
+        ("epsilon", float("inf")),
+        ("momentum", float("nan")),
+        ("momentum", float("-inf")),
+    ],
+)
+def test_non_finite_batch_norm_setting_is_a_model_error(trained_pair, field, value):
+    # JSON reads NaN and Infinity; a NaN epsilon passed the epsilon <= 0 check.
+    model, scaler = trained_pair
+
+    def edit(meta):
+        meta["layers"][0]["batch_norm"][field] = value
+
+    with pytest.raises(ModelFormatError, match="batch-norm"):
+        loads(_with_meta(dumps(model, scaler), edit))
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(OSError):
         load(str(tmp_path / "nope.bin"))
