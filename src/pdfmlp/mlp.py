@@ -62,9 +62,10 @@ class BatchNormState:
     epsilon: float = 1e-5
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
+        # Written so that NaN fails them: NaN fails every comparison.
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if np.any(self.running_var < 0):
+        if not np.all(self.running_var >= 0):
             raise ValueError("running variance must be non-negative")
 
 

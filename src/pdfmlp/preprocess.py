@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -75,7 +76,7 @@ class Scaler:
         self.stds = np.asarray(self.stds, dtype=np.float64)
         if self.means.shape != self.stds.shape or self.means.ndim != 1:
             raise ValueError("means and stds must be equal-length vectors")
-        if np.any(self.stds <= 0):
+        if not np.all(self.stds > 0):  # NaN fails it too
             raise ValueError("stds must be positive")
 
     def transform_matrix(self, X: np.ndarray) -> np.ndarray:
@@ -171,13 +172,84 @@ def _format_value(v: float) -> str:
 
 
 def read_features_csv(path: str) -> Dataset:
-    """Read a feature-matrix CSV produced by write_features_csv."""
+    """Read a feature-matrix CSV produced by write_features_csv.
+
+    The file is read once, then parsed by _read_plain if it takes the
+    text, else by _read_csv, which also words every error.
+    """
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    dataset = _read_plain(text)
+    if dataset is None:
+        dataset = _read_csv(path, io.StringIO(text, newline=""))
+    return dataset
+
+
+_HEADER_LINE = ",".join(CSV_HEADER)
+_LABELS = {"-1": -1, "0": 0, "1": 1}
+# The bytes a row's value cells may hold on the loadtxt path.
+_VALUE_BYTES = b"0123456789.+-eE,"
+
+
+def _read_plain(text: str) -> Optional[Dataset]:
+    """Parse a plain feature CSV with np.loadtxt, or return None.
+
+    It takes only text that _read_csv reads without error and to the same
+    Dataset: the exact header; no quote, CR or NUL; every line ending in LF,
+    none empty and none longer than csv's field limit; labels spelled -1, 0
+    or 1; value cells made of _VALUE_BYTES only; and finite values. Over
+    that alphabet float() and numpy's parser both come down to
+    PyOS_string_to_double, so they accept the same cells and round them to
+    the same double. On anything else the csv reader reads the text.
+    """
+    if '"' in text or "\r" in text or "\x00" in text or not text.endswith("\n"):
+        return None
+    rows = text.split("\n")
+    rows.pop()  # the empty string after the last LF
+    if rows.pop(0) != _HEADER_LINE or max(map(len, rows), default=0) > csv.field_size_limit():
+        return None
+    try:
+        # With no rows, or a row of fewer than three fields (an empty line
+        # among them), zip yields fewer than three columns and the
+        # unpacking raises.
+        paths, labels, values = zip(*[row.split(",", 2) for row in rows])
+    except ValueError:
+        return None
+    del rows
+    if not _LABELS.keys() >= set(labels):
+        return None
+    try:
+        if any(cells.encode("ascii").translate(None, _VALUE_BYTES) for cells in values):
+            return None
+        features = np.loadtxt(
+            values, delimiter=",", comments=None, dtype=np.float64, ndmin=2
+        )
+    except ValueError:  # UnicodeEncodeError included
+        return None
+    if features.shape != (len(values), N_FEATURES) or not np.isfinite(features).all():
+        return None
+    return Dataset(
+        features=features,
+        labels=np.array([_LABELS[label] for label in labels], dtype=np.int64),
+        paths=list(paths),
+    )
+
+
+def _read_csv(path: str, lines: Iterable[str]) -> Dataset:
+    """Read feature-CSV lines with the csv module.
+
+    This reader takes quoted and odd files, and it words every error
+    ``path:line: ...``.
+    """
     paths: list[str] = []
     labels: list[int] = []
     rows: list[list[float]] = []
     linenos: list[int] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(lines)
+    try:
         header = next(reader, None)
         if header != CSV_HEADER:
             raise ValueError(f"{path}: unexpected header; not a feature CSV")
@@ -197,6 +269,8 @@ def read_features_csv(path: str) -> Dataset:
             labels.append(label)
             rows.append(values)
             linenos.append(lineno)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     features = (
         np.asarray(rows, dtype=np.float64)
         if rows

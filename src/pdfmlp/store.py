@@ -177,8 +177,8 @@ def loads(blob: bytes) -> tuple[MlpModel, Scaler, str]:
             if bn_spec is not None:
                 momentum = float(bn_spec["momentum"])
                 epsilon = float(bn_spec["epsilon"])
-                # JSON reads NaN and Infinity, and NaN fails every comparison,
-                # so BatchNormState's epsilon <= 0 check lets it through.
+                # JSON reads NaN and Infinity, and BatchNormState checks
+                # neither an infinite epsilon nor the momentum.
                 if not (math.isfinite(momentum) and math.isfinite(epsilon)):
                     raise ModelFormatError(
                         f"layer {i}: batch-norm momentum {momentum!r} and epsilon "
@@ -206,6 +206,8 @@ def loads(blob: bytes) -> tuple[MlpModel, Scaler, str]:
                 )
             layers.append(layer)
         model = MlpModel(layers=layers, threshold=float(meta["threshold"]))
+        if arrays:
+            raise ModelFormatError(f"unused arrays: {', '.join(sorted(arrays))}")
     except ModelStoreError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -224,8 +226,10 @@ def _read_arrays(manifest: Any, payload: bytes) -> dict[str, np.ndarray]:
             shape = tuple(int(s) for s in entry["shape"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"bad manifest entry: {entry!r}") from exc
-        if any(s < 0 for s in shape):
+        if not isinstance(name, str) or any(s < 0 for s in shape):
             raise ModelFormatError(f"bad manifest entry: {entry!r}")
+        if name in arrays:
+            raise ModelFormatError(f"array {name!r} is listed twice")
         count = math.prod(shape)  # exact: an int64 product could wrap
         nbytes = count * 8
         if offset + nbytes > len(payload):

@@ -478,3 +478,27 @@ def test_in_process_calls_match_a_fresh_process(model_file, corpus, monkeypatch,
             fresh.stderr,
         )
     assert codes[:2] == [2, 0]
+
+
+def test_train_csv_field_over_the_csv_limit_is_error(features_csv, tmp_path, capsys):
+    # The csv module's _csv.Error is no ValueError: this ended in a traceback.
+    lines = open(features_csv).read().splitlines()
+    lines[1] = "p" * 200_000 + lines[1][lines[1].index(",") :]
+    bad = tmp_path / "long.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["train", "--features", str(bad), "--out", str(tmp_path / "m.bin")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"pdfmlp: error: {bad}:2: field larger than field limit (131072)"
+    ]
+
+
+def test_evaluate_undecodable_csv_names_the_file(model_file, tmp_path, capsys):
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(b"path,label\ncaf\xe9.pdf,0\n")
+    rc = cli.main(["evaluate", "--features", str(bad), "--model", model_file,
+                   "--out-dir", str(tmp_path / "eval")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"pdfmlp: error: {bad}: 'utf-8' codec can't decode byte 0xe9")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pdfmlp.mlp import (
+    BatchNormState,
     DenseLayer,
     MlpModel,
     backward,
@@ -336,6 +337,27 @@ def test_model_validation():
         MlpModel(layers=[good.layers[0], good.layers[0]])
     with pytest.raises(ValueError, match="threshold"):
         build_model(4, (3,), threshold=1.5, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "running_var, epsilon, message",
+    [
+        ([np.nan, 1.0], 1e-5, "running variance"),
+        ([1.0, 1.0], np.nan, "epsilon"),
+        ([-1.0, 1.0], 1e-5, "running variance"),
+        ([1.0, 1.0], 0.0, "epsilon"),
+    ],
+)
+def test_batch_norm_state_validation(running_var, epsilon, message):
+    # NaN fails `< 0` and `<= 0` as well, so a NaN variance or epsilon passed.
+    with pytest.raises(ValueError, match=message):
+        BatchNormState(
+            gamma=np.ones(2),
+            beta=np.zeros(2),
+            running_mean=np.zeros(2),
+            running_var=np.array(running_var),
+            epsilon=epsilon,
+        )
 
 
 def test_initialization_bounds_and_seeding():

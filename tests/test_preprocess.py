@@ -1,6 +1,8 @@
 """Standardization and splitting: hand-computed moments, stratification, CSV."""
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from pdfmlp import (
     transform,
     write_features_csv,
 )
+from pdfmlp import preprocess
 from pdfmlp.preprocess import CSV_HEADER, Scaler
 
 
@@ -279,3 +282,142 @@ def test_csv_paths_with_commas_survive(tmp_path):
     path = str(tmp_path / "features.csv")
     write_features_csv(path, d)
     assert read_features_csv(path).paths == ['odd, "name".pdf']
+
+
+def test_scaler_rejects_nan_std():
+    # NaN fails `stds <= 0` as well, so a NaN std used to pass.
+    with pytest.raises(ValueError, match="stds must be positive"):
+        Scaler(means=np.zeros(3), stds=np.array([1.0, np.nan, 1.0]))
+
+
+# -- the loadtxt path against the csv module reader ------------------------------
+
+
+def read_with_csv_module(path):
+    """The oracle: the csv module reader alone, over the file."""
+    with open(path, newline="") as fh:
+        return preprocess._read_csv(path, fh)
+
+
+def outcome(read, path):
+    try:
+        d = read(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    return d.paths, d.labels.tobytes(), d.features.tobytes()
+
+
+def assert_same_as_csv_module(path):
+    assert outcome(read_features_csv, path) == outcome(read_with_csv_module, path)
+
+
+# Spellings float(), int() and numpy's parser may disagree on.  The first
+# four are numbers to every reader; the rest leave the loadtxt path.  The
+# last is two cells, so its row has one field too many.
+ODD_CELLS = ["+.5", "5.", "1e0001", "00012", "1_0", " 1", "١", "\xa01",
+             "inf", "nan", "1e999", '""', "1,2"]
+ODD_LABELS = ["+1", "01", "1.0", " 0", "2", '""']
+VALUE_ALPHABET = "0123456789.+-eE"
+
+cell = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".9g")),
+    st.sampled_from(ODD_CELLS),
+    st.text(VALUE_ALPHABET, min_size=1, max_size=6),
+)
+
+
+@st.composite
+def csv_row(draw):
+    cells = [format(v, ".9g") for v in draw(
+        st.lists(st.floats(-1e6, 1e6), min_size=N_FEATURES, max_size=N_FEATURES)
+    )]
+    for column, spelling in draw(st.lists(st.tuples(st.integers(0, N_FEATURES - 1), cell), max_size=3)):
+        cells[column] = spelling
+    label = draw(st.one_of(st.sampled_from(["-1", "0", "1"]), st.sampled_from(ODD_LABELS)))
+    path = draw(st.sampled_from(["a.pdf", "dir/b c.pdf", "été.pdf", '"q.pdf"', "c\rr.pdf"]))
+    return ",".join([path, label, *cells])
+
+
+@given(rows=st.lists(csv_row(), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_csv_reads_like_the_csv_module(tmp_path_factory, rows):
+    path = str(tmp_path_factory.getbasetemp() / "spellings.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
+    assert_same_as_csv_module(path)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7, 31])
+def test_benchmark_csvs_take_the_loadtxt_path_bit_exact(tmp_path, monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    from perfbench.inputs import synthetic_feature_rows
+
+    rng = np.random.default_rng(seed)
+    path = str(tmp_path / "features.csv")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        writer.writerows(synthetic_feature_rows(rng, 500, "doc"))
+    with open(path, newline="") as fh:
+        assert preprocess._read_plain(fh.read()) is not None
+    back, oracle = read_features_csv(path), read_with_csv_module(path)
+    assert back.paths == oracle.paths
+    assert back.labels.tobytes() == oracle.labels.tobytes()
+    assert back.features.tobytes() == oracle.features.tobytes()
+
+
+@pytest.mark.parametrize("n_values", [N_FEATURES - 1, N_FEATURES + 1])
+def test_csv_row_of_the_wrong_width_names_its_line(tmp_path, n_values):
+    # Every row is as wide as every other, so loadtxt reads the file; the
+    # shape check must still send it to the csv reader.
+    path = tmp_path / "features.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n" + ",".join(["a", "0"] + ["1"] * n_values) + "\n")
+    with pytest.raises(ValueError, match=rf"features\.csv:2: expected {len(CSV_HEADER)} fields"):
+        read_features_csv(str(path))
+
+
+def _quoted_path(text):
+    return text.replace("doc1,", '"doc1",', 1)
+
+
+def _crlf(text):
+    return text.replace("\n", "\r\n")
+
+
+def _blank_line(text):
+    return text.replace("\ndoc1,", "\n\ndoc1,", 1)
+
+
+def _no_final_newline(text):
+    return text[:-1]
+
+
+@pytest.mark.parametrize("edit", [_quoted_path, _crlf, _blank_line, _no_final_newline])
+def test_odd_files_take_the_csv_path(tmp_path, edit):
+    d = make_dataset(np.random.default_rng(3).normal(size=(4, N_FEATURES)), [0, 1, 0, -1])
+    path = str(tmp_path / "features.csv")
+    write_features_csv(path, d)
+    text = edit(open(path, newline="").read())
+    open(path, "w", newline="").write(text)
+    assert preprocess._read_plain(text) is None
+    assert len(read_features_csv(path)) == 4
+    assert_same_as_csv_module(path)
+
+
+@pytest.mark.parametrize("column", [0, 9], ids=["path", "value"])
+def test_csv_field_over_the_csv_limit_names_its_line(tmp_path, column):
+    # The csv module raised a bare _csv.Error, which is no ValueError.  The
+    # value cell is digits only, so loadtxt would read it: the length check
+    # must send it to the csv reader too.
+    limit = csv.field_size_limit()
+    path = _csv_with_cell(tmp_path, column, "0" * limit + "1")
+    with pytest.raises(ValueError, match=rf"features\.csv:3: field larger than field limit \({limit}\)"):
+        read_features_csv(path)
+    assert_same_as_csv_module(path)
+
+
+def test_csv_field_at_the_csv_limit_reads(tmp_path):
+    limit = csv.field_size_limit()
+    path = _csv_with_cell(tmp_path, 0, "p" * limit)
+    assert read_features_csv(path).paths[1] == "p" * limit
+    assert_same_as_csv_module(path)

@@ -216,6 +216,41 @@ def test_non_finite_batch_norm_setting_is_a_model_error(trained_pair, field, val
         loads(_with_meta(dumps(model, scaler), edit))
 
 
+def _with_extra_array(blob: bytes, entry) -> bytes:
+    """blob with entry appended to the manifest and zeros to the data."""
+    at = len(MAGIC) + 4
+    (meta_length,) = struct.unpack_from("<Q", blob, at + 4)
+    meta = json.loads(blob[at + 12 : at + 12 + meta_length])
+    meta["arrays"].append(entry)
+    new_meta = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    arrs_at = at + 12 + meta_length
+    assert blob[arrs_at : arrs_at + 4] == b"ARRS"
+    (arrs_length,) = struct.unpack_from("<Q", blob, arrs_at + 4)
+    arrs = blob[arrs_at + 12 : arrs_at + 12 + arrs_length] + bytes(8 * entry["shape"][0])
+    return (
+        blob[:at]
+        + b"META" + struct.pack("<Q", len(new_meta)) + new_meta
+        + b"ARRS" + struct.pack("<Q", len(arrs)) + arrs
+    )
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"name": "scaler.means", "shape": [N_FEATURES]}, "'scaler.means' is listed twice"),
+        ({"name": "layer9.weights", "shape": [2]}, "unused arrays: layer9.weights"),
+        ({"name": ["scaler.means"], "shape": [2]}, "bad manifest entry"),
+    ],
+    ids=["duplicate", "left-over", "name-not-a-string"],
+)
+def test_manifest_must_name_each_array_once(trained_pair, entry, message):
+    # A second scaler.means replaced the first, an array no layer takes was
+    # ignored, and a list as a name escaped as a bare TypeError.
+    model, scaler = trained_pair
+    with pytest.raises(ModelFormatError, match=message):
+        loads(_with_extra_array(dumps(model, scaler), entry))
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(OSError):
         load(str(tmp_path / "nope.bin"))
