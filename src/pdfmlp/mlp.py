@@ -14,12 +14,14 @@ runs possible.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Literal, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
+    "BATCH_NORM_ARRAYS",
     "BatchNormState",
     "DenseLayer",
     "ForwardCache",
@@ -52,6 +54,10 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+# The batch-norm arrays, in the order a model file stores them.
+BATCH_NORM_ARRAYS = ("gamma", "beta", "running_mean", "running_var")
+
+
 @dataclass
 class BatchNormState:
     gamma: np.ndarray
@@ -62,9 +68,14 @@ class BatchNormState:
     epsilon: float = 1e-5
 
     def __post_init__(self) -> None:
+        shapes = [np.shape(getattr(self, name)) for name in BATCH_NORM_ARRAYS]
+        if len(shapes[0]) != 1 or len(set(shapes)) != 1:
+            raise ValueError(f"batch-norm arrays must be vectors of one length, got {shapes}")
         # Written so that NaN fails them: NaN fails every comparison.
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 <= self.momentum <= 1.0:
+            raise ValueError(f"batch-norm momentum must be in [0, 1], got {self.momentum!r}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"batch-norm epsilon must be positive and finite, got {self.epsilon!r}")
         if not np.all(self.running_var >= 0):
             raise ValueError("running variance must be non-negative")
 
@@ -86,6 +97,8 @@ class DenseLayer:
             raise ValueError(f"unknown activation {self.activation!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
+        if self.batch_norm is not None and np.shape(self.batch_norm.gamma) != self.biases.shape:
+            raise ValueError("batch-norm width does not match the layer's output width")
 
     @property
     def in_width(self) -> int:
@@ -136,8 +149,6 @@ def build_model(
     dropout_rate: float = 0.15,
     batch_norm: bool = True,
     threshold: float = 0.62,
-    bn_momentum: float = 0.1,
-    bn_epsilon: float = 1e-5,
     rng: Optional[np.random.Generator] = None,
 ) -> MlpModel:
     """Create a freshly initialized network.
@@ -160,8 +171,6 @@ def build_model(
                 beta=np.zeros(fan_out),
                 running_mean=np.zeros(fan_out),
                 running_var=np.ones(fan_out),
-                momentum=bn_momentum,
-                epsilon=bn_epsilon,
             )
         layers.append(
             DenseLayer(
@@ -178,10 +187,8 @@ def build_model(
 @dataclass
 class _LayerCache:
     x: np.ndarray  # layer input
-    z: np.ndarray  # affine output
-    y: np.ndarray  # post batch-norm (== z when no batch norm)
+    y: np.ndarray  # post batch-norm (== the affine output when no batch norm)
     h: np.ndarray  # post activation
-    bn_mean: Optional[np.ndarray] = None
     bn_inv_std: Optional[np.ndarray] = None
     bn_xhat: Optional[np.ndarray] = None
     dropout_mask: Optional[np.ndarray] = None
@@ -224,7 +231,7 @@ def forward(
     for layer in model.layers:
         x = out
         z = x @ layer.weights.T + layer.biases
-        lc = _LayerCache(x=x, z=z, y=z, h=z)
+        lc = _LayerCache(x=x, y=z, h=z)
         if layer.batch_norm is not None:
             bn = layer.batch_norm
             if mode == "train":
@@ -239,7 +246,7 @@ def forward(
             xhat = (z - mean) * inv_std
             lc.y = bn.gamma * xhat + bn.beta
             if mode == "train":
-                lc.bn_mean, lc.bn_inv_std, lc.bn_xhat = mean, inv_std, xhat
+                lc.bn_inv_std, lc.bn_xhat = inv_std, xhat
         lc.h = np.maximum(lc.y, 0.0) if layer.activation == "relu" else sigmoid(lc.y)
         out = lc.h
         if mode == "train" and layer.dropout_rate > 0.0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import base64
 import zlib
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -45,10 +45,6 @@ _ALIASES = {
     "CCF": "CCITTFaxDecode",
     "DCT": "DCTDecode",
 }
-
-_SUPPORTED = frozenset(
-    ["FlateDecode", "ASCIIHexDecode", "ASCII85Decode", "RunLengthDecode", "LZWDecode"]
-)
 
 
 class StreamDecodeError(Exception):
@@ -99,18 +95,12 @@ def decode_stream(
     data = raw
     for name, parm in zip(filters, param_list):
         canonical = canonical_filter_name(name)
-        if canonical not in _SUPPORTED:
+        decoder = _DECODERS.get(canonical)
+        if decoder is None:
             raise UnknownFilterError(canonical)
-        if canonical == "FlateDecode":
-            data = _flate_decode(data, parm)
-        elif canonical == "LZWDecode":
-            data = _lzw_decode_with_params(data, parm)
-        elif canonical == "ASCIIHexDecode":
-            data = _asciihex_decode(data)
-        elif canonical == "ASCII85Decode":
-            data = _ascii85_decode(data)
-        else:
-            data = _runlength_decode(data)
+        data = decoder(data, parm)
+        if canonical in ("FlateDecode", "LZWDecode"):
+            data = _apply_predictor(data, parm, canonical)
     return data
 
 
@@ -135,31 +125,27 @@ def _param(parm: Optional[dict], key: str, default: int) -> int:
     return value if isinstance(value, int) else default
 
 
-def _flate_decode(data: bytes, parm: Optional[dict]) -> bytes:
+def _flate_decode(data: bytes) -> bytes:
     try:
-        out = _inflate(data, zlib.MAX_WBITS, strict=True)
+        out, reached_end = _inflate(data, zlib.MAX_WBITS)
+        if reached_end or out:  # a truncated stream yields what it decoded
+            return out
     except zlib.error:
-        # Retry tolerantly: accept trailing garbage, then headerless deflate.
-        try:
-            out = _inflate(data, zlib.MAX_WBITS)
-            if not out:
-                raise zlib.error("empty")
-        except zlib.error:
-            try:
-                out = _inflate(data, -zlib.MAX_WBITS)
-            except zlib.error as exc:
-                raise StreamDecodeError("FlateDecode", str(exc)) from exc
-    return _apply_predictor(out, parm, "FlateDecode")
+        pass
+    # Retry as headerless deflate.
+    try:
+        return _inflate(data, -zlib.MAX_WBITS)[0]
+    except zlib.error as exc:
+        raise StreamDecodeError("FlateDecode", str(exc)) from exc
 
 
-def _inflate(data: bytes, wbits: int, strict: bool = False) -> bytes:
+def _inflate(data: bytes, wbits: int) -> tuple[bytes, bool]:
     """Inflate ``data`` at most ``_INFLATE_CHUNK`` bytes at a time.
 
-    Raises StreamDecodeError as soon as the output passes MAX_DECODED, so a
-    bomb costs at most the cap in memory and time.  ``strict`` also demands
-    the end-of-stream marker, as ``zlib.decompress`` does; otherwise a
-    truncated stream yields what it decoded.  Bytes after the end of the
-    stream are ignored either way.
+    Returns the output and whether the end-of-stream marker was reached;
+    bytes after it are ignored.  Raises StreamDecodeError as soon as the
+    output passes MAX_DECODED, so a bomb costs at most the cap in memory
+    and time.
     """
     d = zlib.decompressobj(wbits)
     parts: list[bytes] = []
@@ -175,15 +161,7 @@ def _inflate(data: bytes, wbits: int, strict: bool = False) -> bytes:
             raise _over_cap("FlateDecode")
         parts.append(chunk)
         pending = d.unconsumed_tail
-    if strict and not d.eof:
-        raise zlib.error("incomplete or truncated stream")
-    return b"".join(parts)
-
-
-def _lzw_decode_with_params(data: bytes, parm: Optional[dict]) -> bytes:
-    early = _param(parm, "EarlyChange", 1)
-    out = _lzw_decode(data, early_change=1 if early else 0)
-    return _apply_predictor(out, parm, "LZWDecode")
+    return b"".join(parts), d.eof
 
 
 def _lzw_decode(data: bytes, early_change: int = 1) -> bytes:
@@ -290,6 +268,19 @@ def _runlength_decode(data: bytes) -> bytes:
             raise _over_cap("RunLengthDecode")
     # Missing EOD is tolerated; everything decoded so far is complete.
     return bytes(out)
+
+
+# Canonical filter name -> decoder(data, decode parameters).  decode_stream
+# applies any /Predictor after FlateDecode and LZWDecode.
+_DECODERS: dict[str, Callable[[bytes, Optional[dict]], bytes]] = {
+    "FlateDecode": lambda data, parm: _flate_decode(data),
+    "LZWDecode": lambda data, parm: _lzw_decode(
+        data, early_change=1 if _param(parm, "EarlyChange", 1) else 0
+    ),
+    "ASCIIHexDecode": lambda data, parm: _asciihex_decode(data),
+    "ASCII85Decode": lambda data, parm: _ascii85_decode(data),
+    "RunLengthDecode": lambda data, parm: _runlength_decode(data),
+}
 
 
 def _apply_predictor(data: bytes, parm: Optional[dict], filter_name: str) -> bytes:

@@ -224,10 +224,7 @@ class _Scanner:
         text = m.group()
         self.pos = m.end()
         if b"." in text or len(text) > _MAX_INT_DIGITS:
-            try:
-                return float(text)
-            except ValueError:
-                return 0.0
+            return float(text)  # accepts every _NUMBER_RE match; a huge one gives inf
         value = int(text)
         if text[:1] not in (b"+", b"-"):
             tail = _REF_TAIL_RE.match(self.data, self.pos)

@@ -20,7 +20,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .mlp import BatchNormState, DenseLayer, MlpModel
+from .mlp import BATCH_NORM_ARRAYS, BatchNormState, DenseLayer, MlpModel
 from .preprocess import Dataset, Scaler
 
 __all__ = [
@@ -61,13 +61,7 @@ class UnsupportedVersionError(ModelStoreError):
 def _layer_arrays(layer: DenseLayer) -> list[tuple[str, np.ndarray]]:
     arrays = [("weights", layer.weights), ("biases", layer.biases)]
     if layer.batch_norm is not None:
-        bn = layer.batch_norm
-        arrays += [
-            ("gamma", bn.gamma),
-            ("beta", bn.beta),
-            ("running_mean", bn.running_mean),
-            ("running_var", bn.running_var),
-        ]
+        arrays += [(name, getattr(layer.batch_norm, name)) for name in BATCH_NORM_ARRAYS]
     return arrays
 
 
@@ -147,6 +141,8 @@ def loads(blob: bytes) -> tuple[MlpModel, Scaler, str]:
         pos += 12
         if pos + length > len(blob):
             raise TruncatedModelError(f"truncated {tag!r} section")
+        if tag in sections:
+            raise ModelFormatError(f"section {tag!r} appears twice")
         sections[tag] = blob[pos : pos + length]
         pos += length
 
@@ -175,22 +171,10 @@ def loads(blob: bytes) -> tuple[MlpModel, Scaler, str]:
             bn_spec = spec.get("batch_norm")
             bn = None
             if bn_spec is not None:
-                momentum = float(bn_spec["momentum"])
-                epsilon = float(bn_spec["epsilon"])
-                # JSON reads NaN and Infinity, and BatchNormState checks
-                # neither an infinite epsilon nor the momentum.
-                if not (math.isfinite(momentum) and math.isfinite(epsilon)):
-                    raise ModelFormatError(
-                        f"layer {i}: batch-norm momentum {momentum!r} and epsilon "
-                        f"{epsilon!r} must be finite"
-                    )
                 bn = BatchNormState(
-                    gamma=arrays.pop(f"layer{i}.gamma"),
-                    beta=arrays.pop(f"layer{i}.beta"),
-                    running_mean=arrays.pop(f"layer{i}.running_mean"),
-                    running_var=arrays.pop(f"layer{i}.running_var"),
-                    momentum=momentum,
-                    epsilon=epsilon,
+                    **{name: arrays.pop(f"layer{i}.{name}") for name in BATCH_NORM_ARRAYS},
+                    momentum=float(bn_spec["momentum"]),
+                    epsilon=float(bn_spec["epsilon"]),
                 )
             layer = DenseLayer(
                 weights=arrays.pop(f"layer{i}.weights"),

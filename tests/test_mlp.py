@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pdfmlp.mlp import (
+    BATCH_NORM_ARRAYS,
     BatchNormState,
     DenseLayer,
     MlpModel,
@@ -351,12 +352,60 @@ def test_model_validation():
 def test_batch_norm_state_validation(running_var, epsilon, message):
     # NaN fails `< 0` and `<= 0` as well, so a NaN variance or epsilon passed.
     with pytest.raises(ValueError, match=message):
-        BatchNormState(
-            gamma=np.ones(2),
-            beta=np.zeros(2),
-            running_mean=np.zeros(2),
-            running_var=np.array(running_var),
-            epsilon=epsilon,
+        _batch_norm_state(running_var=np.array(running_var), epsilon=epsilon)
+
+
+def _batch_norm_state(width=2, **changes):
+    fields = dict(
+        gamma=np.ones(width),
+        beta=np.zeros(width),
+        running_mean=np.zeros(width),
+        running_var=np.ones(width),
+    )
+    return BatchNormState(**{**fields, **changes})
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"momentum": 5.0}, "momentum"),
+        ({"momentum": -0.1}, "momentum"),
+        ({"momentum": np.nan}, "momentum"),
+        ({"epsilon": np.inf}, "epsilon"),
+        ({"beta": np.zeros(3)}, "one length"),
+        ({"running_mean": np.zeros((2, 1))}, "one length"),
+        ({name: np.ones((1, 2)) for name in BATCH_NORM_ARRAYS}, "vectors"),
+    ],
+    ids=[
+        "momentum-5",
+        "momentum-negative",
+        "momentum-nan",
+        "epsilon-inf",
+        "two-lengths",
+        "one-array-2d",
+        "all-arrays-2d",
+    ],
+)
+def test_batch_norm_state_rules(changes, message):
+    # Each of these constructed, and a momentum of 5 moved the running
+    # statistics outside the batch statistics in training.
+    with pytest.raises(ValueError, match=message):
+        _batch_norm_state(**changes)
+
+
+def test_batch_norm_bounds_are_allowed():
+    _batch_norm_state(momentum=0.0)
+    _batch_norm_state(momentum=1.0, epsilon=1e-300)
+
+
+def test_dense_layer_rejects_batch_norm_of_another_width():
+    # A narrower state broadcast over the layer's outputs when scoring.
+    with pytest.raises(ValueError, match="batch-norm width"):
+        DenseLayer(
+            weights=np.ones((3, 2)),
+            biases=np.zeros(3),
+            activation="relu",
+            batch_norm=_batch_norm_state(width=1),
         )
 
 

@@ -216,6 +216,74 @@ def test_non_finite_batch_norm_setting_is_a_model_error(trained_pair, field, val
         loads(_with_meta(dumps(model, scaler), edit))
 
 
+@pytest.mark.parametrize("momentum", [5.0, -0.1], ids=["five", "negative"])
+def test_batch_norm_momentum_out_of_range_is_a_model_error(trained_pair, momentum):
+    # Both loaded; training on from such a model moves the running
+    # statistics outside the batch statistics.
+    model, scaler = trained_pair
+
+    def edit(meta):
+        meta["layers"][0]["batch_norm"]["momentum"] = momentum
+
+    with pytest.raises(ModelFormatError, match="batch-norm momentum"):
+        loads(_with_meta(dumps(model, scaler), edit))
+
+
+def _with_arrays(blob: bytes, edit) -> bytes:
+    """blob with its arrays, a dict by manifest name, passed through edit."""
+    at = len(MAGIC) + 4
+    (meta_length,) = struct.unpack_from("<Q", blob, at + 4)
+    meta = json.loads(blob[at + 12 : at + 12 + meta_length])
+    arrs_at = at + 12 + meta_length
+    data = np.frombuffer(blob, "<f8", offset=arrs_at + 12)
+    arrays, offset = {}, 0
+    for entry in meta["arrays"]:
+        count = int(np.prod(entry["shape"]))
+        arrays[entry["name"]] = data[offset : offset + count].reshape(entry["shape"])
+        offset += count
+    edit(arrays)
+    meta["arrays"] = [{"name": name, "shape": list(a.shape)} for name, a in arrays.items()]
+    new_meta = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    arrs = b"".join(a.astype("<f8").tobytes() for a in arrays.values())
+    return (
+        blob[:at]
+        + b"META" + struct.pack("<Q", len(new_meta)) + new_meta
+        + b"ARRS" + struct.pack("<Q", len(arrs)) + arrs
+    )
+
+
+def test_batch_norm_arrays_narrower_than_the_layer_are_a_model_error(trained_pair):
+    # Arrays of shape (1,) loaded and broadcast over the layer's 72 outputs.
+    model, scaler = trained_pair
+
+    def edit(arrays):
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            arrays[f"layer0.{name}"] = arrays[f"layer0.{name}"][:1]
+
+    blob = dumps(model, scaler)
+    assert _with_arrays(blob, lambda arrays: None) == blob
+    with pytest.raises(ModelFormatError, match="batch-norm width"):
+        loads(_with_arrays(blob, edit))
+
+
+def test_repeated_section_is_a_model_error(trained_pair):
+    # The last of two META sections won: a 0.62 model loaded with 0.9.
+    model, scaler = trained_pair
+    blob = dumps(model, scaler)
+    edited = _with_meta(blob, lambda meta: meta.update(threshold=0.9))
+    assert loads(edited)[0].threshold == 0.9
+    (length,) = struct.unpack_from("<Q", edited, len(MAGIC) + 8)
+    second_meta = edited[len(MAGIC) + 4 : len(MAGIC) + 16 + length]
+    with pytest.raises(ModelFormatError, match="appears twice"):
+        loads(blob + second_meta)
+
+
+def test_unknown_section_is_skipped(trained_pair):
+    model, scaler = trained_pair
+    loaded, _, _ = loads(dumps(model, scaler) + b"XTRA" + struct.pack("<Q", 3) + b"new")
+    assert model_checksum(loaded, scaler) == model_checksum(model, scaler)
+
+
 def _with_extra_array(blob: bytes, entry) -> bytes:
     """blob with entry appended to the manifest and zeros to the data."""
     at = len(MAGIC) + 4
