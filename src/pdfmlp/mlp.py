@@ -215,45 +215,58 @@ def forward(
     ones) and applies inverted dropout from ``rng``; infer mode uses the
     running statistics, applies no dropout and leaves the model untouched.
     Returns probabilities clamped into (0, 1) plus the cache backward needs.
+
+    Every in-place operation below writes an array this call created;
+    the batch and the model's arrays are only read.
     """
     X = np.asarray(batch, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
-    if X.ndim != 2 or X.shape[1] != model.input_width:
-        raise ValueError(f"batch must be (n, {model.input_width}), got {X.shape}")
+    widths = model.widths()
+    if X.ndim != 2 or X.shape[1] != widths[0]:
+        raise ValueError(f"batch must be (n, {widths[0]}), got {X.shape}")
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "train" and rng is None and any(l.dropout_rate > 0 for l in model.layers):
+    train = mode == "train"
+    if train and rng is None and any(l.dropout_rate > 0 for l in model.layers):
         raise ValueError("train mode with dropout needs an rng")
 
-    cache = ForwardCache(mode=mode, batch_size=X.shape[0], widths=model.widths())
+    n = X.shape[0]
+    cache = ForwardCache(mode=mode, batch_size=n, widths=widths)
     out = X
     for layer in model.layers:
         x = out
-        z = x @ layer.weights.T + layer.biases
+        z = x @ layer.weights.T
+        z += layer.biases
         lc = _LayerCache(x=x, y=z, h=z)
-        if layer.batch_norm is not None:
-            bn = layer.batch_norm
-            if mode == "train":
-                mean = z.mean(axis=0)
-                var = z.var(axis=0)
+        bn = layer.batch_norm
+        if bn is not None:
+            if train:
+                # np.var's own steps, reusing the mean: sum / n, centre,
+                # sum of squares / n.
+                mean = np.add.reduce(z, 0) / n
+                z -= mean
+                var = np.add.reduce(z * z, 0) / n
                 bn.running_mean = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mean
                 bn.running_var = (1.0 - bn.momentum) * bn.running_var + bn.momentum * var
+                var += bn.epsilon
             else:
-                mean = bn.running_mean
-                var = bn.running_var
-            inv_std = 1.0 / np.sqrt(var + bn.epsilon)
-            xhat = (z - mean) * inv_std
-            lc.y = bn.gamma * xhat + bn.beta
-            if mode == "train":
-                lc.bn_inv_std, lc.bn_xhat = inv_std, xhat
+                z -= bn.running_mean
+                var = bn.running_var + bn.epsilon
+            inv_std = np.divide(1.0, np.sqrt(var, out=var), out=var)
+            z *= inv_std  # now xhat
+            lc.y = bn.gamma * z
+            lc.y += bn.beta
+            if train:
+                lc.bn_inv_std, lc.bn_xhat = inv_std, z
         lc.h = np.maximum(lc.y, 0.0) if layer.activation == "relu" else sigmoid(lc.y)
         out = lc.h
-        if mode == "train" and layer.dropout_rate > 0.0:
-            keep = 1.0 - layer.dropout_rate
-            mask = (rng.random(out.shape) >= layer.dropout_rate).astype(np.float64)
+        if train and layer.dropout_rate > 0.0:
+            mask = rng.random(out.shape)
+            np.greater_equal(mask, layer.dropout_rate, out=mask)  # 1.0 keeps, 0.0 drops
             lc.dropout_mask = mask
-            out = out * mask / keep
+            out = out * mask
+            out /= 1.0 - layer.dropout_rate
         cache.layers.append(lc)
 
     probs_raw = out[:, 0]
@@ -287,6 +300,8 @@ def backward(model: MlpModel, cache: ForwardCache, labels: np.ndarray) -> list[L
 
     Requires the cache of a train-mode forward over the same batch; the
     sigmoid+cross-entropy pair collapses to (p - y)/n at the output.
+    Every in-place operation below writes an array this call created, so
+    the cache and the labels are only read.
     """
     if cache.mode != "train":
         raise ValueError("backward needs a train-mode forward cache")
@@ -297,64 +312,83 @@ def backward(model: MlpModel, cache: ForwardCache, labels: np.ndarray) -> list[L
         raise ValueError("label count does not match the cached batch")
 
     n = cache.batch_size
+    last = len(model.layers) - 1
     grads: list[Optional[LayerGrads]] = [None] * len(model.layers)
     # d(mean CE)/dz at the sigmoid output.
     delta = (cache.probs_raw - y)[:, None] / n
 
-    for i in range(len(model.layers) - 1, -1, -1):
+    for i in range(last, -1, -1):
         layer = model.layers[i]
         lc = cache.layers[i]
-        if i != len(model.layers) - 1:
-            dh = delta
+        dy = delta  # at the output it already includes the sigmoid derivative
+        if i != last:
             if lc.dropout_mask is not None:
-                dh = dh * lc.dropout_mask / (1.0 - layer.dropout_rate)
+                dy *= lc.dropout_mask
+                dy /= 1.0 - layer.dropout_rate
             if layer.activation == "relu":
-                dy = dh * (lc.y > 0.0)
+                dy *= lc.y > 0.0
             else:
-                dy = dh * lc.h * (1.0 - lc.h)
-        else:
-            dy = delta  # already includes the sigmoid derivative
+                dy *= lc.h
+                dy *= 1.0 - lc.h
 
         dgamma = dbeta = None
-        if layer.batch_norm is not None:
-            bn = layer.batch_norm
-            xhat, inv_std = lc.bn_xhat, lc.bn_inv_std
-            dgamma = np.sum(dy * xhat, axis=0)
-            dbeta = np.sum(dy, axis=0)
-            dxhat = dy * bn.gamma
-            dz = (
-                inv_std
-                / n
-                * (n * dxhat - np.sum(dxhat, axis=0) - xhat * np.sum(dxhat * xhat, axis=0))
-            )
-        else:
-            dz = dy
+        bn = layer.batch_norm
+        if bn is not None:
+            xhat = lc.bn_xhat
+            t = dy * xhat
+            dgamma = np.add.reduce(t, 0)
+            dbeta = np.add.reduce(dy, 0)
+            dy *= bn.gamma  # now dxhat
+            sum_dxhat = np.add.reduce(dy, 0)
+            np.multiply(dy, xhat, out=t)
+            sum_dxhat_xhat = np.add.reduce(t, 0)
+            # dz = inv_std / n * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))
+            dy *= n
+            dy -= sum_dxhat
+            dy -= np.multiply(xhat, sum_dxhat_xhat, out=t)
+            dy *= lc.bn_inv_std / n
+        dz = dy
 
         grads[i] = LayerGrads(
             weights=dz.T @ lc.x,
-            biases=dz.sum(axis=0),
+            biases=np.add.reduce(dz, 0),
             gamma=dgamma,
             beta=dbeta,
         )
-        delta = dz @ layer.weights
+        if i:
+            delta = dz @ layer.weights
 
     return grads  # type: ignore[return-value]
 
 
 def sgd_step(model: MlpModel, grads: list[LayerGrads], eta: float) -> MlpModel:
-    """Apply p <- p - eta * grad(p) to every parameter, in place."""
+    """Apply p <- p - eta * grad(p) to every parameter, in place.
+
+    Every gradient is checked against its layer before any parameter
+    moves: a batch-norm layer needs a ``gamma`` and ``beta`` gradient of
+    its width, and a layer without batch norm must get neither.
+    """
     if eta < 0:
         raise ValueError("learning rate must not be negative")
     if len(grads) != len(model.layers):
         raise ValueError("gradient/layer count mismatch")
+    for i, (layer, g) in enumerate(zip(model.layers, grads)):
+        width = layer.biases.shape
+        if g.weights.shape != layer.weights.shape or g.biases.shape != width:
+            raise ValueError("gradient shapes do not match the model")
+        if layer.batch_norm is None:
+            if g.gamma is not None or g.beta is not None:
+                raise ValueError(f"layer {i} has no batch norm but got gamma/beta gradients")
+        elif g.gamma is None or g.beta is None:
+            raise ValueError(f"layer {i} has batch norm but got no gamma/beta gradients")
+        elif g.gamma.shape != width or g.beta.shape != width:
+            raise ValueError(f"layer {i}: gamma/beta gradient shapes do not match the layer")
     if eta == 0.0:
         return model
     for layer, g in zip(model.layers, grads):
-        if g.weights.shape != layer.weights.shape or g.biases.shape != layer.biases.shape:
-            raise ValueError("gradient shapes do not match the model")
         layer.weights -= eta * g.weights
         layer.biases -= eta * g.biases
-        if layer.batch_norm is not None and g.gamma is not None:
+        if layer.batch_norm is not None:
             layer.batch_norm.gamma -= eta * g.gamma
             layer.batch_norm.beta -= eta * g.beta
     return model

@@ -58,6 +58,19 @@ class UnsupportedVersionError(ModelStoreError):
     """The file declares a format version this build cannot read."""
 
 
+def _meta_int(value: Any, what: str) -> int:
+    # JSON gives bool for true/false, and bool is an int subclass.
+    if type(value) is not int:
+        raise ModelFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _meta_number(value: Any, what: str) -> float:
+    if type(value) not in (int, float):
+        raise ModelFormatError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _layer_arrays(layer: DenseLayer) -> list[tuple[str, np.ndarray]]:
     arrays = [("weights", layer.weights), ("biases", layer.biases)]
     if layer.batch_norm is not None:
@@ -159,10 +172,13 @@ def loads(blob: bytes) -> tuple[MlpModel, Scaler, str]:
 
     arrays = _read_arrays(meta.get("arrays"), sections[b"ARRS"])
     try:
+        schema_id = meta["schema_id"]
+        if not isinstance(schema_id, str):
+            raise ModelFormatError(f"schema_id must be a string, got {schema_id!r}")
         scaler = Scaler(
             means=arrays.pop("scaler.means"),
             stds=arrays.pop("scaler.stds"),
-            schema_id=str(meta["schema_id"]),
+            schema_id=schema_id,
         )
         layers = []
         for i, spec in enumerate(meta["layers"]):
@@ -173,30 +189,32 @@ def loads(blob: bytes) -> tuple[MlpModel, Scaler, str]:
             if bn_spec is not None:
                 bn = BatchNormState(
                     **{name: arrays.pop(f"layer{i}.{name}") for name in BATCH_NORM_ARRAYS},
-                    momentum=float(bn_spec["momentum"]),
-                    epsilon=float(bn_spec["epsilon"]),
+                    momentum=_meta_number(bn_spec["momentum"], f"layer {i}: momentum"),
+                    epsilon=_meta_number(bn_spec["epsilon"], f"layer {i}: epsilon"),
                 )
             layer = DenseLayer(
                 weights=arrays.pop(f"layer{i}.weights"),
                 biases=arrays.pop(f"layer{i}.biases"),
                 activation=spec["activation"],
                 batch_norm=bn,
-                dropout_rate=float(spec["dropout_rate"]),
+                dropout_rate=_meta_number(spec["dropout_rate"], f"layer {i}: dropout_rate"),
             )
-            if layer.in_width != int(spec["in"]) or layer.out_width != int(spec["out"]):
+            in_width = _meta_int(spec["in"], f"layer {i}: in")
+            out_width = _meta_int(spec["out"], f"layer {i}: out")
+            if (in_width, out_width) != (layer.in_width, layer.out_width):
                 raise ModelFormatError(
-                    f"layer {i}: declared widths {spec['in']}x{spec['out']} do not "
+                    f"layer {i}: declared widths {in_width}x{out_width} do not "
                     f"match stored arrays {layer.in_width}x{layer.out_width}"
                 )
             layers.append(layer)
-        model = MlpModel(layers=layers, threshold=float(meta["threshold"]))
+        model = MlpModel(layers=layers, threshold=_meta_number(meta["threshold"], "threshold"))
         if arrays:
             raise ModelFormatError(f"unused arrays: {', '.join(sorted(arrays))}")
     except ModelStoreError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"inconsistent model description: {exc}") from exc
-    return model, scaler, str(meta["schema_id"])
+    return model, scaler, schema_id
 
 
 def _read_arrays(manifest: Any, payload: bytes) -> dict[str, np.ndarray]:
@@ -207,10 +225,10 @@ def _read_arrays(manifest: Any, payload: bytes) -> dict[str, np.ndarray]:
     for entry in manifest:
         try:
             name = entry["name"]
-            shape = tuple(int(s) for s in entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+            shape = tuple(entry["shape"])
+        except (KeyError, TypeError) as exc:
             raise ModelFormatError(f"bad manifest entry: {entry!r}") from exc
-        if not isinstance(name, str) or any(s < 0 for s in shape):
+        if not isinstance(name, str) or any(type(s) is not int or s < 0 for s in shape):
             raise ModelFormatError(f"bad manifest entry: {entry!r}")
         if name in arrays:
             raise ModelFormatError(f"array {name!r} is listed twice")

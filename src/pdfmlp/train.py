@@ -175,13 +175,16 @@ def _fit(
     for epoch in range(config.epochs):
         shuffle = _rng(config.seed, 1, epoch)
         dropout_rng = _rng(config.seed, 2, epoch)
+        # One gather per epoch; each batch is a view of the shuffled rows.
         order = shuffle.permutation(n)
+        X_epoch, y_epoch = X[order], y[order]
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            probs, cache = forward(model, X[idx], mode="train", rng=dropout_rng)
-            loss_sum += mean_cross_entropy(probs, y[idx]) * idx.shape[0]
-            grads = backward(model, cache, y[idx])
+            X_batch = X_epoch[start : start + config.batch_size]
+            y_batch = y_epoch[start : start + config.batch_size]
+            probs, cache = forward(model, X_batch, mode="train", rng=dropout_rng)
+            loss_sum += mean_cross_entropy(probs, y_batch) * y_batch.shape[0]
+            grads = backward(model, cache, y_batch)
             sgd_step(model, grads, config.eta)
         train_loss = loss_sum / n
 

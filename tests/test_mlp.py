@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdfmlp.mlp import (
     BATCH_NORM_ARRAYS,
@@ -21,6 +23,7 @@ from pdfmlp.mlp import (
     sigmoid,
 )
 
+import mlp_reference
 from gradcheck import grad_arrays, max_relative_error, min_relu_margin, param_arrays
 
 
@@ -231,6 +234,52 @@ def test_backward_rejects_mismatched_cache():
         backward(model, cache2, y[:2])
 
 
+def _snapshot(cache):
+    arrays = [cache.probs_raw]
+    for lc in cache.layers:
+        arrays += [lc.x, lc.y, lc.h, lc.bn_inv_std, lc.bn_xhat, lc.dropout_mask]
+    return [None if a is None else a.copy() for a in arrays]
+
+
+def _aliasing_model(rng):
+    model = build_model(48, (16, 16), dropout_rate=0.3, batch_norm=True, rng=rng)
+    model.layers[1].activation = "sigmoid"
+    return model
+
+
+def test_backward_writes_no_cache_array():
+    # backward updates its temporaries in place; a second call on the same
+    # cache must see the cache exactly as forward left it.
+    rng = np.random.default_rng(11)
+    model = _aliasing_model(rng)
+    X = rng.normal(size=(12, 48))
+    y = rng.integers(0, 2, 12).astype(float)
+    _, cache = forward(model, X, mode="train", rng=np.random.default_rng(1))
+    before = _snapshot(cache)
+    first = backward(model, cache, y)
+    second = backward(model, cache, y)
+    for a, b in zip(grad_arrays(first), grad_arrays(second)):
+        assert a.tobytes() == b.tobytes()
+    for a, b in zip(before, _snapshot(cache)):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_read_only_batch_and_labels_are_left_unchanged(mode):
+    rng = np.random.default_rng(12)
+    model = _aliasing_model(rng)
+    X = rng.normal(size=(12, 48))
+    y = rng.integers(0, 2, 12).astype(float)
+    X_copy, y_copy = X.copy(), y.copy()
+    X.setflags(write=False)
+    y.setflags(write=False)
+    _, cache = forward(model, X, mode=mode, rng=np.random.default_rng(1))
+    if mode == "train":
+        backward(model, cache, y)
+    assert X.tobytes() == X_copy.tobytes()
+    assert y.tobytes() == y_copy.tobytes()
+
+
 # -- sgd step ---------------------------------------------------------------------
 
 
@@ -261,6 +310,47 @@ def test_sgd_negative_eta_rejected():
     grads = backward(model, cache, y)
     with pytest.raises(ValueError):
         sgd_step(model, grads, eta=-0.1)
+
+
+def _bn_model_and_grads():
+    model, X, y = _random_case(seed=8, batch_norm=True)
+    _, cache = forward(model, X, mode="train")
+    return model, backward(model, cache, y)
+
+
+def _narrow_gamma(model, grads):
+    # A (1,) gradient broadcast over the 72-wide layer.
+    grads[0].gamma = grads[0].gamma[:1]
+
+
+def _no_gamma(model, grads):
+    # The layer's scale and shift were left where they were.
+    grads[0].gamma = grads[0].beta = None
+
+
+def _gamma_without_batch_norm(model, grads):
+    # The gradient was ignored.
+    model.layers[0].batch_norm = None
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (_narrow_gamma, "gamma/beta gradient shapes"),
+        (_no_gamma, "has batch norm but got no"),
+        (_gamma_without_batch_norm, "has no batch norm but got"),
+    ],
+    ids=["narrow-gamma", "no-gamma", "gamma-without-batch-norm"],
+)
+@pytest.mark.parametrize("eta", [0.0, 0.1])
+def test_sgd_rejects_batch_norm_gradients_that_do_not_fit(spoil, message, eta):
+    model, grads = _bn_model_and_grads()
+    spoil(model, grads)
+    snapshot = copy.deepcopy(model)
+    with pytest.raises(ValueError, match=message):
+        sgd_step(model, grads, eta=eta)
+    for before, after in zip(param_arrays(snapshot), param_arrays(model)):
+        np.testing.assert_array_equal(before, after)
 
 
 def test_sgd_step_decreases_convex_loss():
@@ -417,3 +507,105 @@ def test_initialization_bounds_and_seeding():
     limit = math.sqrt(6.0 / (48 + 72))
     assert np.max(np.abs(a.layers[0].weights)) <= limit
     assert np.all(a.layers[0].biases == 0.0)
+
+
+# -- bit identity with the reference arithmetic ---------------------------------------
+
+
+def _model_arrays(model):
+    for layer in model.layers:
+        yield layer.weights
+        yield layer.biases
+        if layer.batch_norm is not None:
+            for name in BATCH_NORM_ARRAYS:
+                yield getattr(layer.batch_norm, name)
+
+
+def _assert_same_bytes(actual, expected):
+    actual, expected = list(actual), list(expected)
+    assert len(actual) == len(expected)
+    for a, b in zip(actual, expected):
+        if a is None or b is None:
+            assert a is None and b is None
+        else:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+
+_ORACLE_CASE = dict(
+    input_width=48, hidden=[72, 72], batch_size=64, batch_norm=True, dropout_rate=0.15,
+    activation="relu", mode="train", layout="contiguous", seed=1,
+)
+
+
+@st.composite
+def _oracle_cases(draw):
+    return dict(
+        input_width=draw(st.integers(1, 80)),
+        hidden=draw(st.lists(st.integers(1, 80), min_size=1, max_size=2)),
+        batch_size=draw(st.integers(1, 70)),  # 1 row gives a zero batch variance
+        batch_norm=draw(st.booleans()),
+        dropout_rate=draw(st.sampled_from([0.0, 0.15, 0.5])),
+        activation=draw(st.sampled_from(["relu", "sigmoid"])),
+        mode=draw(st.sampled_from(["train", "infer"])),
+        layout=draw(st.sampled_from(["contiguous", "row-window", "row-slice", "column-slice"])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _oracle_inputs(case):
+    rng = np.random.default_rng(case["seed"])
+    model = build_model(
+        case["input_width"], case["hidden"], dropout_rate=case["dropout_rate"],
+        batch_norm=case["batch_norm"], rng=rng,
+    )
+    for layer in model.layers:
+        layer.biases[:] = rng.normal(size=layer.out_width)
+        if layer is not model.layers[-1]:
+            layer.activation = case["activation"]
+        bn = layer.batch_norm
+        if bn is not None:
+            bn.gamma[:] = rng.normal(size=layer.out_width)
+            bn.beta[:] = rng.normal(size=layer.out_width)
+            bn.running_mean[:] = rng.normal(size=layer.out_width)
+            bn.running_var[:] = rng.uniform(0.0, 3.0, size=layer.out_width)
+    n, w = case["batch_size"], case["input_width"]
+    rows = 3.0 * rng.normal(size=(2 * n, 2 * w))
+    batch = {
+        "contiguous": rows[:n, :w].copy(),
+        "row-window": rows[:, :w].copy()[n // 2 : n // 2 + n],  # a training batch
+        "row-slice": rows[::2, :w],
+        "column-slice": rows[:n, ::2],
+    }[case["layout"]]
+    return model, batch, rng.integers(0, 2, n).astype(float)
+
+
+@given(case=_oracle_cases())
+@example(case=_ORACLE_CASE)
+@example(case=dict(_ORACLE_CASE, batch_size=1, hidden=[1], input_width=1))
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_matches_the_reference_bit_for_bit(case):
+    model, batch, labels = _oracle_inputs(case)
+    reference = copy.deepcopy(model)
+    rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
+    mode = case["mode"]
+
+    probs, cache = forward(model, batch, mode=mode, rng=rng)
+    expected_probs, expected_cache = mlp_reference.forward(reference, batch, mode=mode, rng=reference_rng)
+    _assert_same_bytes([probs], [expected_probs])
+    assert (cache.mode, cache.batch_size, cache.widths) == (
+        expected_cache.mode, expected_cache.batch_size, expected_cache.widths,
+    )
+    _assert_same_bytes(_snapshot(cache), _snapshot(expected_cache))
+    _assert_same_bytes(_model_arrays(model), _model_arrays(reference))
+
+    if mode == "train":
+        grads = backward(model, cache, labels)
+        expected_grads = mlp_reference.backward(reference, expected_cache, labels)
+        for g, e in zip(grads, expected_grads, strict=True):
+            _assert_same_bytes([g.weights, g.biases, g.gamma, g.beta],
+                               [e.weights, e.biases, e.gamma, e.beta])
+        sgd_step(model, grads, 0.03)
+        mlp_reference.sgd_step(reference, expected_grads, 0.03)
+        _assert_same_bytes(_model_arrays(model), _model_arrays(reference))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state

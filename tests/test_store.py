@@ -1,6 +1,7 @@
 """Model persistence: bit-exact round trips and deliberate corruption."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -226,6 +227,38 @@ def test_batch_norm_momentum_out_of_range_is_a_model_error(trained_pair, momentu
         meta["layers"][0]["batch_norm"]["momentum"] = momentum
 
     with pytest.raises(ModelFormatError, match="batch-norm momentum"):
+        loads(_with_meta(dumps(model, scaler), edit))
+
+
+def _set_layer0(field, value):
+    return lambda meta: meta["layers"][0].__setitem__(field, value)
+
+
+def _set_batch_norm0(field, value):
+    return lambda meta: meta["layers"][0]["batch_norm"].__setitem__(field, value)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_layer0("in", 48.9), "layer 0: in must be an integer, got 48.9"),
+        (_set_layer0("out", "72"), "layer 0: out must be an integer, got '72'"),
+        (_set_batch_norm0("momentum", True), "layer 0: momentum must be a number, got True"),
+        (_set_batch_norm0("epsilon", "1e-05"), "layer 0: epsilon must be a number, got '1e-05'"),
+        (_set_layer0("dropout_rate", False), "layer 0: dropout_rate must be a number, got False"),
+        (lambda meta: meta.update(threshold="0.62"), "threshold must be a number, got '0.62'"),
+        (lambda meta: meta.update(schema_id=7), "schema_id must be a string, got 7"),
+        (lambda meta: meta["arrays"][0].update(shape=["48"]), "bad manifest entry"),
+        (lambda meta: meta["arrays"][1].update(shape=[48.7]), "bad manifest entry"),
+    ],
+    ids=["in-float", "out-string", "momentum-bool", "epsilon-string", "dropout-bool",
+         "threshold-string", "schema-id-int", "shape-string", "shape-float"],
+)
+def test_metadata_value_of_the_wrong_type_is_a_model_error(trained_pair, edit, message):
+    # dumps never writes these; they were coerced (48.9 -> 48, "72" -> 72,
+    # true -> 1.0, 7 -> "7", a shape of ["48"] -> (48,)) and the file loaded.
+    model, scaler = trained_pair
+    with pytest.raises(ModelFormatError, match=re.escape(message)):
         loads(_with_meta(dumps(model, scaler), edit))
 
 
