@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -74,10 +75,14 @@ def evaluate(
     mal_sorted = np.sort(scores[labels == 1])
     ben_sorted = np.sort(scores[labels == 0])
 
-    def rates(values) -> list[SweepPoint]:
-        values = np.asarray(values, dtype=np.float64)
+    def tpr_fpr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         tpr = (n_mal - np.searchsorted(mal_sorted, values, side="left")) / n_mal
         fpr = (n_ben - np.searchsorted(ben_sorted, values, side="left")) / n_ben
+        return tpr, fpr
+
+    def rates(values) -> list[SweepPoint]:
+        values = np.asarray(values, dtype=np.float64)
+        tpr, fpr = tpr_fpr(values)
         return list(map(SweepPoint, values.tolist(), tpr.tolist(), fpr.tolist(), (1.0 - tpr).tolist()))
 
     distinct = np.unique(scores)
@@ -89,13 +94,14 @@ def evaluate(
         sweep = rates(np.sort(np.asarray(thresholds, dtype=np.float64), kind="stable"))
 
     # ROC from high threshold to low: starts at (0,0), ends at (1,1).
-    roc_points = [(0.0, 0.0)] + [(p.fpr, p.tpr) for p in rates(distinct[::-1])]
-    if roc_points[-1] != (1.0, 1.0):
-        roc_points.append((1.0, 1.0))
-
-    auc = 0.0
-    for (f0, t0), (f1, t1) in zip(roc_points, roc_points[1:]):
-        auc += (f1 - f0) * (t0 + t1) / 2.0
+    tpr, fpr = tpr_fpr(distinct[::-1])
+    end = [] if (fpr[-1], tpr[-1]) == (1.0, 1.0) else [1.0]
+    fpr = np.concatenate(([0.0], fpr, end))
+    tpr = np.concatenate(([0.0], tpr, end))
+    roc_points = list(zip(fpr.tolist(), tpr.tolist()))
+    # Trapezoids summed left to right, as a running total from 0.0.
+    terms = (fpr[1:] - fpr[:-1]) * (tpr[:-1] + tpr[1:]) / 2.0
+    auc = np.add.accumulate(np.concatenate(([0.0], terms)))[-1]
 
     return EvalReport(
         n_benign=n_ben,
@@ -130,12 +136,10 @@ def write_report_files(report: EvalReport, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "roc.csv"), "w", newline="") as fh:
         fh.write("fpr,tpr\n")
-        for fpr, tpr in report.roc_points:
-            fh.write(f"{fpr:.9g},{tpr:.9g}\n")
+        fh.write("%.9g,%.9g\n" * len(report.roc_points) % tuple(chain.from_iterable(report.roc_points)))
     with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
         fh.write("threshold,tpr,fpr,fnr\n")
-        for p in report.sweep:
-            fh.write(f"{p.threshold:.9g},{p.tpr:.9g},{p.fpr:.9g},{p.fnr:.9g}\n")
+        fh.write("%.9g,%.9g,%.9g,%.9g\n" * len(report.sweep) % tuple(chain.from_iterable(report.sweep)))
     op = report.operating_point
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
         fh.write(f"benign: {report.n_benign}\n")

@@ -44,14 +44,15 @@ Verdict = Literal["benign", "malicious"]
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    ``exp`` only ever sees -|z|, written ``where(z >= 0, -z, z)`` so that
+    a NaN keeps its sign and payload.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # The batch-norm arrays, in the order a model file stores them.
@@ -198,8 +199,8 @@ class _LayerCache:
 class ForwardCache:
     mode: Mode
     batch_size: int
-    layers: list[_LayerCache] = field(default_factory=list)
-    probs_raw: Optional[np.ndarray] = None  # pre-clamp sigmoid outputs
+    layers: list[_LayerCache] = field(default_factory=list)  # empty in infer mode
+    probs_raw: Optional[np.ndarray] = None  # pre-clamp sigmoid outputs; train mode only
     widths: tuple[int, ...] = ()
 
 
@@ -212,9 +213,10 @@ def forward(
     """Run the network over a batch of rows.
 
     Train mode normalizes with batch statistics (updating the running
-    ones) and applies inverted dropout from ``rng``; infer mode uses the
-    running statistics, applies no dropout and leaves the model untouched.
-    Returns probabilities clamped into (0, 1) plus the cache backward needs.
+    ones), applies inverted dropout from ``rng`` and fills the cache
+    backward needs.  Infer mode uses the running statistics, applies no
+    dropout, leaves the model untouched and returns a cache with no
+    layers.  Returns probabilities clamped into (0, 1) plus the cache.
 
     Every in-place operation below writes an array this call created;
     the batch and the model's arrays are only read.
@@ -227,12 +229,13 @@ def forward(
         raise ValueError(f"batch must be (n, {widths[0]}), got {X.shape}")
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
-    train = mode == "train"
-    if train and rng is None and any(l.dropout_rate > 0 for l in model.layers):
-        raise ValueError("train mode with dropout needs an rng")
-
     n = X.shape[0]
     cache = ForwardCache(mode=mode, batch_size=n, widths=widths)
+    if mode == "infer":
+        return _infer(model, X), cache
+    if rng is None and any(l.dropout_rate > 0 for l in model.layers):
+        raise ValueError("train mode with dropout needs an rng")
+
     out = X
     for layer in model.layers:
         x = out
@@ -241,27 +244,22 @@ def forward(
         lc = _LayerCache(x=x, y=z, h=z)
         bn = layer.batch_norm
         if bn is not None:
-            if train:
-                # np.var's own steps, reusing the mean: sum / n, centre,
-                # sum of squares / n.
-                mean = np.add.reduce(z, 0) / n
-                z -= mean
-                var = np.add.reduce(z * z, 0) / n
-                bn.running_mean = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mean
-                bn.running_var = (1.0 - bn.momentum) * bn.running_var + bn.momentum * var
-                var += bn.epsilon
-            else:
-                z -= bn.running_mean
-                var = bn.running_var + bn.epsilon
+            # np.var's own steps, reusing the mean: sum / n, centre,
+            # sum of squares / n.
+            mean = np.add.reduce(z, 0) / n
+            z -= mean
+            var = np.add.reduce(z * z, 0) / n
+            bn.running_mean = (1.0 - bn.momentum) * bn.running_mean + bn.momentum * mean
+            bn.running_var = (1.0 - bn.momentum) * bn.running_var + bn.momentum * var
+            var += bn.epsilon
             inv_std = np.divide(1.0, np.sqrt(var, out=var), out=var)
             z *= inv_std  # now xhat
             lc.y = bn.gamma * z
             lc.y += bn.beta
-            if train:
-                lc.bn_inv_std, lc.bn_xhat = inv_std, z
+            lc.bn_inv_std, lc.bn_xhat = inv_std, z
         lc.h = np.maximum(lc.y, 0.0) if layer.activation == "relu" else sigmoid(lc.y)
         out = lc.h
-        if train and layer.dropout_rate > 0.0:
+        if layer.dropout_rate > 0.0:
             mask = rng.random(out.shape)
             np.greater_equal(mask, layer.dropout_rate, out=mask)  # 1.0 keeps, 0.0 drops
             lc.dropout_mask = mask
@@ -269,10 +267,33 @@ def forward(
             out /= 1.0 - layer.dropout_rate
         cache.layers.append(lc)
 
-    probs_raw = out[:, 0]
-    cache.probs_raw = probs_raw
-    probs = np.clip(probs_raw, PROB_EPS, 1.0 - PROB_EPS)
-    return probs, cache
+    cache.probs_raw = out[:, 0]
+    return np.clip(cache.probs_raw, PROB_EPS, 1.0 - PROB_EPS), cache
+
+
+def _infer(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Infer-mode probabilities, with no cache.
+
+    Each layer's bias, batch norm (from the running statistics) and ReLU
+    are applied in place to the array its product returns, so at most
+    two layers' outputs are alive at a time.
+    """
+    out = X
+    for layer in model.layers:
+        out = out @ layer.weights.T
+        out += layer.biases
+        bn = layer.batch_norm
+        if bn is not None:
+            out -= bn.running_mean
+            var = bn.running_var + bn.epsilon
+            out *= np.divide(1.0, np.sqrt(var, out=var), out=var)
+            np.multiply(bn.gamma, out, out=out)
+            out += bn.beta
+        if layer.activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        else:
+            out = sigmoid(out)
+    return np.clip(out[:, 0], PROB_EPS, 1.0 - PROB_EPS)
 
 
 def cross_entropy(y_hat, y) -> float:

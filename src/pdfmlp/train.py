@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .mlp import MlpModel, backward, build_model, forward, mean_cross_entropy, sgd_step
+from .mlp import MlpModel, backward, build_model, forward, sgd_step
 from .preprocess import Dataset, Scaler, fit_scaler, split_train_validation
 from .store import dataset_checksum, model_checksum
 
@@ -83,6 +83,11 @@ def _rates_at_half(probs: np.ndarray, labels: np.ndarray) -> tuple[float, float]
     tpr = float(np.sum(probs[pos] >= 0.5) / pos.sum()) if pos.any() else 0.0
     fpr = float(np.sum(probs[neg] >= 0.5) / neg.sum()) if neg.any() else 0.0
     return tpr, fpr
+
+
+def _clamped_loss(probs: np.ndarray, labels: np.ndarray) -> float:
+    """``mean_cross_entropy`` of ``forward``'s probabilities, which are already clamped."""
+    return float(np.mean(-(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs))))
 
 
 def train(
@@ -183,13 +188,13 @@ def _fit(
             X_batch = X_epoch[start : start + config.batch_size]
             y_batch = y_epoch[start : start + config.batch_size]
             probs, cache = forward(model, X_batch, mode="train", rng=dropout_rng)
-            loss_sum += mean_cross_entropy(probs, y_batch) * y_batch.shape[0]
+            loss_sum += _clamped_loss(probs, y_batch) * y_batch.shape[0]
             grads = backward(model, cache, y_batch)
             sgd_step(model, grads, config.eta)
         train_loss = loss_sum / n
 
         val_probs, _ = forward(model, X_val, mode="infer")
-        val_loss = mean_cross_entropy(val_probs, y_val.astype(np.float64))
+        val_loss = _clamped_loss(val_probs, y_val.astype(np.float64))
         tpr, fpr = _rates_at_half(val_probs, y_val)
         report.records.append(EpochRecord(epoch, train_loss, val_loss, tpr, fpr))
 

@@ -3,8 +3,11 @@
 This is the straightforward version: every rate is computed one threshold
 at a time with two scalar ``searchsorted`` calls, the default sweep takes
 its distinct scores from a Python ``set``, and the ROC curve walks
-``np.unique`` of the scores from the highest down.
+``np.unique`` of the scores from the highest down.  ``write_report_files``
+writes one formatted line at a time.
 """
+
+import os
 
 import numpy as np
 
@@ -56,3 +59,24 @@ def evaluate(model, scaler, test, thresholds=None) -> EvalReport:
         auc=float(auc),
         operating_point=rates(model.threshold),
     )
+
+
+def write_report_files(report: EvalReport, out_dir: str) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "roc.csv"), "w", newline="") as fh:
+        fh.write("fpr,tpr\n")
+        for fpr, tpr in report.roc_points:
+            fh.write(f"{fpr:.9g},{tpr:.9g}\n")
+    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
+        fh.write("threshold,tpr,fpr,fnr\n")
+        for p in report.sweep:
+            fh.write(f"{p.threshold:.9g},{p.tpr:.9g},{p.fpr:.9g},{p.fnr:.9g}\n")
+    op = report.operating_point
+    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
+        fh.write(f"benign: {report.n_benign}\n")
+        fh.write(f"malicious: {report.n_malicious}\n")
+        fh.write(f"auc: {report.auc:.6f}\n")
+        fh.write(
+            "operating point: threshold=%.4f tpr=%.6f fpr=%.6f fnr=%.6f\n"
+            % (op.threshold, op.tpr, op.fpr, op.fnr)
+        )

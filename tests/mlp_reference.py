@@ -1,10 +1,11 @@
-"""Reference MLP arithmetic that the library's ``forward``, ``backward`` and
-``sgd_step`` are checked against, bit for bit.
+"""Reference MLP arithmetic that the library's ``sigmoid``, ``forward``,
+``backward`` and ``sgd_step`` are checked against, bit for bit.
 
 This is the straightforward version: every intermediate is a fresh array,
-the batch-norm variance comes from ``np.var`` (which takes the mean a
-second time), sums go through ``np.sum`` and ``sgd_step`` checks only the
-weight and bias shapes.
+both modes fill a cache of every layer, the batch-norm variance comes from
+``np.var`` (which takes the mean a second time), sums go through
+``np.sum``, ``sgd_step`` checks only the weight and bias shapes and
+``sigmoid`` fills the two signs through boolean masks.
 """
 
 from __future__ import annotations
@@ -20,8 +21,17 @@ from pdfmlp.mlp import (
     MlpModel,
     Mode,
     _LayerCache,
-    sigmoid,
 )
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def forward(

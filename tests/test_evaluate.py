@@ -1,6 +1,8 @@
 """Evaluation: hand-enumerated confusion counts, exact AUC, threshold picking."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,7 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdfmlp import Dataset, evaluate, pick_threshold
-from pdfmlp.evaluate import ThresholdNotReachable, score_dataset, write_report_files
+from pdfmlp.evaluate import (
+    EvalReport,
+    SweepPoint,
+    ThresholdNotReachable,
+    score_dataset,
+    write_report_files,
+)
 from pdfmlp.features import N_FEATURES
 from pdfmlp.mlp import DenseLayer, MlpModel
 from pdfmlp.preprocess import Scaler
@@ -257,3 +265,32 @@ def test_report_files(tmp_path):
     assert sweep[0] == "threshold,tpr,fpr,fnr"
     assert "auc:" in text and "operating point:" in text
     assert len(roc) == len(report.roc_points) + 1
+
+
+# Rates and thresholds that need all nine digits, the ends of [0, 1] and
+# subnormals, besides whatever hypothesis draws.
+_report_float = st.floats() | st.sampled_from(
+    [0.0, 1.0, 1.0 / 3.0, 0.1 + 0.2, 0.123456789, 0.987654321, 5e-324, 2.2250738585072009e-308]
+)
+_sweep_point = st.tuples(*[_report_float] * 4).map(lambda t: SweepPoint(*t))
+
+
+@given(
+    roc=st.lists(st.tuples(_report_float, _report_float), min_size=1, max_size=30),
+    sweep=st.lists(_sweep_point, min_size=1, max_size=30),
+    auc=_report_float,
+    counts=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+)
+@example(roc=[(0.0, 0.0), (1.0, 1.0)], sweep=[SweepPoint(0.62, 1.0, 0.0, 0.0)], auc=1.0, counts=(1, 1))
+@settings(max_examples=150, deadline=None)
+def test_report_files_equal_the_line_by_line_reference(roc, sweep, auc, counts):
+    report = EvalReport(
+        n_benign=counts[0], n_malicious=counts[1], sweep=sweep, roc_points=roc,
+        auc=auc, operating_point=sweep[0],
+    )
+    with tempfile.TemporaryDirectory() as got_dir, tempfile.TemporaryDirectory() as want_dir:
+        write_report_files(report, got_dir)
+        reference.write_report_files(report, want_dir)
+        for name in ("roc.csv", "sweep.csv", "report.txt"):
+            with open(os.path.join(got_dir, name), "rb") as got, open(os.path.join(want_dir, name), "rb") as want:
+                assert got.read() == want.read(), name

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,11 +94,11 @@ def test_zero_model_outputs_half():
 
 
 def test_relu_cutoff_single_neuron():
+    # The unit output weight hands the ReLU's value to the sigmoid: -3 and
+    # 0 are both clamped to 0, and 2.5 passes through.
     model = tiny_model([1.0], 0.0)
-    _, cache = forward(model, np.array([[-3.0]]), mode="infer")
-    assert cache.layers[0].h[0, 0] == 0.0  # ReLU clamps the -3
-    _, cache = forward(model, np.array([[2.5]]), mode="infer")
-    assert cache.layers[0].h[0, 0] == 2.5
+    probs, _ = forward(model, np.array([[-3.0], [0.0], [2.5]]), mode="infer")
+    assert probs.tolist() == sigmoid(np.array([0.0, 0.0, 2.5])).tolist()
 
 
 def test_outputs_strictly_inside_unit_interval():
@@ -119,6 +120,24 @@ def test_train_mode_dropout_needs_rng():
     model = build_model(48, (8,), dropout_rate=0.5, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="needs an rng"):
         forward(model, np.zeros((3, 48)), mode="train")
+
+
+def test_infer_forward_holds_no_per_layer_arrays():
+    # An infer pass keeps at most the previous layer's output and the
+    # current one alive; a per-layer cache would keep every layer's.
+    rng = np.random.default_rng(3)
+    model = build_model(48, (72, 72), rng=rng)
+    n = 20_000
+    X = rng.normal(size=(n, 48))
+    tracemalloc.start()
+    try:
+        probs, cache = forward(model, X, mode="infer")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert probs.shape == (n,)
+    assert cache.layers == [] and cache.probs_raw is None
+    assert peak < 2.5 * n * 72 * 8
 
 
 def test_infer_ignores_rng_and_never_mutates():
@@ -596,10 +615,11 @@ def test_arithmetic_matches_the_reference_bit_for_bit(case):
     assert (cache.mode, cache.batch_size, cache.widths) == (
         expected_cache.mode, expected_cache.batch_size, expected_cache.widths,
     )
-    _assert_same_bytes(_snapshot(cache), _snapshot(expected_cache))
     _assert_same_bytes(_model_arrays(model), _model_arrays(reference))
-
-    if mode == "train":
+    if mode == "infer":
+        assert cache.layers == [] and cache.probs_raw is None
+    else:
+        _assert_same_bytes(_snapshot(cache), _snapshot(expected_cache))
         grads = backward(model, cache, labels)
         expected_grads = mlp_reference.backward(reference, expected_cache, labels)
         for g, e in zip(grads, expected_grads, strict=True):
@@ -609,3 +629,30 @@ def test_arithmetic_matches_the_reference_bit_for_bit(case):
         mlp_reference.sgd_step(reference, expected_grads, 0.03)
         _assert_same_bytes(_model_arrays(model), _model_arrays(reference))
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+# Edges of the two branches and of exp: signed zeros, where exp(-|z|)
+# underflows to a subnormal and then to 0, infinities and NaNs.
+_SIGMOID_EDGES = [
+    0.0, -0.0, 709.0, -709.0, 745.0, -745.0, 746.0, -746.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, -2.2250738585072014e-308, math.inf, -math.inf,
+]
+_SIGMOID_NANS = np.array(  # quiet and signalling, both signs, with payloads
+    [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123, 0xFFF0000000000001],
+    dtype=np.uint64,
+)
+
+
+@given(
+    values=st.lists(st.floats() | st.sampled_from(_SIGMOID_EDGES), max_size=40),
+    bits=st.lists(st.integers(0, 2**64 - 1), max_size=10),
+    column=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_sigmoid_matches_the_reference_bit_for_bit(values, bits, column):
+    z = np.concatenate([values, _SIGMOID_NANS.view(np.float64), np.array(bits, dtype=np.uint64).view(np.float64)])
+    if column:
+        z = z[:, None]  # the output layer's (n, 1) shape
+    got, expected = sigmoid(z), mlp_reference.sigmoid(z)
+    assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+    assert got.tobytes() == expected.tobytes()

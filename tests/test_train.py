@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdfmlp import Dataset, TrainConfig, resume, train
 from pdfmlp.features import N_FEATURES
-from pdfmlp.mlp import build_model, forward
+from pdfmlp.mlp import PROB_EPS, build_model, forward, mean_cross_entropy
 from pdfmlp.preprocess import split_train_validation
-from pdfmlp.train import TrainingDivergedError, _rng
+from pdfmlp.train import TrainingDivergedError, _clamped_loss, _rng
 
 from synth import best_linear_accuracy_2d, perceptron_separates, separable_dataset, xor_dataset
 
@@ -163,6 +165,19 @@ def test_every_sample_visits_each_epoch_exactly_once():
     probs, _ = forward(fresh, scaler.transform_matrix(fit_part.features), mode="infer")
     expected = mean_cross_entropy(probs, fit_part.labels.astype(float))
     assert report.records[0].train_loss == pytest.approx(expected, rel=1e-12)
+
+
+_clamped_prob = st.floats(PROB_EPS, 1.0 - PROB_EPS) | st.sampled_from([PROB_EPS, 1.0 - PROB_EPS, 0.5])
+
+
+@given(rows=st.lists(st.tuples(_clamped_prob, st.sampled_from([0.0, 1.0])), min_size=1, max_size=70))
+@settings(max_examples=200, deadline=None)
+def test_batch_loss_skips_only_the_second_clamp(rows):
+    # forward's probabilities are already inside [PROB_EPS, 1 - PROB_EPS],
+    # so clamping them again changes no bit.
+    probs, labels = np.array(rows).T.copy()
+    got = _clamped_loss(probs, labels)
+    assert np.float64(got).tobytes() == np.float64(mean_cross_entropy(probs, labels)).tobytes()
 
 
 # -- report -------------------------------------------------------------------------
