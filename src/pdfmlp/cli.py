@@ -181,7 +181,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    model, scaler, schema_id = _load_model(args.model)
+    model, scaler = _load_model(args.model)
     dataset = read_features_csv(args.features)
     if np.any(dataset.labels == -1):
         raise CliError("evaluation data contains unlabeled rows")
@@ -197,7 +197,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    model, scaler, schema_id = _load_model(args.model)
+    model, scaler = _load_model(args.model)
     any_malicious = False
     operational_error = False
     for path in args.files:
@@ -234,7 +234,7 @@ def _load_model(path: str):
             f"schema mismatch: model was trained on {schema_id!r}, "
             f"this build extracts {SCHEMA_ID!r}"
         )
-    return model, scaler, schema_id
+    return model, scaler
 
 
 @functools.cache

@@ -112,7 +112,6 @@ class FeatureVector:
 
     values: np.ndarray
     schema_id: str = SCHEMA_ID
-    source_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -194,10 +193,21 @@ def describe_schema() -> FeatureSchema:
 
 def shannon_entropy(data: bytes) -> float:
     """Byte entropy in bits per byte, in [0, 8]; empty input is 0."""
-    if not data:
-        return 0.0
-    counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
-    return _entropy_from_counts(counts)
+    return _entropy_from_counts(_byte_counts(data))
+
+
+# Bytes counted per np.bincount call, which widens its input to int64: 8 MiB
+# of temporaries at most, whatever a stream decodes to.
+_COUNT_CHUNK = 1 << 20
+
+
+def _byte_counts(data: bytes) -> np.ndarray:
+    """How often each of the 256 byte values occurs in ``data``."""
+    view = np.frombuffer(data, dtype=np.uint8)
+    counts = np.bincount(view[:_COUNT_CHUNK], minlength=256)
+    for start in range(_COUNT_CHUNK, len(view), _COUNT_CHUNK):
+        counts += np.bincount(view[start : start + _COUNT_CHUNK], minlength=256)
+    return counts
 
 
 def _entropy_from_counts(counts: np.ndarray) -> float:
@@ -211,7 +221,10 @@ def _entropy_from_counts(counts: np.ndarray) -> float:
 def extract_features(doc: PdfDocument, raw: bytes) -> FeatureVector:
     """Map a parsed document plus its raw bytes to the 48-feature vector."""
     values = np.zeros(N_FEATURES, dtype=np.float64)
-    streams = [s for s in doc.iter_streams()]
+    streams = list(doc.iter_streams())
+    roots = [_resolve(doc, t["/Root"]) for t in doc.trailer_dicts if "/Root" in t]
+    info = _info_dict(doc)
+    info_strings = _info_string_values(info)
 
     # structure
     values[0] = doc.total_size
@@ -240,23 +253,17 @@ def extract_features(doc: PdfDocument, raw: bytes) -> FeatureVector:
     values[32] = float(np.mean(raw_sizes)) if raw_sizes else 0.0
     values[33] = max(raw_sizes, default=0)
     values[34] = (sum(raw_sizes) / doc.total_size) if doc.total_size else 0.0
-    flate, ascii_, other, cascade = _filter_counts(doc, streams)
-    values[35] = flate
-    values[36] = ascii_
-    values[37] = other
-    values[38] = cascade
+    values[35:39] = _filter_counts(doc, streams)  # flate, ascii, other, cascade
     values[39] = sum(1 for s in streams if s.decoded is None)
-    info = _info_dict(doc)
-    values[40] = _longest_hex_run(info)
+    values[40] = _longest_hex_run(info_strings)
     values[41] = _obfuscation_score(doc)
 
     # metadata
-    values[42] = _page_count(doc)
+    values[42] = _page_count(doc, roots[-1] if roots else None)
     values[43] = 1.0 if info is not None else 0.0
-    info_strings = _info_string_values(info)
     values[44] = sum(len(s) for s in info_strings)
     values[45] = sum(1 for s in info_strings if len(s) > 256)
-    values[46] = 1.0 if _has_xmp(doc) else 0.0
+    values[46] = 1.0 if _has_xmp(doc, roots, streams) else 0.0
     values[47] = 1.0 if (values[12] > 0 or values[13] > 0) else 0.0
 
     return FeatureVector(values=values, schema_id=SCHEMA_ID)
@@ -290,44 +297,34 @@ def _stream_entropies(streams: list[PdfStream]) -> tuple[float, float]:
     combined = np.zeros(256, dtype=np.int64)
     per_stream_max = 0.0
     for s in streams:
-        data = s.data
-        if not data:
-            continue
-        counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256)
+        counts = _byte_counts(s.data)
         combined += counts
         per_stream_max = max(per_stream_max, _entropy_from_counts(counts))
     return _entropy_from_counts(combined), per_stream_max
 
 
 def _entropy_outside_streams(raw: bytes, streams: list[PdfStream]) -> float:
-    spans = sorted(s.span for s in streams if s.span is not None)
-    counts = np.zeros(256, dtype=np.int64)
+    gaps = []
     pos = 0
-    for start, end in spans:
-        start = max(start, pos)
-        if start > pos:
-            segment = raw[pos:start]
-            counts += np.bincount(np.frombuffer(segment, dtype=np.uint8), minlength=256)
+    for start, end in sorted(s.span for s in streams if s.span is not None):
+        gaps.append(raw[pos:start])
         pos = max(pos, end)
-    if pos < len(raw):
-        counts += np.bincount(np.frombuffer(raw[pos:], dtype=np.uint8), minlength=256)
-    return _entropy_from_counts(counts)
+    gaps.append(raw[pos:])
+    return shannon_entropy(b"".join(gaps))
 
 
 def _declared_filters(doc: PdfDocument, stream: PdfStream) -> list[str]:
     filters = _resolve(doc, stream.dictionary.get("/Filter"))
-    if filters is None:
-        return []
     if isinstance(filters, (PdfName, str)):
-        return [canonical_filter_name(filters)]
-    if isinstance(filters, list):
-        out = []
-        for f in filters:
-            f = _resolve(doc, f)
-            if isinstance(f, (PdfName, str)):
-                out.append(canonical_filter_name(f))
-        return out
-    return []
+        filters = [filters]
+    elif not isinstance(filters, list):
+        return []
+    out = []
+    for f in filters:
+        f = _resolve(doc, f)
+        if isinstance(f, (PdfName, str)):
+            out.append(canonical_filter_name(f))
+    return out
 
 
 def _filter_counts(doc: PdfDocument, streams: list[PdfStream]) -> tuple[int, int, int, int]:
@@ -363,20 +360,19 @@ def _obfuscation_score(doc: PdfDocument) -> int:
     return score
 
 
-def _page_count(doc: PdfDocument) -> float:
+def _page_count(doc: PdfDocument, root: Any) -> float:
     pages = 0
+    trees = []
     for value in doc.objects.values():
-        if isinstance(value, dict) and value.get("/Type") == "/Page":
-            pages += 1
+        if isinstance(value, dict):
+            kind = value.get("/Type")
+            if kind == "/Page":
+                pages += 1
+            elif kind == "/Pages":
+                trees.append(value)
     if pages:
         return float(pages)
     # Fall back to the declared /Count of the root page tree, then of any page tree.
-    root = None
-    for trailer in doc.trailer_dicts:
-        if "/Root" in trailer:
-            root = _resolve(doc, trailer["/Root"])
-    trees = [value for value in doc.objects.values()
-             if isinstance(value, dict) and value.get("/Type") == "/Pages"]
     if isinstance(root, dict):
         trees.insert(0, _resolve(doc, root.get("/Pages")))
     for tree in trees:
@@ -403,19 +399,13 @@ def _info_string_values(info: Optional[dict]) -> list[bytes]:
     return [v.data for v in info.values() if isinstance(v, PdfString)]
 
 
-def _longest_hex_run(info: Optional[dict]) -> int:
-    runs = (data.translate(_HEX_RUNS).split() for data in _info_string_values(info))
+def _longest_hex_run(strings: list[bytes]) -> int:
+    runs = (data.translate(_HEX_RUNS).split() for data in strings)
     return max((max(map(len, r), default=0) for r in runs), default=0)
 
 
-def _has_xmp(doc: PdfDocument) -> bool:
-    for trailer in doc.trailer_dicts:
-        root = _resolve(doc, trailer.get("/Root"))
-        if isinstance(root, dict):
-            meta = _resolve(doc, root.get("/Metadata"))
-            if isinstance(meta, PdfStream):
-                return True
-    for value in doc.objects.values():
-        if isinstance(value, PdfStream) and value.dictionary.get("/Type") == "/Metadata":
+def _has_xmp(doc: PdfDocument, roots: list[Any], streams: list[PdfStream]) -> bool:
+    for root in roots:
+        if isinstance(root, dict) and isinstance(_resolve(doc, root.get("/Metadata")), PdfStream):
             return True
-    return False
+    return any(s.dictionary.get("/Type") == "/Metadata" for s in streams)

@@ -389,8 +389,8 @@ def sgd_step(model: MlpModel, grads: list[LayerGrads], eta: float) -> MlpModel:
     moves: a batch-norm layer needs a ``gamma`` and ``beta`` gradient of
     its width, and a layer without batch norm must get neither.
     """
-    if eta < 0:
-        raise ValueError("learning rate must not be negative")
+    if not eta >= 0:
+        raise ValueError("learning rate must not be negative or NaN")
     if len(grads) != len(model.layers):
         raise ValueError("gradient/layer count mismatch")
     for i, (layer, g) in enumerate(zip(model.layers, grads)):

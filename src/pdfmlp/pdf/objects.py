@@ -80,10 +80,6 @@ class PdfStream:
     span: Optional[tuple[int, int]] = None
 
     @property
-    def decode_ok(self) -> bool:
-        return self.decoded is not None
-
-    @property
     def data(self) -> bytes:
         """Decoded bytes when available, raw bytes otherwise."""
         return self.decoded if self.decoded is not None else self.raw

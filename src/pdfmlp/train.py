@@ -42,10 +42,12 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not 0.0 < self.eta < np.inf:
+            raise ValueError("eta must be positive and finite")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
+        if self.early_stop_loss is not None and not self.early_stop_loss > 0.0:
+            raise ValueError("early_stop_loss must be positive")
 
 
 @dataclass(frozen=True)
@@ -123,9 +125,9 @@ def resume(
     train_set: Dataset,
     config: TrainConfig,
     *,
-    scaler: Optional[Scaler] = None,
+    scaler: Scaler,
 ) -> tuple[MlpModel, TrainReport]:
-    """Continue SGD from existing parameters.
+    """Continue SGD from existing parameters, on inputs scaled by ``scaler``.
 
     The shuffle stream restarts from ``config.seed``, so train(a) followed
     by resume(b) is deterministic but not the same trajectory as
@@ -136,7 +138,7 @@ def resume(
             f"model expects {model.input_width} features, "
             f"dataset has {train_set.features.shape[1]}"
         )
-    if scaler is not None and scaler.schema_id != train_set.schema_id:
+    if scaler.schema_id != train_set.schema_id:
         raise ValueError(
             f"scaler mismatch: scaler is {scaler.schema_id!r}, "
             f"dataset is {train_set.schema_id!r}"

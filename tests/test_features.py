@@ -1,6 +1,7 @@
 """Feature schema and extraction: frozen counts, entropy oracles, properties."""
 
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -16,13 +17,22 @@ from pdfmlp import (
     parse_pdf,
     shannon_entropy,
 )
-from pdfmlp.features import CATEGORIES, FeatureVector, _info_dict, _longest_hex_run, _obfuscation_score
+from pdfmlp import features
+from pdfmlp.features import (
+    CATEGORIES,
+    FeatureVector,
+    _byte_counts,
+    _info_dict,
+    _info_string_values,
+    _longest_hex_run,
+    _obfuscation_score,
+)
 from pdfmlp.pdf import MAX_NESTING_DEPTH, PdfDocument, PdfName, PdfRef, PdfStream, PdfString
 
 from pdfbuild import assemble_pdf, long_number_pdfs, minimal_pdf, pdf_with_stream, stream_body
 import features_reference
 from test_acceptance import _fuzz_corpus
-from test_parser import assert_same_name_counts_as_recursive_walk, best_time
+from test_parser import _bomb_stream_pdf, assert_same_name_counts_as_recursive_walk, best_time
 
 
 def extract(raw: bytes) -> FeatureVector:
@@ -94,6 +104,37 @@ def test_entropy_matches_direct_sum():
         (c / len(data)) * math.log2(c / len(data)) for c in counts.values()
     )
     assert shannon_entropy(data) == pytest.approx(expected, abs=1e-12)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_byte_counts_equal_one_whole_buffer_count(data):
+    chunk = data.draw(st.integers(1, 7), label="chunk")
+    size = data.draw(st.integers(0, 4 * chunk + 1), label="size")
+    buffer = data.draw(st.binary(min_size=size, max_size=size), label="buffer")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(features, "_COUNT_CHUNK", chunk)
+        counts = _byte_counts(buffer)
+    expected = np.bincount(np.frombuffer(buffer, dtype=np.uint8), minlength=256)
+    assert counts.dtype == expected.dtype
+    np.testing.assert_array_equal(counts, expected)
+
+
+def test_extraction_memory_does_not_grow_with_what_a_stream_decodes_to():
+    # ~61 KiB of deflate that inflates to 60 MiB, under the decoding cap.
+    # Counting the 60 MiB in one np.bincount, which widens every byte to an
+    # int64, peaked at 480 MiB; 1 MiB at a time it peaks at ~8 MiB.
+    raw = _bomb_stream_pdf(b"/FlateDecode", zlib.compress(bytes(60 << 20), 9))
+    doc = parse_pdf(raw)
+    assert len(doc.objects[(3, 0)].decoded) == 60 << 20
+    tracemalloc.start()
+    try:
+        vector = extract_features(doc, raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vector["entropy_stream_max"] == 0.0
+    assert peak < 32 << 20
 
 
 # -- extraction on handcrafted documents ----------------------------------------
@@ -247,16 +288,16 @@ _HEX_PIECES = st.one_of(
 def test_longest_hex_run_matches_per_byte_scan(strings):
     info = {PdfName(f"/K{i}"): PdfString(data) for i, data in enumerate(strings)}
     info[PdfName("/N")] = 12345678  # a value that is no string is not scanned
-    assert _longest_hex_run(info) == features_reference._longest_hex_run(info)
-    assert _longest_hex_run(None) == 0
+    assert _longest_hex_run(_info_string_values(info)) == features_reference._longest_hex_run(info)
+    assert _longest_hex_run([]) == features_reference._longest_hex_run(None) == 0
 
 
 def test_long_hex_info_string_is_scanned_in_bounded_time():
     # Translate and split take ~2.5-4.5 ms on these 2 MiB, the former
     # per-byte scan 90-160 ms (2-core VM, Python 3.11).
-    info = {PdfName("/Title"): PdfString(b"0123456789abcdef" * (1 << 17))}
-    assert _longest_hex_run(info) == 1 << 21
-    assert best_time(lambda: _longest_hex_run(info)) < 0.02
+    strings = [b"0123456789abcdef" * (1 << 17)]
+    assert _longest_hex_run(strings) == 1 << 21
+    assert best_time(lambda: _longest_hex_run(strings)) < 0.02
 
 
 def test_page_count_falls_back_to_pages_count_entry():
@@ -339,6 +380,119 @@ def test_feature_vector_rejects_wrong_shape():
         FeatureVector(values=np.full(48, np.nan))
 
 
+# -- the extractor against its former code ----------------------------------------
+
+
+def assert_same_as_former_extractor(doc, raw):
+    values = extract_features(doc, raw).values
+    assert values.tobytes() == features_reference.extract_features(doc, raw).tobytes()
+
+
+def test_features_match_the_former_extractor_on_fuzz_corpus():
+    for data in _fuzz_corpus(10_000):
+        assert_same_as_former_extractor(parse_pdf(data), data)
+    for data in long_number_pdfs().values():
+        assert_same_as_former_extractor(parse_pdf(data), data)
+
+
+def _with_trailers(bodies, trailers):
+    """Objects 1..n, then one trailer per entry of ``trailers``; no xref table."""
+    out = b"%PDF-1.7\n"
+    for number, body in enumerate(bodies, start=1):
+        out += b"%d 0 obj\n" % number + body + b"\nendobj\n"
+    for entries in trailers:
+        out += b"trailer\n<< " + entries + b" >>\n"
+    return out + b"startxref\n0\n%%EOF\n"
+
+
+_CATALOGS = [
+    b"<< /Type /Catalog /Pages 3 0 R /Metadata 5 0 R >>",
+    b"<< /Type /Catalog /Pages 4 0 R >>",
+    b"<< /Type /Pages /Kids [] /Count 7 >>",
+    b"<< /Type /Pages /Kids [] /Count 9 >>",
+    stream_body(b"<< /Subtype /XML >>", b"<x:xmpmeta/>"),
+]
+_BYTES = bytes(range(64)) * 2
+_SPANS = PdfDocument(
+    objects={
+        (1, 0): PdfStream({}, b"", span=(10, 10)),
+        (2, 0): PdfStream({}, _BYTES[10:30], span=(10, 30)),
+        (3, 0): PdfStream({}, _BYTES[30:50], span=(30, 50)),  # adjacent to the one before
+        (4, 0): PdfStream({}, _BYTES[40:45], span=(40, 45)),  # inside the one before
+        (5, 0): PdfStream({}, b"unpacked", decoded=b""),  # from an object stream: no span
+        (6, 0): PdfStream({}, _BYTES[100:], span=(100, 128)),  # ends the input
+    },
+    total_size=len(_BYTES),
+)
+_FORMER_EXTRACTOR_CASES = {
+    # (document, raw bytes, the features that make the case)
+    "last-root-wins": (
+        _with_trailers(_CATALOGS, [b"/Root 1 0 R", b"/Size 6", b"/Root 2 0 R", b"/Size 6"]),
+        {"trailer_count": 4, "page_count": 9, "xmp_present": 1},  # xmp from the first root
+    ),
+    "last-root-is-dangling": (
+        _with_trailers(_CATALOGS, [b"/Root 2 0 R", b"/Root 99 0 R", b"/Size 6"]),
+        {"trailer_count": 3, "page_count": 7, "xmp_present": 0},  # first /Pages object
+    ),
+    "no-trailer-has-a-root": (
+        _with_trailers(_CATALOGS[1:], [b"/Size 5", b"/Info 9 0 R"]),
+        {"trailer_count": 2, "page_count": 7, "xmp_present": 0},
+    ),
+    "indirect-filters": (
+        assemble_pdf([
+            b"<< /Type /Catalog /Pages 2 0 R >>",
+            b"<< /Type /Pages /Kids [] /Count 0 >>",
+            stream_body(b"<< /Filter 7 0 R >>", zlib.compress(b"hello")),
+            stream_body(b"<< /Filter [8 0 R /ASCIIHexDecode 99 0 R 7 0 R] >>", b"00ff>"),
+            stream_body(b"<< /Filter 9 0 R >>", b"x"),
+            stream_body(b"<< /Filter 42 >>", b""),
+            b"/FlateDecode",
+            b"/A85",
+            b"[/FlateDecode 8 0 R /DCTDecode]",
+        ]),
+        {"filter_flate_count": 3, "filter_ascii_count": 3, "filter_other_count": 1,
+         "filter_cascade_count": 2, "stream_count": 4},
+    ),
+    "empty-adjacent-nested-and-unplaced-spans": (
+        (_SPANS, _BYTES),
+        {"stream_count": 6, "entropy_outside_streams": shannon_entropy(_BYTES[:10] + _BYTES[50:100])},
+    ),
+    "xref-stream": (
+        assemble_pdf(
+            [
+                b"<< /Type /Catalog /Pages 2 0 R >>",
+                b"<< /Type /Pages /Kids [] /Count 4 >>",
+                stream_body(b"<< /Type /XRef /W [1 2 1] /Size 5 /Root 1 0 R /Info 4 0 R >>", bytes(16)),
+                b"<< /Title (feed) /Producer <DEADBEEF0123> >>",
+            ],
+            info=4,
+        ),
+        {"trailer_count": 2, "page_count": 4, "metadata_hex_run_max": 4},
+    ),
+    "bytes-after-the-last-stream": (
+        pdf_with_stream(bytes(range(256))) + b"tail bytes \x00\xff",
+        {"stream_count": 1, "entropy_stream_max": 8.0},
+    ),
+    "typed-metadata-stream-outside-the-root": (
+        assemble_pdf([
+            b"<< /Type /Catalog /Pages 2 0 R >>",
+            b"<< /Type /Pages /Kids [3 0 R] /Count 1 >>",
+            stream_body(b"<< /Type /Metadata >>", b""),
+        ]),
+        {"xmp_present": 1, "page_count": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FORMER_EXTRACTOR_CASES))
+def test_features_match_the_former_extractor_on_hand_built_documents(name):
+    source, expected = _FORMER_EXTRACTOR_CASES[name]
+    doc, raw = source if isinstance(source, tuple) else (parse_pdf(source), source)
+    assert_same_as_former_extractor(doc, raw)
+    vector = extract_features(doc, raw)
+    assert {key: vector[key] for key in expected} == expected
+
+
 # -- the graph walk ------------------------------------------------------------
 
 
@@ -352,7 +506,7 @@ def test_graph_facts_match_former_walks_on_fuzz_corpus():
         doc = parse_pdf(data)
         assert graph_facts(doc) == features_reference.graph_facts(doc)
         info = _info_dict(doc)
-        assert _longest_hex_run(info) == features_reference._longest_hex_run(info)
+        assert _longest_hex_run(_info_string_values(info)) == features_reference._longest_hex_run(info)
 
 
 def _nested(depth, leaf):

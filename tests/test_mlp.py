@@ -327,8 +327,12 @@ def test_sgd_negative_eta_rejected():
     model, X, y = _random_case(seed=8, batch_norm=False)
     _, cache = forward(model, X, mode="train")
     grads = backward(model, cache, y)
-    with pytest.raises(ValueError):
-        sgd_step(model, grads, eta=-0.1)
+    snapshot = copy.deepcopy(model)
+    for eta in (-0.1, np.nan):
+        with pytest.raises(ValueError):
+            sgd_step(model, grads, eta=eta)
+    for before, after in zip(param_arrays(snapshot), param_arrays(model)):
+        np.testing.assert_array_equal(before, after)
 
 
 def _bn_model_and_grads():

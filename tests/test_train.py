@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pdfmlp import Dataset, TrainConfig, resume, train
 from pdfmlp.features import N_FEATURES
 from pdfmlp.mlp import PROB_EPS, build_model, forward, mean_cross_entropy
-from pdfmlp.preprocess import split_train_validation
+from pdfmlp.preprocess import fit_scaler, split_train_validation
 from pdfmlp.train import TrainingDivergedError, _clamped_loss, _rng
 
 from synth import best_linear_accuracy_2d, perceptron_separates, separable_dataset, xor_dataset
@@ -44,8 +44,12 @@ def test_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(validation_fraction=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(eta=0.0)
+    for eta in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eta"):
+            TrainConfig(eta=eta)
+    for loss in (np.nan, -1.0, 0.0):
+        with pytest.raises(ValueError, match="early_stop_loss"):
+            TrainConfig(early_stop_loss=loss)
     with pytest.raises(ValueError, match="epochs"):
         TrainConfig(epochs=-1)
 
@@ -223,7 +227,16 @@ def test_resume_rejects_feature_mismatch():
     dataset = separable_dataset(n=300, seed=16)
     wrong = build_model(input_width=7, hidden_widths=(4,), rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="features"):
-        resume(wrong, dataset, TrainConfig(epochs=1))
+        resume(wrong, dataset, TrainConfig(epochs=1), scaler=fit_scaler(dataset))
+
+
+def test_resume_requires_the_scaler_the_model_was_trained_with():
+    # A scaler fitted inside resume would differ from the caller's, who
+    # could then not scale inputs the way the resumed model expects.
+    dataset = separable_dataset(n=300, seed=16)
+    model, _, _ = train(dataset, TrainConfig(epochs=1, seed=9))
+    with pytest.raises(TypeError, match="scaler"):
+        resume(model, dataset, TrainConfig(epochs=1, seed=9))
 
 
 def test_resume_rejects_scaler_mismatch():
