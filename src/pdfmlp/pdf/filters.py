@@ -140,28 +140,55 @@ def _flate_decode(data: bytes) -> bytes:
 
 
 def _inflate(data: bytes, wbits: int) -> tuple[bytes, bool]:
-    """Inflate ``data`` at most ``_INFLATE_CHUNK`` bytes at a time.
+    """Inflate ``data``; output that may be thrown away is counted, not kept.
 
     Returns the output and whether the end-of-stream marker was reached;
-    bytes after it are ignored.  Raises StreamDecodeError as soon as the
-    output passes MAX_DECODED, so a bomb costs at most the cap in memory
-    and time.
+    bytes after it are ignored.  The first pass keeps the output while it
+    fits in one ``_INFLATE_CHUNK`` and after that only counts it, so a bomb
+    fails at MAX_DECODED + 1 bytes having held about two chunks.  A longer
+    stream under the cap is inflated again: one that reached its end marker
+    into one buffer of exactly the counted size, a truncated one by chunks.
     """
     d = zlib.decompressobj(wbits)
-    parts: list[bytes] = []
+    kept, size = _inflate_pieces(d, data, _INFLATE_CHUNK)
+    if size <= _INFLATE_CHUNK:
+        return b"".join(kept), d.eof
+    if d.eof:
+        return zlib.decompress(data, wbits, size), True
+    return b"".join(_inflate_pieces(zlib.decompressobj(wbits), data, size)[0]), False
+
+
+def _inflate_pieces(d: Any, data: bytes, keep: int) -> tuple[list[bytes], int]:
+    """Feed ``data`` to the decompressor ``d`` and count what it inflates.
+
+    Returns the output pieces, each at most ``_INFLATE_CHUNK`` bytes, while
+    their total is at most ``keep`` bytes (after that none), and the total.
+    The input goes in as ``_INFLATE_CHUNK`` slices of one memoryview, so
+    ``unconsumed_tail`` never copies more than one slice and the time is
+    linear in the input.  Raises StreamDecodeError as soon as the output
+    passes MAX_DECODED.
+    """
+    view = memoryview(data)
+    kept: list[bytes] = []
     size = 0
-    pending = data
-    while not d.eof:
-        # max_length stays >= 1 (0 would mean unlimited) and stops one byte past the cap.
-        chunk = d.decompress(pending, min(_INFLATE_CHUNK, MAX_DECODED + 1 - size))
-        if not chunk:  # input used up and nothing buffered
+    for start in range(0, len(view), _INFLATE_CHUNK):
+        pending = view[start : start + _INFLATE_CHUNK]
+        while not d.eof:
+            # max_length stays >= 1 (0 would mean unlimited) and stops one byte past the cap.
+            piece = d.decompress(pending, min(_INFLATE_CHUNK, MAX_DECODED + 1 - size))
+            if not piece:  # slice used up and nothing buffered
+                break
+            size += len(piece)
+            if size > MAX_DECODED:
+                raise _over_cap("FlateDecode")
+            if size <= keep:
+                kept.append(piece)
+            else:
+                kept.clear()
+            pending = d.unconsumed_tail
+        if d.eof:
             break
-        size += len(chunk)
-        if size > MAX_DECODED:
-            raise _over_cap("FlateDecode")
-        parts.append(chunk)
-        pending = d.unconsumed_tail
-    return b"".join(parts), d.eof
+    return kept, size
 
 
 def _lzw_decode(data: bytes, early_change: int = 1) -> bytes:

@@ -8,6 +8,7 @@ import base64
 import binascii
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -244,42 +245,83 @@ _TEXT = b"flate equivalence " * 40
 _BIG = zlib.compress(bytes(range(256)) * 12_000)  # inflates over several bounded chunks
 
 
-@pytest.mark.parametrize(
-    "data",
-    [
-        zlib.compress(_TEXT),
-        zlib.compress(_TEXT) + b"trailing junk",
-        zlib.compress(_TEXT) + zlib.compress(b"second stream"),
-        zlib.compress(_TEXT)[:-7],
-        zlib.compress(_TEXT)[:-1] + b"\x00",
-        zlib.compress(_TEXT)[:2],
-        zlib.compress(b""),
-        b"",
-        _raw_deflate(_TEXT),
-        _raw_deflate(_TEXT)[:-3],
-        b"this is not deflate",
-        _BIG,
-        _BIG[: len(_BIG) // 2],
-    ],
-    ids=[
-        "valid",
-        "trailing-junk",
-        "two-streams",
-        "truncated",
-        "bad-checksum",
-        "header-only",
-        "empty-zlib-stream",
-        "empty-input",
-        "headerless-deflate",
-        "headerless-truncated",
-        "not-deflate",
-        "multi-chunk",
-        "multi-chunk-truncated",
-    ],
-)
+_FLATE_CASES = {
+    "valid": zlib.compress(_TEXT),
+    "trailing-junk": zlib.compress(_TEXT) + b"trailing junk",
+    "two-streams": zlib.compress(_TEXT) + zlib.compress(b"second stream"),
+    "truncated": zlib.compress(_TEXT)[:-7],
+    "bad-checksum": zlib.compress(_TEXT)[:-1] + b"\x00",
+    "header-only": zlib.compress(_TEXT)[:2],
+    "empty-zlib-stream": zlib.compress(b""),
+    "empty-input": b"",
+    "headerless-deflate": _raw_deflate(_TEXT),
+    "headerless-truncated": _raw_deflate(_TEXT)[:-3],
+    "not-deflate": b"this is not deflate",
+    "multi-chunk": _BIG,
+    "multi-chunk-truncated": _BIG[: len(_BIG) // 2],
+}
+
+
+@pytest.mark.parametrize("data", list(_FLATE_CASES.values()), ids=list(_FLATE_CASES))
 def test_flate_matches_zlib_decompress_semantics(data):
     expected = outcome(reference.inflate, data)
     assert outcome(decode_stream, data, ["FlateDecode"]) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("data", list(_FLATE_CASES.values()), ids=list(_FLATE_CASES))
+def test_flate_matches_zlib_decompress_semantics_in_small_chunks(monkeypatch, data, chunk):
+    # With chunks this small every case with output crosses from keeping
+    # the output to counting it, and then to building it a second time.
+    monkeypatch.setattr(filters, "_INFLATE_CHUNK", chunk)
+    test_flate_matches_zlib_decompress_semantics(data)
+
+
+@given(
+    st.binary(max_size=40),
+    st.integers(1, 60),
+    st.sampled_from([zlib.MAX_WBITS, -zlib.MAX_WBITS]),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_flate_matches_reference_at_any_chunk_size(unit, repeats, wbits, data):
+    c = zlib.compressobj(data.draw(st.integers(0, 9)), wbits=wbits)
+    stream = c.compress(unit * repeats) + c.flush()
+    cut = data.draw(st.one_of(st.just(len(stream)), st.integers(0, len(stream))))
+    trailing = data.draw(st.sampled_from([b"", b"\x00", b"endstream", zlib.compress(b"next")]))
+    chunk = data.draw(st.sampled_from([1, 2, 3, 7, 64, 1 << 20]))
+    stream = stream[:cut] + trailing
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(filters, "_INFLATE_CHUNK", chunk)
+        assert outcome(decode_stream, stream, ["FlateDecode"]) == outcome(reference.inflate, stream)
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["complete", "truncated"])
+def test_flate_feeds_its_input_to_zlib_about_once(monkeypatch, truncated):
+    # Passing the whole unconsumed tail back in on every chunk re-fed the
+    # rest of the input each time: ~8.5 times this 16 MiB stream.
+    fed = []
+    make = zlib.decompressobj
+
+    class CountingDecompressor:
+        def __init__(self, *args):
+            self._d = make(*args)
+
+        def decompress(self, data, max_length=0):
+            fed.append(len(data))
+            return self._d.decompress(data, max_length)
+
+        def __getattr__(self, name):
+            return getattr(self._d, name)
+
+    payload = np.random.default_rng(14).bytes(16 << 20)
+    stream = zlib.compress(payload, 1)
+    if truncated:
+        stream = stream[: len(stream) // 2]
+    monkeypatch.setattr(zlib, "decompressobj", CountingDecompressor)
+    out = decode_stream(stream, ["FlateDecode"])
+    assert len(out) > len(stream) // 2 and out == payload[: len(out)]
+    assert sum(fed) <= 2 * len(stream) + filters._INFLATE_CHUNK
 
 
 _ASCII_PIECES = st.one_of(

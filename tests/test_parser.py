@@ -23,7 +23,7 @@ from pdfmlp.pdf import (
     iter_name_occurrences,
     parse_pdf,
 )
-from pdfmlp.pdf.filters import MAX_DECODED
+from pdfmlp.pdf.filters import _INFLATE_CHUNK, MAX_DECODED
 from pdfmlp.pdf.objects import WHITESPACE
 from pdfmlp.pdf.parser import _Scanner, _Truncated
 
@@ -305,30 +305,60 @@ def _parse_with_peak(raw: bytes):
         tracemalloc.stop()
 
 
-def _assert_rejected_within_bound(raw: bytes, filter_name: str) -> None:
+def _assert_rejected_within_bound(raw: bytes, filter_name: str, bound: float) -> None:
     doc, peak = _parse_with_peak(raw)
     errors = [d for d in doc.diagnostics if d.kind is DiagnosticKind.DECODE_ERROR]
     assert [d.detail for d in errors] == [f"{filter_name}: decoded output exceeds size cap"]
     assert doc.objects[(3, 0)].decoded is None
-    # The cap stops the decoder before the output is built: the peak stays
-    # near the cap, not near the 128 MiB the stream would decode to.
-    assert peak < 1.25 * MAX_DECODED
+    assert peak < bound
 
 
 def test_flate_bomb_is_stopped_at_the_cap():
-    # ~0.6 MB of level-1 deflate that inflates to 128 MiB of zeros.
+    # ~0.6 MB of level-1 deflate that inflates to 128 MiB of zeros.  Flate
+    # only counts its output past the first chunk, so the bomb fails having
+    # held a few chunks, not the 64 MiB of output it would discard.
     c = zlib.compressobj(1)
     zeros = bytes(1 << 20)
     payload = b"".join([c.compress(zeros) for _ in range((2 * MAX_DECODED) >> 20)] + [c.flush()])
-    _assert_rejected_within_bound(_bomb_stream_pdf(b"/FlateDecode", payload), "FlateDecode")
+    raw = _bomb_stream_pdf(b"/FlateDecode", payload)
+    _assert_rejected_within_bound(raw, "FlateDecode", 6 * _INFLATE_CHUNK)
 
 
 def test_runlength_bomb_under_flate_is_stopped_at_the_cap():
     # Each (129, byte) pair repeats the byte 128 times: 2 MiB of runs
     # decode to 128 MiB, and flate shrinks the runs to a few kilobytes.
+    # RunLength builds its output as it checks it, so the peak stays near
+    # the cap, not near the 128 MiB the stream would decode to.
     runs = bytes([129, 0x41]) * (2 * MAX_DECODED // 128) + b"\x80"
     raw = _bomb_stream_pdf(b"[/FlateDecode /RunLengthDecode]", zlib.compress(runs, 9))
-    _assert_rejected_within_bound(raw, "RunLengthDecode")
+    _assert_rejected_within_bound(raw, "RunLengthDecode", 1.25 * MAX_DECODED)
+
+
+_ZEROS_60_MIB = 60 * _MIB
+
+
+def _parse_zeros_stream(payload: bytes) -> tuple[bytes, int]:
+    doc, peak = _parse_with_peak(_bomb_stream_pdf(b"/FlateDecode", payload))
+    decoded = doc.objects[(3, 0)].decoded
+    assert decoded.count(0) == len(decoded) > _ZEROS_60_MIB // 3
+    return decoded, peak
+
+
+def test_flate_stream_with_its_end_marker_is_built_once():
+    # Counted first, then inflated into one buffer of its exact size: the
+    # output is not held twice, as chunks and as their join.
+    decoded, peak = _parse_zeros_stream(zlib.compress(bytes(_ZEROS_60_MIB), 9))
+    assert len(decoded) == _ZEROS_60_MIB
+    assert peak <= 1.1 * _ZEROS_60_MIB
+
+
+def test_truncated_flate_stream_is_held_at_most_twice():
+    # A truncated stream is built from its chunks, which with their join
+    # hold it twice; a whole-stream decompressobj call would hold more.
+    payload = zlib.compress(bytes(_ZEROS_60_MIB), 9)
+    decoded, peak = _parse_zeros_stream(payload[: len(payload) // 2])
+    assert len(decoded) < _ZEROS_60_MIB
+    assert peak <= 2 * len(decoded) + _INFLATE_CHUNK
 
 
 def test_nesting_depth_capped():
