@@ -213,7 +213,8 @@ def _lzw_decode(data: bytes, early_change: int = 1) -> bytes:
         nbits += 8
         while nbits >= bits:
             nbits -= bits
-            code = (acc >> nbits) & ((1 << bits) - 1)
+            code = acc >> nbits
+            acc &= (1 << nbits) - 1  # drop the code's bits, so acc stays short
             if code == CLEAR:
                 reset()
                 continue

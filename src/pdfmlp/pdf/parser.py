@@ -49,12 +49,31 @@ _HEADER_RE = re.compile(rb"%PDF-(\d+(?:\.\d+)?)")
 _NUMBER_RE = re.compile(rb"[+-]?(?:\d+(?:\.\d*)?|\.\d+)")
 _REF_TAIL_RE = re.compile(_WS + rb"+(\d{1,10})" + _WS + rb"+R(?![0-9A-Za-z])")
 _XREF_ENTRY_RE = re.compile(rb"(\d{10})" + _WS + rb"(\d{5})" + _WS + rb"([nf])")
-# A comment runs from '%' to the end of the line.
-_COMMENT_RE = re.compile(rb"%[^\r\n]*")
+# CPython's regex engine keeps a frame for each turn of a repeated group until
+# the match returns, so each such group below takes at most this many turns a
+# match: memory stays flat however many lines or escapes follow.
+_MAX_TURNS = 1024
+# A comment runs from '%' to the end of the line; one match takes a run of
+# comment lines and the whitespace between and after them.
+_COMMENT_RE = re.compile(rb"(?:%%[^\r\n]*%s*){1,%d}" % (_WS, _MAX_TURNS))
 _WS_RUN_RE = re.compile(_WS + b"*")
-# A run of literal-string bytes that are copied as they are: all but '(', ')'
-# and the backslash.  Written as ranges, the class is one bitmap test per byte.
-_LITERAL_RUN_RE = re.compile(rb"[\x00-\x27\x2a-\x5b\x5d-\xff]+")
+# A literal-string byte taken as it is: all but '(', ')' and the backslash.
+# Written as ranges, the class is one bitmap test per byte.
+_PLAIN = rb"[\x00-\x27\x2a-\x5b\x5d-\xff]"
+# A literal string's bytes up to its next parenthesis: plain bytes and
+# backslash pairs, unrolled as P*(?:\\.P*)* so that it never backtracks.
+_STRING_RUN_RE = re.compile(rb"%s*(?:\\.%s*){0,%d}" % (_PLAIN, _PLAIN, _MAX_TURNS), re.S)
+# The same over a string's body, parentheses included: a cut between two
+# matches splits no escape.
+_ESCAPED_RUN_RE = re.compile(rb"[^\\]*(?:\\.[^\\]*){0,%d}" % _MAX_TURNS, re.S)
+# One escape: up to three octal digits, an EOL (a line continuation) or any byte.
+_STRING_ESCAPE_RE = re.compile(rb"\\([0-7]{1,3}|\r\n?|.)", re.S)
+# What an escape stands for: octal digits their value mod 256, a mapped letter
+# its control byte and an EOL nothing; any other byte stands for itself.
+_STRING_ESCAPES = {
+    b"%0*o" % (width, v): bytes((v & 0xFF,)) for width in (1, 2, 3) for v in range(8**width)
+} | {b"n": b"\n", b"r": b"\r", b"t": b"\t", b"b": b"\b", b"f": b"\f",
+     b"\r": b"", b"\n": b"", b"\r\n": b""}
 _NOT_HEX_DIGITS = bytes(sorted(frozenset(range(256)) - HEX_DIGITS))
 _KEYWORD_RE = re.compile(rb"[A-Za-z]{1,32}")
 _NAME_ESCAPE_RE = re.compile(rb"#([0-9A-Fa-f]{2})")
@@ -87,6 +106,18 @@ class _Terminator(Exception):
 
     def __init__(self, which: bytes):
         self.which = which
+
+
+def _resolve_escapes(data: bytes, start: int, end: int) -> bytes:
+    """data[start:end], a literal string's body, with its escapes resolved."""
+    out = bytearray()
+    # A bounded run at a time keeps the list of pieces short.
+    for run in _ESCAPED_RUN_RE.finditer(data, start, end):
+        pieces = _STRING_ESCAPE_RE.split(run[0])  # text, escape, text, ..., text
+        escapes = pieces[1::2]
+        pieces[1::2] = map(_STRING_ESCAPES.get, escapes, escapes)
+        out += b"".join(pieces)
+    return bytes(out)
 
 
 class _Scanner:
@@ -184,21 +215,16 @@ class _Scanner:
             if self.data.startswith(b">>", self.pos):
                 self.pos += 2
                 return out
-            if self.peek() == 0x2F:
-                key = self.read_name()
-                try:
-                    out[key] = self.parse_value(depth)
-                except _Terminator as t:
-                    if t.which == b">>":
-                        return out
-                    continue  # stray ']' consumed; drop the key
-            else:
-                # Junk where a key belongs: consume one value and move on.
-                try:
-                    self.parse_value(depth)
-                except _Terminator as t:
-                    if t.which == b">>":
-                        return out
+            # Junk where a key belongs is read as one value and dropped.
+            key = self.read_name() if self.peek() == 0x2F else None
+            try:
+                value = self.parse_value(depth)
+            except _Terminator as t:
+                if t.which == b">>":
+                    return out
+                continue  # stray ']' consumed; drop the key
+            if key is not None:
+                out[key] = value
 
     def parse_array(self, depth: int) -> list:
         out: list = []
@@ -257,52 +283,28 @@ class _Scanner:
         return PdfName("/" + raw.decode("latin-1"))
 
     def read_literal_string(self) -> PdfString:
-        self.pos += 1  # consume '('
-        data, n = self.data, len(self.data)
-        out = bytearray()
+        data = self.data
+        start = pos = self.pos + 1  # past '('
         depth = 1
-        while self.pos < n:
-            run = _LITERAL_RUN_RE.match(data, self.pos)
-            if run is not None:
-                out += run.group()
-                self.pos = run.end()
-                continue
-            b = data[self.pos]
-            if b == 0x5C:  # backslash
-                self.pos += 1
-                if self.pos >= n:
-                    break
-                e = data[self.pos]
-                mapped = _STRING_ESCAPES.get(e)
-                if mapped is not None:
-                    out.append(mapped)
-                    self.pos += 1
-                elif 0x30 <= e <= 0x37:  # octal, up to three digits
-                    octal = 0
-                    k = 0
-                    while k < 3 and self.pos < n and 0x30 <= data[self.pos] <= 0x37:
-                        octal = octal * 8 + (data[self.pos] - 0x30)
-                        self.pos += 1
-                        k += 1
-                    out.append(octal & 0xFF)
-                elif e in (0x0D, 0x0A):  # line continuation
-                    self.pos += 1
-                    if e == 0x0D and self.pos < n and data[self.pos] == 0x0A:
-                        self.pos += 1
-                else:
-                    out.append(e)
-                    self.pos += 1
-            elif b == 0x28:  # '('
+        while True:
+            pos = _STRING_RUN_RE.match(data, pos).end()
+            b = data[pos : pos + 1]
+            if b == b"(":
                 depth += 1
-                out.append(b)
-                self.pos += 1
-            else:  # ')'
+            elif b == b")":
                 depth -= 1
-                self.pos += 1
                 if depth == 0:
-                    return PdfString(bytes(out), hex=False)
-                out.append(b)
-        raise _Truncated
+                    break
+            elif b == b"\\" and pos + 1 < len(data):
+                continue  # the match stopped after _MAX_TURNS escapes
+            else:  # the input ends, perhaps after a lone backslash
+                self.pos = len(data)
+                raise _Truncated
+            pos += 1
+        self.pos = pos + 1
+        if data.find(b"\\", start, pos) == -1:
+            return PdfString(data[start:pos], hex=False)
+        return PdfString(_resolve_escapes(data, start, pos), hex=False)
 
     def read_hex_string(self) -> PdfString:
         end = self.data.find(b">", self.pos + 1)
@@ -318,16 +320,6 @@ class _Scanner:
 
 
 _SKIPPED = object()
-_STRING_ESCAPES = {
-    0x6E: 0x0A,  # \n
-    0x72: 0x0D,  # \r
-    0x74: 0x09,  # \t
-    0x62: 0x08,  # \b
-    0x66: 0x0C,  # \f
-    0x28: 0x28,  # \(
-    0x29: 0x29,  # \)
-    0x5C: 0x5C,  # \\
-}
 
 
 def _skip_eol(data: bytes, pos: int) -> int:
@@ -449,9 +441,7 @@ class _DocumentParser:
     def _parse_value_tolerant(self, sc: _Scanner, at: int) -> Any:
         try:
             return sc.parse_value(0)
-        except _StopKeyword:
-            return None
-        except _Terminator:
+        except (_StopKeyword, _Terminator):
             return None
         except _Truncated:
             self.diag(len(self.data), DiagnosticKind.TRUNCATED, "object runs past end of input")
@@ -471,10 +461,10 @@ class _DocumentParser:
         end: Optional[int] = None
         after: Optional[int] = None
         if isinstance(declared, int) and declared >= 0 and start + declared <= len(data):
-            follow = self._endstream_after(start + declared)
-            if follow is not None:
+            follow = _skip_eol(data, start + declared)  # an EOL may precede endstream
+            if data.startswith(b"endstream", follow):
                 end = start + declared
-                after = follow
+                after = follow + 9
         if end is None:
             found = data.find(b"endstream", start)
             if found == -1:
@@ -503,13 +493,6 @@ class _DocumentParser:
         raw = data[start:end]
         decoded = self._decode(dictionary, raw, keyword_at)
         return PdfStream(dictionary=dictionary, raw=raw, decoded=decoded, span=(start, end))
-
-    def _endstream_after(self, pos: int) -> Optional[int]:
-        """Position just past 'endstream' if it follows pos (EOL allowed)."""
-        pos = _skip_eol(self.data, pos)
-        if self.data.startswith(b"endstream", pos):
-            return pos + 9
-        return None
 
     def _decode(self, dictionary: dict, raw: bytes, at: int) -> Optional[bytes]:
         filters = dictionary.get("/Filter")

@@ -30,7 +30,19 @@ from pdfmlp.pdf.objects import (
     PdfStream,
     PdfString,
 )
-from pdfmlp.pdf.parser import _OBJ_RE, _REGULAR_END, _STRING_ESCAPES, _DocumentParser, _Scanner
+from pdfmlp.pdf.parser import _OBJ_RE, _REGULAR_END, _DocumentParser, _Scanner
+
+# The byte each one-byte escape of a literal string stands for.
+_STRING_ESCAPES = {
+    0x6E: 0x0A,  # \n
+    0x72: 0x0D,  # \r
+    0x74: 0x09,  # \t
+    0x62: 0x08,  # \b
+    0x66: 0x0C,  # \f
+    0x28: 0x28,  # \(
+    0x29: 0x29,  # \)
+    0x5C: 0x5C,  # \\
+}
 
 _XREF_RE = re.compile(rb"(?<![A-Za-z])xref(?![0-9A-Za-z])")
 _TRAILER_RE = re.compile(rb"(?<![A-Za-z])trailer(?![0-9A-Za-z])")

@@ -25,7 +25,7 @@ from pdfmlp.pdf import (
 )
 from pdfmlp.pdf.filters import _INFLATE_CHUNK, MAX_DECODED
 from pdfmlp.pdf.objects import WHITESPACE
-from pdfmlp.pdf.parser import _Scanner, _Truncated
+from pdfmlp.pdf.parser import _MAX_TURNS, _Scanner, _Truncated
 
 from pdfbuild import (
     assemble_pdf,
@@ -195,6 +195,26 @@ def test_string_escapes():
     assert doc.objects[(1, 0)]["/S"].data == b"atb\n(c\nd"
 
 
+@pytest.mark.parametrize(
+    "body",
+    [b"a\\\r\nb)", b"a\\\rb)", b"a\\\nb)", b"\\\n\\\r\n\\\r)", b"\\377\\400\\4000\\08)",
+     b"\\n\\r\\t\\b\\f\\(\\)\\\\\\x)", b"(a\\)b)c)", b"\\", b"a(b\\", b"\\)", b"\\\x00\\\xff)",
+     # A match takes at most _MAX_TURNS escapes, so these are read and
+     # resolved over several matches.
+     pytest.param(b"\\a" * _MAX_TURNS + b")", id="at-bound"),
+     pytest.param(b"\\a" * (_MAX_TURNS + 1) + b")", id="past-bound"),
+     pytest.param(b"\\\\" * (3 * _MAX_TURNS) + b")", id="escaped-backslashes"),
+     pytest.param((b"\\101(" + b"\\\r\n" * 700 + b"x\\\r)") * 3 + b")", id="octal-eol-parens"),
+     pytest.param(b"(" + b"\\377" * (2 * _MAX_TURNS + 5) + b"\\", id="lone-backslash"),
+     pytest.param(b"\\" * (2 * _MAX_TURNS + 1), id="odd-backslashes")],
+)
+def test_literal_string_escape_forms_match_per_byte_reader(body):
+    # Each form of escape and each way to end, so that no form is left to the
+    # draw of the property test below.
+    data = b"(" + body
+    assert read_string(data) == parser_reference.read_literal_string(data, 0)
+
+
 _STRING_PIECES = st.one_of(
     st.binary(max_size=6),
     st.sampled_from([b"(", b")", b"\\", b">", b"<", b"\r\n", b" ", b"0", b"a", b"F", b"g"]),
@@ -234,16 +254,50 @@ def best_time(call, runs=5):
     return best
 
 
+def traced_peak(call):
+    """call()'s result and the most memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 _MIB = 1 << 20
 
 
 def test_long_literal_string_is_read_in_bounded_time():
-    # One regex match copies each run without a parenthesis or backslash:
-    # ~3 ms on this MiB, where the former per-byte reader took 100-200 ms
-    # (2-core VM, Python 3.11).
+    # One regex match reads the body up to its closing parenthesis and one
+    # slice copies it: ~3 ms on this MiB, where the former per-byte reader
+    # took 100-200 ms (2-core VM, Python 3.11).
     data = b"(" + b"var x = 'abc'; y = 2; " * (_MIB // 22) + b")"
     assert read_string(data)[1] == len(data)
     assert best_time(lambda: read_string(data)) < 0.02
+
+
+def test_long_unterminated_escaped_literal_is_read_in_bounded_time():
+    # Backslash pairs are part of the regex matches that run to the end of
+    # the input, each taking up to _MAX_TURNS of them, and an unterminated
+    # string resolves no escape: ~13-25 ms on this MiB, where a loop turn per
+    # escape took ~0.26-0.55 s (2-core VM, Python 3.11).
+    data = b"(" + b"a\\b" * (_MIB // 3)
+    assert read_string(data) == (None, len(data))
+    assert best_time(lambda: read_string(data)) < 0.08
+
+
+@pytest.mark.parametrize("closing, bound", [(b"", _MIB), (b")", 2 * _MIB)], ids=["open", "closed"])
+def test_escaped_literal_is_read_in_flat_memory(closing, bound):
+    # The regex engine keeps a frame per escape a match takes until the match
+    # returns, so a match takes at most _MAX_TURNS of them: ~0.14 MiB traced
+    # here unterminated (~78 MiB when one match took them all).  A closed
+    # string resolves its escapes a bounded run at a time, so the output and
+    # its copy are what it holds: ~1.1 MiB (~62 MiB with one substitution
+    # over the body).
+    data = b"(" + b"\\a" * (_MIB // 2) + closing
+    (value, end), peak = traced_peak(lambda: read_string(data))
+    assert end == len(data)
+    assert value == (PdfString(b"a" * (_MIB // 2), hex=False) if closing else None)
+    assert peak < bound
 
 
 def test_long_hex_string_is_read_in_bounded_time():
@@ -267,13 +321,39 @@ def test_skip_ws_matches_per_byte_skip(data, pos):
 
 
 def test_long_comment_is_skipped_in_bounded_time():
-    # One regex match skips the comment: ~7 ms on this MiB, where the former
+    # One regex match skips a run of comment lines and the whitespace after
+    # them, here one comment and its CR: ~7 ms on this MiB, where the former
     # per-byte loop took ~95-105 ms (2-core VM, Python 3.11).
     data = b"%" + b"eval(1);x=2 " * (_MIB // 12) + b"\r1"
     sc = _Scanner(data, 0)
     sc.skip_ws()
     assert sc.pos == len(data) - 1
     assert best_time(lambda: _Scanner(data, 0).skip_ws()) < 0.025
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"%\n" * (3 * _MAX_TURNS) + b"1", b"%ab\r\n \t" * (_MAX_TURNS + 1) + b"%x",
+     b"%" * (2 * _MAX_TURNS) + b"\r" + b"%\r" * _MAX_TURNS + b" " * 9 + b"x"],
+    ids=["lf-lines", "crlf-and-blanks", "cr-lines"],
+)
+def test_comment_runs_past_one_match_match_per_byte_skip(data):
+    # A match takes at most _MAX_TURNS comment lines, so these runs are
+    # skipped over several matches.
+    sc = _Scanner(data, 0)
+    sc.skip_ws()
+    assert sc.pos == parser_reference.skip_ws(data, 0)
+
+
+def test_comment_lines_are_skipped_in_flat_memory():
+    # A match takes at most _MAX_TURNS lines, each of which the regex engine
+    # keeps a frame for until the match returns: ~0.2 MiB traced on this MiB
+    # (~95 MiB when one match took every line).
+    data = b"%\n" * (_MIB // 2) + b"1"
+    sc = _Scanner(data, 0)
+    _, peak = traced_peak(sc.skip_ws)
+    assert sc.pos == len(data) - 1
+    assert peak < _MIB
 
 
 def test_long_whitespace_run_is_skipped_in_bounded_time():
@@ -297,12 +377,7 @@ def _bomb_stream_pdf(filters: bytes, payload: bytes) -> bytes:
 
 
 def _parse_with_peak(raw: bytes):
-    tracemalloc.start()
-    try:
-        doc = parse_pdf(raw)
-        return doc, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(lambda: parse_pdf(raw))
 
 
 def _assert_rejected_within_bound(raw: bytes, filter_name: str, bound: float) -> None:
