@@ -49,22 +49,22 @@ _HEADER_RE = re.compile(rb"%PDF-(\d+(?:\.\d+)?)")
 _NUMBER_RE = re.compile(rb"[+-]?(?:\d+(?:\.\d*)?|\.\d+)")
 _REF_TAIL_RE = re.compile(_WS + rb"+(\d{1,10})" + _WS + rb"+R(?![0-9A-Za-z])")
 _XREF_ENTRY_RE = re.compile(rb"(\d{10})" + _WS + rb"(\d{5})" + _WS + rb"([nf])")
-# CPython's regex engine keeps a frame for each turn of a repeated group until
-# the match returns, so each such group below takes at most this many turns a
-# match: memory stays flat however many lines or escapes follow.
-_MAX_TURNS = 1024
 # A comment runs from '%' to the end of the line; one match takes a run of
-# comment lines and the whitespace between and after them.
-_COMMENT_RE = re.compile(rb"(?:%%[^\r\n]*%s*){1,%d}" % (_WS, _MAX_TURNS))
+# comment lines and the whitespace between and after them.  Possessive
+# repeats keep no regex frame per turn, so the match holds flat memory.
+_COMMENT_RE = re.compile(rb"(?:%%[^\r\n]*+%s*+)++" % _WS)
 _WS_RUN_RE = re.compile(_WS + b"*")
 # A literal-string byte taken as it is: all but '(', ')' and the backslash.
 # Written as ranges, the class is one bitmap test per byte.
 _PLAIN = rb"[\x00-\x27\x2a-\x5b\x5d-\xff]"
 # A literal string's bytes up to its next parenthesis: plain bytes and
-# backslash pairs, unrolled as P*(?:\\.P*)* so that it never backtracks.
-_STRING_RUN_RE = re.compile(rb"%s*(?:\\.%s*){0,%d}" % (_PLAIN, _PLAIN, _MAX_TURNS), re.S)
-# The same over a string's body, parentheses included: a cut between two
-# matches splits no escape.
+# backslash pairs, unrolled as P*(?:\\.P*)* and possessive, as above.
+_STRING_RUN_RE = re.compile(rb"%s*+(?:\\.%s*+)*+" % (_PLAIN, _PLAIN), re.S)
+# At most this many escapes a run, so that _resolve_escapes splits each run
+# into a short list of pieces.
+_MAX_TURNS = 1024
+# A string's body, parentheses included, a bounded run of escapes at a time:
+# a cut between two matches splits no escape.
 _ESCAPED_RUN_RE = re.compile(rb"[^\\]*(?:\\.[^\\]*){0,%d}" % _MAX_TURNS, re.S)
 # One escape: up to three octal digits, an EOL (a line continuation) or any byte.
 _STRING_ESCAPE_RE = re.compile(rb"\\([0-7]{1,3}|\r\n?|.)", re.S)
@@ -148,7 +148,6 @@ class _Scanner:
                         pos = _WS_RUN_RE.match(data, pos).end()
                 elif b == 0x25:  # '%'
                     pos = _COMMENT_RE.match(data, pos).end()
-                    run = 0
                 else:
                     break
         except IndexError:
@@ -295,8 +294,6 @@ class _Scanner:
                 depth -= 1
                 if depth == 0:
                     break
-            elif b == b"\\" and pos + 1 < len(data):
-                continue  # the match stopped after _MAX_TURNS escapes
             else:  # the input ends, perhaps after a lone backslash
                 self.pos = len(data)
                 raise _Truncated
@@ -382,13 +379,12 @@ class _DocumentParser:
         """Parse every object, xref table, trailer, startxref and %%EOF in file order.
 
         Returns (offset, trailer dict) pairs, startxref values and %%EOF
-        offsets.  The search resumes after each parsed object, so the
-        bytes of an object body, stream payloads included, are read only
-        by the object parser; a marker among them belongs to the object.
+        offsets.  The search resumes after each parsed object and trailer
+        dictionary, so an object body, stream payloads included, or a
+        trailer is read only by its own parser; a marker inside belongs to it.
         """
         data = self.data
         trailers: list[tuple[int, dict]] = []
-        consumed_trailers: set[int] = set()
         startxref_offsets: list[int] = []
         eof_offsets: list[int] = []
         pos = 0
@@ -413,12 +409,9 @@ class _DocumentParser:
                 continue  # the keyword is part of a longer word
             elif word == b"xref":
                 self.xref_section_count += 1
-                self._parse_xref_table(m, trailers, consumed_trailers)
+                pos = self._parse_xref_table(m, trailers)
             elif word == b"trailer":
-                if at not in consumed_trailers:
-                    entry = self._parse_trailer_dict(at)
-                    if entry is not None:
-                        trailers.append(entry)
+                pos = self._parse_trailer(at, trailers)
             else:
                 value = self._parse_startxref(m)
                 if value is not None:
@@ -525,23 +518,17 @@ class _DocumentParser:
 
     # -- xref tables, trailers, startxref -------------------------------------
 
-    def _parse_xref_table(
-        self,
-        m: re.Match,
-        trailers: list[tuple[int, dict]],
-        consumed: set[int],
-    ) -> None:
+    def _parse_xref_table(self, m: re.Match, trailers: list[tuple[int, dict]]) -> int:
+        """Check the table after xref keyword m; resume past its trailer, else past m."""
         data = self.data
         sc = _Scanner(data, m.end())
+        resume = m.end()
         mismatches = 0
         entries = 0
         while True:
             sc.skip_ws()
             if sc.starts_with(b"trailer"):
-                consumed.add(sc.pos)
-                entry = self._parse_trailer_dict(sc.pos)
-                if entry is not None:
-                    trailers.append(entry)
+                resume = self._parse_trailer(sc.pos, trailers)
                 break
             first = sc.read_uint()
             if first is None:
@@ -575,6 +562,7 @@ class _DocumentParser:
                 DiagnosticKind.BAD_XREF,
                 f"{mismatches} of {entries} in-use entries do not point at their object",
             )
+        return resume
 
     def _entry_resolves(self, offset: int, number: int, generation: int) -> bool:
         if offset >= len(self.data):
@@ -584,17 +572,19 @@ class _DocumentParser:
         om = _OBJ_RE.match(self.data, sc.pos)
         return bool(om) and int(om.group(1)) == number and int(om.group(2)) == generation
 
-    def _parse_trailer_dict(self, keyword_at: int) -> Optional[tuple[int, dict]]:
+    def _parse_trailer(self, keyword_at: int, trailers: list[tuple[int, dict]]) -> int:
+        """Add the dictionary after the keyword to trailers; resume past it, else the keyword."""
         sc = _Scanner(self.data, keyword_at + 7)
         sc.skip_ws()
         if not sc.starts_with(b"<<"):
             self.diag(keyword_at, DiagnosticKind.BAD_XREF, "trailer without dictionary")
-            return None
+            return keyword_at + 7
         try:
-            return keyword_at, sc.parse_dict(1)
+            trailers.append((keyword_at, sc.parse_dict(1)))
         except (_Truncated, _DepthExceeded, _StopKeyword, _Terminator):
             self.diag(keyword_at, DiagnosticKind.TRUNCATED, "unterminated trailer dictionary")
-            return None
+            return keyword_at + 7
+        return sc.pos
 
     def _parse_startxref(self, m: re.Match) -> Optional[int]:
         """The offset after a startxref keyword, checked against the file."""

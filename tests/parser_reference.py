@@ -1,13 +1,16 @@
 """Former parser code, kept as oracles for the code that replaced it.
 
 ``FivePassParser`` is the former five-pass scan, the oracle for the
-one-pass scan.  It ran one whole-file regex pass for object headers and
-then one each for ``xref``, ``trailer``, ``startxref`` and ``%%EOF``.  A
-marker counted only when it lay outside every parsed object's extent,
-found by binary search over the recorded extents.  The per-item parsers
-(object bodies, xref tables, trailer dictionaries, object streams) and
-the tokenizer are the library's own, so a test that compares the two
-isolates the scan.
+one-pass scan.  It runs one whole-file regex pass each for object
+headers, ``xref`` tables and ``trailer`` dictionaries, parsing every one
+it finds, then claims their extents in file order, skipping each that
+starts inside one claimed before it, and then runs one pass each for
+``startxref`` and ``%%EOF``.  A marker counts only when it lies outside
+every claimed extent, found by binary search over them.  An xref table's
+extent runs to the end of its trailer dictionary, so the table and its
+trailer are one item.  The per-item parsers (object bodies, xref tables,
+trailer dictionaries, object streams) and the tokenizer are the
+library's own, so a test that compares the two isolates the scan.
 
 ``read_name``, ``read_literal_string`` and ``read_hex_string`` are the
 per-byte readers, the oracles for the ``_Scanner`` methods of the same
@@ -62,8 +65,7 @@ class FivePassParser(_DocumentParser):
             return PdfDocument(total_size=0, diagnostics=self.diags)
 
         header_version = self._parse_header()
-        self._scan_objects()
-        trailer_dicts = self._scan_xref_and_trailers()
+        trailer_dicts = self._claim(self._objects() + self._xref_tables() + self._trailers())
         startxref_offsets = self._scan_startxref()
         eof_offsets = [m.start() for m in _EOF_RE.finditer(data) if self._outside(m.start())]
         self._expand_object_streams()
@@ -82,23 +84,64 @@ class FivePassParser(_DocumentParser):
             diagnostics=self.diags,
         )
 
-    def _scan_objects(self) -> None:
-        cursor = 0
+    def _parsed(self, parse):
+        """parse()'s result and the diagnostics it made, which are taken off self.diags."""
+        mark = len(self.diags)
+        result = parse()
+        diags = self.diags[mark:]
+        del self.diags[mark:]
+        return result, diags
+
+    # Each pass below returns (start, end, diagnostics, kind, value) items.
+
+    def _objects(self) -> list:
+        items = []
         for m in _OBJ_RE.finditer(self.data):
-            if m.start() < cursor:
-                continue
             key = (int(m.group(1)), int(m.group(2)))
-            value, end = self._parse_object_body(m.end())
-            if key in self.objects:
-                self.diag(
-                    m.start(),
-                    DiagnosticKind.DUPLICATE_OBJECT,
-                    f"object {key[0]} {key[1]} redefined; keeping the later definition",
-                )
-            self.objects[key] = value
-            self.object_offsets[key] = m.start()
-            self.extents.append((m.start(), end))
+            (value, end), diags = self._parsed(lambda: self._parse_object_body(m.end()))
+            items.append((m.start(), end, diags, key, value))
+        return items
+
+    def _xref_tables(self) -> list:
+        items = []
+        for m in _XREF_RE.finditer(self.data):
+            trailers: list[tuple[int, dict]] = []
+            end, diags = self._parsed(lambda: self._parse_xref_table(m, trailers))
+            items.append((m.start(), end, diags, "xref", trailers))
+        return items
+
+    def _trailers(self) -> list:
+        items = []
+        for m in _TRAILER_RE.finditer(self.data):
+            trailers: list[tuple[int, dict]] = []
+            end, diags = self._parsed(lambda: self._parse_trailer(m.start(), trailers))
+            items.append((m.start(), end, diags, "trailer", trailers))
+        return items
+
+    def _claim(self, items: list) -> list[tuple[int, dict]]:
+        """Keep the items in file order that start outside those kept; their trailers."""
+        trailers: list[tuple[int, dict]] = []
+        cursor = 0
+        for start, end, diags, kind, value in sorted(items, key=lambda item: item[0]):
+            if start < cursor:
+                continue
             cursor = end
+            self.extents.append((start, end))
+            self.diags += diags
+            if kind == "xref":
+                self.xref_section_count += 1
+            if isinstance(kind, str):
+                trailers += value
+                continue
+            if kind in self.objects:
+                self.diag(
+                    start,
+                    DiagnosticKind.DUPLICATE_OBJECT,
+                    f"object {kind[0]} {kind[1]} redefined; keeping the later definition",
+                )
+            self.objects[kind] = value
+            self.object_offsets[kind] = start
+        return trailers
 
     def _outside(self, offset: int) -> bool:
         lo, hi = 0, len(self.extents)
@@ -111,23 +154,6 @@ class FivePassParser(_DocumentParser):
         if lo == 0:
             return True
         return offset >= self.extents[lo - 1][1]
-
-    def _scan_xref_and_trailers(self) -> list[tuple[int, dict]]:
-        trailers: list[tuple[int, dict]] = []
-        consumed_trailer_offsets: set[int] = set()
-        self.xref_section_count = 0
-        for m in _XREF_RE.finditer(self.data):
-            if not self._outside(m.start()):
-                continue
-            self.xref_section_count += 1
-            self._parse_xref_table(m, trailers, consumed_trailer_offsets)
-        for m in _TRAILER_RE.finditer(self.data):
-            if not self._outside(m.start()) or m.start() in consumed_trailer_offsets:
-                continue
-            entry = self._parse_trailer_dict(m.start())
-            if entry is not None:
-                trailers.append(entry)
-        return trailers
 
     def _scan_startxref(self) -> list[int]:
         offsets: list[int] = []

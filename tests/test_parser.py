@@ -199,8 +199,8 @@ def test_string_escapes():
     "body",
     [b"a\\\r\nb)", b"a\\\rb)", b"a\\\nb)", b"\\\n\\\r\n\\\r)", b"\\377\\400\\4000\\08)",
      b"\\n\\r\\t\\b\\f\\(\\)\\\\\\x)", b"(a\\)b)c)", b"\\", b"a(b\\", b"\\)", b"\\\x00\\\xff)",
-     # A match takes at most _MAX_TURNS escapes, so these are read and
-     # resolved over several matches.
+     # Escapes are resolved at most _MAX_TURNS a run, so these are resolved
+     # over several runs.
      pytest.param(b"\\a" * _MAX_TURNS + b")", id="at-bound"),
      pytest.param(b"\\a" * (_MAX_TURNS + 1) + b")", id="past-bound"),
      pytest.param(b"\\\\" * (3 * _MAX_TURNS) + b")", id="escaped-backslashes"),
@@ -276,10 +276,10 @@ def test_long_literal_string_is_read_in_bounded_time():
 
 
 def test_long_unterminated_escaped_literal_is_read_in_bounded_time():
-    # Backslash pairs are part of the regex matches that run to the end of
-    # the input, each taking up to _MAX_TURNS of them, and an unterminated
-    # string resolves no escape: ~13-25 ms on this MiB, where a loop turn per
-    # escape took ~0.26-0.55 s (2-core VM, Python 3.11).
+    # Backslash pairs are part of the one regex match that runs to the end
+    # of the input, and an unterminated string resolves no escape: ~8-25 ms
+    # on this MiB, where a loop turn per escape took ~0.26-0.55 s (2-core
+    # VM, Python 3.11).
     data = b"(" + b"a\\b" * (_MIB // 3)
     assert read_string(data) == (None, len(data))
     assert best_time(lambda: read_string(data)) < 0.08
@@ -287,12 +287,11 @@ def test_long_unterminated_escaped_literal_is_read_in_bounded_time():
 
 @pytest.mark.parametrize("closing, bound", [(b"", _MIB), (b")", 2 * _MIB)], ids=["open", "closed"])
 def test_escaped_literal_is_read_in_flat_memory(closing, bound):
-    # The regex engine keeps a frame per escape a match takes until the match
-    # returns, so a match takes at most _MAX_TURNS of them: ~0.14 MiB traced
-    # here unterminated (~78 MiB when one match took them all).  A closed
-    # string resolves its escapes a bounded run at a time, so the output and
-    # its copy are what it holds: ~1.1 MiB (~62 MiB with one substitution
-    # over the body).
+    # One possessive match takes every escape and keeps no regex frame per
+    # escape: ~1.3 KiB traced here unterminated (~78 MiB with a repeat that
+    # keeps a frame per turn).  A closed string resolves its escapes a bounded
+    # run at a time, so the output and its copy are what it holds: ~1.1 MiB
+    # (~62 MiB with one substitution over the body).
     data = b"(" + b"\\a" * (_MIB // 2) + closing
     (value, end), peak = traced_peak(lambda: read_string(data))
     assert end == len(data)
@@ -338,22 +337,36 @@ def test_long_comment_is_skipped_in_bounded_time():
     ids=["lf-lines", "crlf-and-blanks", "cr-lines"],
 )
 def test_comment_runs_past_one_match_match_per_byte_skip(data):
-    # A match takes at most _MAX_TURNS comment lines, so these runs are
-    # skipped over several matches.
+    # Runs longer than _MAX_TURNS lines, which one match once could not
+    # take; each is now one possessive match.
     sc = _Scanner(data, 0)
     sc.skip_ws()
     assert sc.pos == parser_reference.skip_ws(data, 0)
 
 
 def test_comment_lines_are_skipped_in_flat_memory():
-    # A match takes at most _MAX_TURNS lines, each of which the regex engine
-    # keeps a frame for until the match returns: ~0.2 MiB traced on this MiB
-    # (~95 MiB when one match took every line).
+    # One possessive match takes every line and keeps no regex frame per
+    # line: ~1.5 KiB traced on this MiB (~95 MiB with a repeat that keeps a
+    # frame per turn).
     data = b"%\n" * (_MIB // 2) + b"1"
     sc = _Scanner(data, 0)
     _, peak = traced_peak(sc.skip_ws)
     assert sc.pos == len(data) - 1
     assert peak < _MIB
+
+
+@pytest.mark.parametrize(
+    "data, read",
+    [(b"%\n" * (_MIB // 2) + b"1", lambda data: _Scanner(data, 0).skip_ws()),
+     (b"(" + b"\\a" * (_MIB // 2), read_string)],
+    ids=["comment-lines", "unterminated-escapes"],
+)
+def test_comment_run_and_string_bytes_are_each_one_flat_match(data, read):
+    # Possessive repeats keep no regex frame per turn, so one match takes the
+    # whole run: ~1.5 KiB traced on each MiB here, where matches of at most
+    # 1,024 turns traced ~180 and ~145 KiB (2-core VM, Python 3.11).
+    _, peak = traced_peak(lambda: read(data))
+    assert peak < 16 * 1024
 
 
 def test_long_whitespace_run_is_skipped_in_bounded_time():
@@ -706,6 +719,11 @@ _KEYWORD_CASES = {
     "trailer-in-table-comment": minimal_pdf().replace(b"xref\n", b"xref\n% trailer << /C 1 >>\n"),
     "two-tables-one-trailer": minimal_pdf().replace(b"xref\n", b"xref\n% xref\n"),
     "table-without-trailer": minimal_pdf().replace(b"trailer", b"Xtrailer"),
+    "unterminated-trailer-after-table": minimal_pdf().replace(b" >>\nstartxref", b"\nstartxref"),
+    # Where a trailer dictionary ends: the scan resumes there.
+    "markers-in-trailer-string": minimal_pdf().replace(
+        b"trailer\n<< ", b"trailer\n<< /A (trailer << /B 1 >> 9 0 obj null endobj xref startxref 0 %%EOF) "
+    ),
     "keywords-at-both-ends": b"startxref" + minimal_pdf()[9:] + b"xref",
     # Where an object body ends: the scan resumes there.
     "number-then-header": b"1 0 obj 5 6 0 obj",
@@ -737,6 +755,26 @@ def test_keywords_inside_longer_words_are_not_markers():
     assert [t.get("/Size") for t in doc.trailer_dicts] == [9, 4]
 
 
+@pytest.mark.parametrize(
+    "prefix", [b"", b"xref\n0 1\n0000000000 65535 f \n"], ids=["standalone", "after-xref-table"]
+)
+def test_trailers_nested_in_a_trailer_string_are_part_of_it(prefix):
+    # The scan resumes after a trailer dictionary, so the trailer words in its
+    # string are not parsed again: ~1 ms here, where parsing each nested
+    # trailer and its string to the end of the file took ~1.1 s (2-core VM,
+    # Python 3.11).
+    data = prefix + b"trailer << /A (" * 1000 + b")" * 1000 + b" >>"
+    assert best_time(lambda: parse_pdf(data), runs=3) < 0.1
+    assert len(parse_pdf(data).trailer_dicts) == 1
+
+
+def test_unterminated_trailer_after_a_table_is_reported_once():
+    doc = parse_pdf(_KEYWORD_CASES["unterminated-trailer-after-table"])
+    assert [d.detail for d in doc.diagnostics] == ["unterminated trailer dictionary"]
+    assert doc.trailer_dicts == []
+    assert doc.startxref_offsets == [186]
+
+
 def test_scan_matches_five_pass_scan_on_fuzz_corpus():
     for data in _fuzz_corpus(10_000):
         assert_same_as_five_pass_scan(data)
@@ -753,6 +791,7 @@ _SPLICES = [
     b"xref", b"trailer", b"startxref", b"%%EOF", b"startxref\n0\n", b"trailer\n<< /Size 3 >>\n",
     b"xref\n0 1\n0000000000 65535 f \n", b"(xref trailer)", b"% startxref\n",
     b"1 0 obj", b"endobj", b"stream\n", b"endstream", b"<<", b">>", b"(", b" ",
+    b"trailer << /A (",
 ]
 
 
