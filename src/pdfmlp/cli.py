@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .evaluate import evaluate, write_report_files
-from .features import SCHEMA_ID, FeatureVector, describe_schema, extract_features
+from .features import FeatureVector, describe_schema, extract_features
 from .mlp import predict
 from .pdf import parse_pdf
 from .preprocess import Dataset, read_features_csv, transform, write_features_csv
@@ -97,6 +97,11 @@ def _collect_corpus(args: argparse.Namespace) -> list[tuple[str, int]]:
                 raise CliError(f"cannot list {directory}: {exc}")
             for name in names:
                 path = os.path.join(directory, name)
+                try:
+                    path.encode("utf-8")  # the CSV names each row's file in UTF-8
+                except UnicodeEncodeError:
+                    _warn(f"skipping {path!r}: name is not valid UTF-8")
+                    continue
                 if not os.path.isfile(path):
                     _warn(f"skipping non-file {path}")
                     continue
@@ -226,14 +231,9 @@ def cmd_schema(args: argparse.Namespace) -> int:
 
 def _load_model(path: str):
     try:
-        model, scaler, schema_id = load(path)
+        model, scaler, _ = load(path)
     except (OSError, ModelStoreError) as exc:
         raise CliError(f"cannot load model {path}: {exc}")
-    if schema_id != SCHEMA_ID:
-        raise CliError(
-            f"schema mismatch: model was trained on {schema_id!r}, "
-            f"this build extracts {SCHEMA_ID!r}"
-        )
     return model, scaler
 
 

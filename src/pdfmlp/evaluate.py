@@ -134,14 +134,14 @@ def pick_threshold(report: EvalReport, max_fpr: float) -> float:
 def write_report_files(report: EvalReport, out_dir: str) -> None:
     """Emit roc.csv, sweep.csv and report.txt under ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "roc.csv"), "w", newline="") as fh:
+    with open(os.path.join(out_dir, "roc.csv"), "w", newline="", encoding="utf-8") as fh:
         fh.write("fpr,tpr\n")
         fh.write("%.9g,%.9g\n" * len(report.roc_points) % tuple(chain.from_iterable(report.roc_points)))
-    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
+    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="", encoding="utf-8") as fh:
         fh.write("threshold,tpr,fpr,fnr\n")
         fh.write("%.9g,%.9g,%.9g,%.9g\n" * len(report.sweep) % tuple(chain.from_iterable(report.sweep)))
     op = report.operating_point
-    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
+    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"benign: {report.n_benign}\n")
         fh.write(f"malicious: {report.n_malicious}\n")
         fh.write(f"auc: {report.auc:.6f}\n")

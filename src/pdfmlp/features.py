@@ -111,7 +111,6 @@ class FeatureVector:
     """Exactly 48 finite real values in schema order."""
 
     values: np.ndarray
-    schema_id: str = SCHEMA_ID
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -266,7 +265,7 @@ def extract_features(doc: PdfDocument, raw: bytes) -> FeatureVector:
     values[46] = 1.0 if _has_xmp(doc, roots, streams) else 0.0
     values[47] = 1.0 if (values[12] > 0 or values[13] > 0) else 0.0
 
-    return FeatureVector(values=values, schema_id=SCHEMA_ID)
+    return FeatureVector(values=values)
 
 
 # -- helpers -------------------------------------------------------------

@@ -319,6 +319,25 @@ class _Scanner:
 _SKIPPED = object()
 
 
+# The %PDF- header must start within this many bytes of the file's start, and
+# a declared offset resolves only to a token that starts this close to it.
+_WINDOW = 1024
+
+
+def _probe(data: bytes, offset: int) -> bytes:
+    """The bytes from the token at offset on, past whitespace and comments.
+
+    Empty when no token starts within _WINDOW bytes of offset, so a
+    probe reads at most two windows however often an offset is declared.
+    """
+    sc = _Scanner(data[offset : offset + _WINDOW])
+    sc.skip_ws()
+    if sc.at_end():
+        return b""
+    start = offset + sc.pos
+    return data[start : start + _WINDOW]
+
+
 def _skip_eol(data: bytes, pos: int) -> int:
     """Position just past one EOL marker (CRLF, LF or CR) at pos, if there is one."""
     if data.startswith(b"\r\n", pos):
@@ -367,8 +386,8 @@ class _DocumentParser:
         )
 
     def _parse_header(self) -> Optional[str]:
-        m = _HEADER_RE.search(self.data, 0, 1024 + 16)
-        if m and m.start() < 1024:
+        m = _HEADER_RE.search(self.data, 0, _WINDOW + 16)
+        if m and m.start() < _WINDOW:
             return m.group(1).decode("ascii")
         self.diag(0, DiagnosticKind.GARBAGE_BYTES, "no %PDF- header in first 1024 bytes")
         return None
@@ -565,11 +584,7 @@ class _DocumentParser:
         return resume
 
     def _entry_resolves(self, offset: int, number: int, generation: int) -> bool:
-        if offset >= len(self.data):
-            return False
-        sc = _Scanner(self.data, offset)
-        sc.skip_ws()
-        om = _OBJ_RE.match(self.data, sc.pos)
+        om = _OBJ_RE.match(_probe(self.data, offset))
         return bool(om) and int(om.group(1)) == number and int(om.group(2)) == generation
 
     def _parse_trailer(self, keyword_at: int, trailers: list[tuple[int, dict]]) -> int:
@@ -598,10 +613,8 @@ class _DocumentParser:
         if value >= len(data):
             self.diag(m.start(), DiagnosticKind.BAD_XREF, f"startxref {value} is past end of file")
             return value
-        target = _Scanner(data, value)
-        target.skip_ws()
-        b = target.peek()
-        if not (target.starts_with(b"xref") or 0x30 <= b <= 0x39):
+        target = _probe(data, value)
+        if not (target.startswith(b"xref") or target[:1].isdigit()):
             self.diag(
                 m.start(),
                 DiagnosticKind.BAD_XREF,
@@ -640,11 +653,17 @@ class _DocumentParser:
                 self.diag(at, DiagnosticKind.GARBAGE_BYTES, "malformed object stream header")
                 continue
             pairs = self._objstm_pairs(stream.decoded[:first], min(count, 10_000), at)
+            targets: set[int] = set()
             for number, rel in pairs:
                 target = first + rel
                 if target > len(stream.decoded):
                     self.diag(at, DiagnosticKind.GARBAGE_BYTES, "object stream offset out of range")
                     continue
+                if target in targets:
+                    # Each offset is parsed once, and no value is shared.
+                    self.diag(at, DiagnosticKind.GARBAGE_BYTES, "object stream offset repeated")
+                    continue
+                targets.add(target)
                 sc = _Scanner(stream.decoded, target)
                 try:
                     value = sc.parse_value(0)

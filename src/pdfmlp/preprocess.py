@@ -10,7 +10,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .features import N_FEATURES, SCHEMA_ID, FeatureVector
+from .features import N_FEATURES, FeatureVector
 
 __all__ = [
     "Dataset",
@@ -33,7 +33,6 @@ class Dataset:
     features: np.ndarray  # (n, 48) float64
     labels: np.ndarray  # (n,) int, 0 benign / 1 malicious / -1 unlabeled
     paths: list[str]
-    schema_id: str = SCHEMA_ID
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -52,7 +51,6 @@ class Dataset:
             features=self.features[indices],
             labels=self.labels[indices],
             paths=[self.paths[i] for i in indices],
-            schema_id=self.schema_id,
         )
 
     def class_counts(self) -> tuple[int, int]:
@@ -69,7 +67,6 @@ class Scaler:
 
     means: np.ndarray
     stds: np.ndarray
-    schema_id: str = SCHEMA_ID
 
     def __post_init__(self) -> None:
         self.means = np.asarray(self.means, dtype=np.float64)
@@ -95,16 +92,12 @@ def fit_scaler(train: Dataset) -> Scaler:
     means = train.features.mean(axis=0)
     stds = train.features.std(axis=0)  # population: divide by n
     stds = np.where(stds == 0.0, 1.0, stds)
-    return Scaler(means=means, stds=stds, schema_id=train.schema_id)
+    return Scaler(means=means, stds=stds)
 
 
 def transform(scaler: Scaler, x: Union[FeatureVector, np.ndarray]) -> np.ndarray:
     """Standardize one feature vector: (x - mean) / std per column."""
     if isinstance(x, FeatureVector):
-        if x.schema_id != scaler.schema_id:
-            raise ValueError(
-                f"schema mismatch: vector is {x.schema_id!r}, scaler is {scaler.schema_id!r}"
-            )
         x = x.values
     return scaler.transform_matrix(np.asarray(x, dtype=np.float64))
 
@@ -158,7 +151,7 @@ def write_features_csv(path: str, dataset: Dataset) -> None:
     Values carry up to 9 significant digits; rows are written in dataset
     order (callers wanting deterministic files sort by path first).
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for i in range(len(dataset)):
@@ -178,7 +171,7 @@ def read_features_csv(path: str) -> Dataset:
     text, else by _read_csv, which also words every error.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None

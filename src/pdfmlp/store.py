@@ -20,6 +20,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from .features import SCHEMA_ID
 from .mlp import BATCH_NORM_ARRAYS, BatchNormState, DenseLayer, MlpModel
 from .preprocess import Dataset, Scaler
 
@@ -55,7 +56,7 @@ class TruncatedModelError(ModelStoreError):
 
 
 class UnsupportedVersionError(ModelStoreError):
-    """The file declares a format version this build cannot read."""
+    """The file declares a format version or feature schema this build cannot read."""
 
 
 def _meta_int(value: Any, what: str) -> int:
@@ -113,7 +114,7 @@ def dumps(
 
     meta = {
         "format": "pdfmlp-model",
-        "schema_id": scaler.schema_id,
+        "schema_id": SCHEMA_ID,
         "threshold": model.threshold,
         "layers": layer_specs,
         "fingerprint": fingerprint,
@@ -133,7 +134,11 @@ def dumps(
 
 
 def loads(blob: bytes) -> tuple[MlpModel, Scaler, str]:
-    """Parse bytes produced by dumps; returns (model, scaler, schema_id)."""
+    """Parse bytes produced by dumps; returns (model, scaler, schema_id).
+
+    A model trained on another feature schema is refused, so the third
+    value is always SCHEMA_ID.
+    """
     if len(blob) < len(MAGIC) + 4:
         raise TruncatedModelError("file shorter than the fixed header")
     if blob[: len(MAGIC)] != MAGIC:
@@ -175,11 +180,12 @@ def loads(blob: bytes) -> tuple[MlpModel, Scaler, str]:
         schema_id = meta["schema_id"]
         if not isinstance(schema_id, str):
             raise ModelFormatError(f"schema_id must be a string, got {schema_id!r}")
-        scaler = Scaler(
-            means=arrays.pop("scaler.means"),
-            stds=arrays.pop("scaler.stds"),
-            schema_id=schema_id,
-        )
+        if schema_id != SCHEMA_ID:
+            raise UnsupportedVersionError(
+                f"schema mismatch: model was trained on {schema_id!r}, "
+                f"this build extracts {SCHEMA_ID!r}"
+            )
+        scaler = Scaler(means=arrays.pop("scaler.means"), stds=arrays.pop("scaler.stds"))
         layers = []
         for i, spec in enumerate(meta["layers"]):
             if not isinstance(spec, dict):

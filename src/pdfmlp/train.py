@@ -66,7 +66,7 @@ class TrainReport:
     final_model_checksum: str = ""
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write("epoch,train_loss,val_loss,val_tpr,val_fpr\n")
             for r in self.records:
                 fh.write(
@@ -137,11 +137,6 @@ def resume(
         raise ValueError(
             f"model expects {model.input_width} features, "
             f"dataset has {train_set.features.shape[1]}"
-        )
-    if scaler.schema_id != train_set.schema_id:
-        raise ValueError(
-            f"scaler mismatch: scaler is {scaler.schema_id!r}, "
-            f"dataset is {train_set.schema_id!r}"
         )
     if config.epochs == 0:
         return model, TrainReport()

@@ -33,7 +33,7 @@ from pdfmlp.pdf.objects import (
     PdfStream,
     PdfString,
 )
-from pdfmlp.pdf.parser import _OBJ_RE, _REGULAR_END, _DocumentParser, _Scanner
+from pdfmlp.pdf.parser import _OBJ_RE, _REGULAR_END, _DocumentParser, _Scanner, _probe
 
 # The byte each one-byte escape of a literal string stands for.
 _STRING_ESCAPES = {
@@ -171,10 +171,8 @@ class FivePassParser(_DocumentParser):
             if value >= len(data):
                 self.diag(m.start(), DiagnosticKind.BAD_XREF, f"startxref {value} is past end of file")
                 continue
-            target = _Scanner(data, value)
-            target.skip_ws()
-            b = target.peek()
-            if not (target.starts_with(b"xref") or 0x30 <= b <= 0x39):
+            target = _probe(data, value)
+            if not (target.startswith(b"xref") or target[:1].isdigit()):
                 self.diag(
                     m.start(),
                     DiagnosticKind.BAD_XREF,

@@ -136,6 +136,22 @@ def test_extract_skips_non_files_with_warning(corpus, tmp_path, capsys):
     assert "subdir" not in open(out).read()
 
 
+def test_extract_skips_a_name_that_is_not_utf8(corpus, tmp_path, capsys):
+    # The file was extracted, then writing its CSV row failed: exit 2 and a
+    # CSV holding only the header.
+    benign = tmp_path / "b"
+    benign.mkdir()
+    (benign / "real.pdf").write_bytes(minimal_pdf())
+    with open(os.fsencode(benign) + b"/bad\xff.pdf", "wb") as fh:
+        fh.write(minimal_pdf())
+    out = str(tmp_path / "out.csv")
+    rc = cli.main(["extract", "--benign", str(benign), "--malicious", str(corpus["malicious"]), "--out", out])
+    assert rc == 0
+    assert "name is not valid UTF-8" in capsys.readouterr().err
+    expected = [benign / "real.pdf", *corpus["malicious"].iterdir()]
+    assert read_features_csv(out).paths == sorted(map(str, expected))
+
+
 def test_extract_unreadable_file_omitted(corpus, tmp_path, capsys, monkeypatch):
     real = cli._extract_row
 
@@ -305,13 +321,20 @@ def test_evaluate_writes_artifacts(features_csv, model_file, tmp_path, capsys):
     assert auc >= 0.95
 
 
-def test_evaluate_schema_mismatch_is_distinct_error(features_csv, model_file, tmp_path, capsys):
-    from pdfmlp.store import load, save
-
-    model, scaler, _ = load(model_file)
-    scaler.schema_id = "pdfmlp-v999"
+def _foreign_model(model_file, tmp_path):
+    """A copy of model_file whose META names another feature schema."""
+    blob = open(model_file, "rb").read()
+    # same length, so the META section's length prefix still holds
+    foreign = blob.replace(b'"schema_id":"pdfmlp-v1"', b'"schema_id":"pdfmlp-v9"')
+    assert foreign != blob
     other = str(tmp_path / "other.bin")
-    save(model, scaler, other)
+    with open(other, "wb") as fh:
+        fh.write(foreign)
+    return other
+
+
+def test_evaluate_schema_mismatch_is_distinct_error(features_csv, model_file, tmp_path, capsys):
+    other = _foreign_model(model_file, tmp_path)
     rc = cli.main(
         ["evaluate", "--features", features_csv, "--model", other, "--out-dir", str(tmp_path / "e")]
     )
@@ -335,6 +358,21 @@ def test_evaluate_missing_model(features_csv, tmp_path, capsys):
     assert "cannot load model" in capsys.readouterr().err
 
 
+def test_text_files_are_written_and_read_as_utf8(corpus, tmp_path):
+    # Every text-mode open names its encoding, so no output depends on the locale.
+    def run(*args):
+        command = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+        done = subprocess.run([*command, "-m", "pdfmlp", *args], capture_output=True, text=True)
+        assert done.returncode in (0, 3), done.stderr
+        assert "EncodingWarning" not in done.stderr
+
+    features, model = str(tmp_path / "f.csv"), str(tmp_path / "m.bin")
+    run("extract", "--benign", str(corpus["benign"]), "--malicious", str(corpus["malicious"]), "--out", features)
+    run("train", "--features", features, "--out", model, "--epochs", "2", "--seed", "1")
+    run("evaluate", "--features", features, "--model", model, "--out-dir", str(tmp_path / "e"))
+    run("scan", "--model", model, str(corpus["benign"] / "b01.pdf"))
+
+
 # -- scan -------------------------------------------------------------------------
 
 
@@ -347,6 +385,14 @@ def test_scan_benign_exit_zero(corpus, model_file, capsys):
     assert path == target
     assert verdict == "benign"
     assert len(prob.split(".")[1]) == 4  # four decimal places
+
+
+def test_scan_schema_mismatch_is_distinct_error(corpus, model_file, tmp_path, capsys):
+    other = _foreign_model(model_file, tmp_path)
+    rc = cli.main(["scan", "--model", other, str(corpus["benign"] / "b01.pdf")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "schema mismatch: model was trained on 'pdfmlp-v9'" in err
 
 
 def test_scan_malicious_exit_three(corpus, model_file, capsys):

@@ -87,14 +87,6 @@ def test_transform_of_means_is_zero():
     np.testing.assert_array_equal(transform(scaler, vec), np.zeros(N_FEATURES))
 
 
-def test_transform_schema_mismatch():
-    d = make_dataset(np.zeros((3, N_FEATURES)), [0, 1, 1])
-    scaler = fit_scaler(d)
-    vec = FeatureVector(values=np.zeros(N_FEATURES), schema_id="other-schema")
-    with pytest.raises(ValueError, match="schema mismatch"):
-        transform(scaler, vec)
-
-
 def test_fit_then_transform_standardizes_every_column():
     rng = np.random.default_rng(1234)
     X = rng.gamma(2.0, 3.0, size=(777, N_FEATURES)) * rng.uniform(0.1, 50, N_FEATURES)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pdfmlp import load, save
-from pdfmlp.features import N_FEATURES
+from pdfmlp.features import N_FEATURES, SCHEMA_ID
 from pdfmlp.mlp import build_model, forward
 from pdfmlp.preprocess import Scaler
 from pdfmlp.store import (
@@ -57,7 +57,7 @@ def test_roundtrip_bit_exact(tmp_path, trained_pair):
     np.testing.assert_array_equal(scaler.means, loaded_scaler.means)
     np.testing.assert_array_equal(scaler.stds, loaded_scaler.stds)
     assert loaded.threshold == model.threshold  # exact, not approximate
-    assert schema_id == scaler.schema_id
+    assert schema_id == SCHEMA_ID
 
     rng = np.random.default_rng(5)
     X = rng.normal(size=(100, 48))
@@ -128,6 +128,17 @@ def _with_meta(blob: bytes, edit) -> bytes:
     edit(meta)
     new_meta = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     return blob[:at] + b"META" + struct.pack("<Q", len(new_meta)) + new_meta + blob[at + 12 + length :]
+
+
+def test_model_of_a_foreign_schema_is_refused(tmp_path, trained_pair):
+    # The schema is checked only here: the in-memory types carry no id,
+    # so evaluate, score_dataset and scan all see it through load.
+    model, scaler = trained_pair
+    path = tmp_path / "foreign.bin"
+    path.write_bytes(_with_meta(dumps(model, scaler), lambda meta: meta.update(schema_id="pdfmlp-v999")))
+    message = "schema mismatch: model was trained on 'pdfmlp-v999', this build extracts 'pdfmlp-v1'"
+    with pytest.raises(UnsupportedVersionError, match=re.escape(message)):
+        load(str(path))
 
 
 @pytest.mark.parametrize(

@@ -237,11 +237,3 @@ def test_resume_requires_the_scaler_the_model_was_trained_with():
     model, _, _ = train(dataset, TrainConfig(epochs=1, seed=9))
     with pytest.raises(TypeError, match="scaler"):
         resume(model, dataset, TrainConfig(epochs=1, seed=9))
-
-
-def test_resume_rejects_scaler_mismatch():
-    dataset = separable_dataset(n=300, seed=17)
-    model, scaler, _ = train(dataset, TrainConfig(epochs=1, seed=9))
-    scaler.schema_id = "something-else"
-    with pytest.raises(ValueError, match="scaler mismatch"):
-        resume(model, dataset, TrainConfig(epochs=1, seed=9), scaler=scaler)
