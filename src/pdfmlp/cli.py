@@ -10,6 +10,7 @@ import argparse
 import concurrent.futures
 import functools
 import os
+import re
 import sys
 from typing import Optional
 
@@ -21,7 +22,7 @@ from .features import FeatureVector, describe_schema, extract_features
 from .mlp import predict
 from .pdf import parse_pdf
 from .preprocess import Dataset, read_features_csv, transform, write_features_csv
-from .store import ModelStoreError, dataset_checksum, load, save
+from .store import ModelStoreError, _layer_arrays, dataset_checksum, load, loads, save
 from .train import TrainConfig, TrainingDivergedError, train
 
 EXIT_OK = 0
@@ -35,6 +36,15 @@ class CliError(Exception):
 
 def _warn(message: str) -> None:
     print(f"pdfmlp: warning: {message}", file=sys.stderr)
+
+
+# A control character in a file name could end scan's line or field early.
+_CONTROL_RE = re.compile(r"[\x00-\x1f\x7f-\x9f]")
+
+
+def _shown(path: str) -> str:
+    """The path as scan prints it: quoted and escaped if it holds a control character."""
+    return repr(path) if _CONTROL_RE.search(path) else path
 
 
 def _positive_int(text: str) -> int:
@@ -186,7 +196,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    model, scaler = _load_model(args.model)
+    model, scaler = _load_model(load, args.model)
     dataset = read_features_csv(args.features)
     if np.any(dataset.labels == -1):
         raise CliError("evaluation data contains unlabeled rows")
@@ -201,19 +211,51 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _LastModel:
+    """The last model file scan parsed: its bytes, with what loads made of them.
+
+    Each request still reads the file, and only bytes that differ from the
+    kept ones are parsed: those just read, so what is kept always matches
+    its key.  Kept arrays are read-only, so no request can change the model
+    the next one scores with.  A failed load keeps nothing.
+    """
+
+    def __init__(self) -> None:
+        self.kept: tuple = (None, None)  # (bytes, loads' result), swapped as one
+
+    def load(self, path: str):
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        kept_blob, loaded = self.kept
+        if blob != kept_blob:
+            loaded = loads(blob)
+            model, scaler, _ = loaded
+            for array in (scaler.means, scaler.stds):
+                array.flags.writeable = False
+            for layer in model.layers:
+                for _, array in _layer_arrays(layer):
+                    array.flags.writeable = False
+            self.kept = (blob, loaded)
+        return loaded
+
+
+# Kept for the life of the process, across main() calls.
+_scan_model = _LastModel()
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
-    model, scaler = _load_model(args.model)
+    model, scaler = _load_model(_scan_model.load, args.model)
     any_malicious = False
     operational_error = False
     for path in args.files:
         try:
             vector = _read_features(path)
         except OSError as exc:
-            _warn(f"cannot read {path}: {exc}")
+            _warn(f"cannot read {_shown(path)}: {exc}")
             operational_error = True
             continue
         probability, verdict = predict(model, transform(scaler, vector))
-        print(f"{path}\t{probability:.4f}\t{verdict}")
+        print(f"{_shown(path)}\t{probability:.4f}\t{verdict}")
         if verdict == "malicious":
             any_malicious = True
     if operational_error:
@@ -229,9 +271,10 @@ def cmd_schema(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_model(path: str):
+def _load_model(read, path: str):
+    """The model and scaler read(path) returns; a failure is a CliError."""
     try:
-        model, scaler, _ = load(path)
+        model, scaler, _ = read(path)
     except (OSError, ModelStoreError) as exc:
         raise CliError(f"cannot load model {path}: {exc}")
     return model, scaler

@@ -192,7 +192,7 @@ def describe_schema() -> FeatureSchema:
 
 def shannon_entropy(data: bytes) -> float:
     """Byte entropy in bits per byte, in [0, 8]; empty input is 0."""
-    return _entropy_from_counts(_byte_counts(data))
+    return _entropy(_byte_counts(data), len(data))
 
 
 # Bytes counted per np.bincount call, which widens its input to int64: 8 MiB
@@ -209,12 +209,12 @@ def _byte_counts(data: bytes) -> np.ndarray:
     return counts
 
 
-def _entropy_from_counts(counts: np.ndarray) -> float:
-    total = int(counts.sum())
+def _entropy(counts: np.ndarray, total: int) -> float:
+    """The entropy of byte counts that sum to total."""
     if total == 0:
         return 0.0
     p = counts[counts > 0] / total
-    return float(-np.sum(p * np.log2(p)))
+    return -float(np.add.reduce(p * np.log2(p)))
 
 
 def extract_features(doc: PdfDocument, raw: bytes) -> FeatureVector:
@@ -249,9 +249,10 @@ def extract_features(doc: PdfDocument, raw: bytes) -> FeatureVector:
     values[29], values[31] = _stream_entropies(streams)
     values[30] = _entropy_outside_streams(raw, streams)
     raw_sizes = [len(s.raw) for s in streams]
-    values[32] = float(np.mean(raw_sizes)) if raw_sizes else 0.0
+    raw_total = sum(raw_sizes)
+    values[32] = raw_total / len(raw_sizes) if raw_sizes else 0.0
     values[33] = max(raw_sizes, default=0)
-    values[34] = (sum(raw_sizes) / doc.total_size) if doc.total_size else 0.0
+    values[34] = (raw_total / doc.total_size) if doc.total_size else 0.0
     values[35:39] = _filter_counts(doc, streams)  # flate, ascii, other, cascade
     values[39] = sum(1 for s in streams if s.decoded is None)
     values[40] = _longest_hex_run(info_strings)
@@ -294,12 +295,14 @@ def _stream_entropies(streams: list[PdfStream]) -> tuple[float, float]:
     undecodable payload is still content.
     """
     combined = np.zeros(256, dtype=np.int64)
+    total = 0
     per_stream_max = 0.0
     for s in streams:
         counts = _byte_counts(s.data)
         combined += counts
-        per_stream_max = max(per_stream_max, _entropy_from_counts(counts))
-    return _entropy_from_counts(combined), per_stream_max
+        total += len(s.data)
+        per_stream_max = max(per_stream_max, _entropy(counts, len(s.data)))
+    return _entropy(combined, total), per_stream_max
 
 
 def _entropy_outside_streams(raw: bytes, streams: list[PdfStream]) -> float:

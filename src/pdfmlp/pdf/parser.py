@@ -34,8 +34,6 @@ __all__ = ["parse_pdf", "iter_name_occurrences", "MAX_NESTING_DEPTH"]
 MAX_NESTING_DEPTH = 64
 
 _REGULAR_END = WHITESPACE | frozenset(b"()<>[]{}/%")
-# A run of regular bytes, which is what a name holds after its '/'.
-_NAME_RE = re.compile(b"[^" + re.escape(bytes(sorted(_REGULAR_END))) + b"]*")
 
 # The whitespace class of the regexes below.
 _WS = b"[" + re.escape(bytes(sorted(WHITESPACE))) + b"]"
@@ -46,7 +44,6 @@ _OBJ_RE = re.compile(rb"(\d{1,10})" + _WS + rb"+(\d{1,5})" + _WS + rb"+obj(?![0-
 # would stop the regex engine from searching for the literals.
 _SCAN_RE = re.compile(_OBJ_RE.pattern + rb"|startxref|xref|trailer|%%EOF")
 _HEADER_RE = re.compile(rb"%PDF-(\d+(?:\.\d+)?)")
-_NUMBER_RE = re.compile(rb"[+-]?(?:\d+(?:\.\d*)?|\.\d+)")
 _REF_TAIL_RE = re.compile(_WS + rb"+(\d{1,10})" + _WS + rb"+R(?![0-9A-Za-z])")
 _XREF_ENTRY_RE = re.compile(rb"(\d{10})" + _WS + rb"(\d{5})" + _WS + rb"([nf])")
 # A comment runs from '%' to the end of the line; one match takes a run of
@@ -75,7 +72,6 @@ _STRING_ESCAPES = {
 } | {b"n": b"\n", b"r": b"\r", b"t": b"\t", b"b": b"\b", b"f": b"\f",
      b"\r": b"", b"\n": b"", b"\r\n": b""}
 _NOT_HEX_DIGITS = bytes(sorted(frozenset(range(256)) - HEX_DIGITS))
-_KEYWORD_RE = re.compile(rb"[A-Za-z]{1,32}")
 _NAME_ESCAPE_RE = re.compile(rb"#([0-9A-Fa-f]{2})")
 _UINT_RE = re.compile(rb"\d{1,15}")
 # Number tokens longer than this are read as reals.  It is Python's default
@@ -86,6 +82,22 @@ _MAX_INT_DIGITS = 4300
 # Keywords that terminate a value context instead of being values.
 _STOP_KEYWORDS = frozenset(
     [b"endobj", b"endstream", b"obj", b"stream", b"trailer", b"startxref", b"xref"]
+)
+_CONSTANTS = {b"true": True, b"false": False, b"null": None}
+
+# One token of the value grammar, after the whitespace and comments before
+# it; the group that matched (lastindex) says which token it is.  A name is
+# its '/' and the run of regular bytes after it; a number's first byte is a
+# digit, '+', '-' or '.', and one that is no number is that byte alone.
+_TOKEN_RE = re.compile(
+    rb"(?:%s|%%[^\r\n]*+)*+" % _WS
+    + rb"(?:(/[^%s]*)|([+-]?(?:\d+(?:\.\d*)?|\.\d+))|(<<)|(>>)|(\[)|(\])|(\()|(<)"
+    % re.escape(bytes(sorted(_REGULAR_END)))
+    + rb"|([A-Za-z]{1,32})|([+.-])|(.))",
+    re.S,
+)
+_NAME, _NUMBER, _DICT, _DICT_END, _ARRAY, _ARRAY_END, _LITERAL, _HEX, _KEYWORD, _LONE_SIGN = (
+    range(1, 11)
 )
 
 
@@ -106,6 +118,14 @@ class _Terminator(Exception):
 
     def __init__(self, which: bytes):
         self.which = which
+
+
+def _name(token: bytes) -> PdfName:
+    """The name a '/' token spells."""
+    if b"#" in token:
+        # '#' and two hex digits is one escaped byte; any other '#' is literal.
+        token = _NAME_ESCAPE_RE.sub(lambda e: bytes((int(e.group(1), 16),)), token)
+    return PdfName(token.decode("latin-1"))
 
 
 def _resolve_escapes(data: bytes, start: int, end: int) -> bytes:
@@ -129,9 +149,6 @@ class _Scanner:
 
     def at_end(self) -> bool:
         return self.pos >= len(self.data)
-
-    def peek(self) -> int:
-        return self.data[self.pos] if self.pos < len(self.data) else -1
 
     def skip_ws(self) -> None:
         data, pos = self.data, self.pos
@@ -166,56 +183,70 @@ class _Scanner:
 
     # -- value parsing -----------------------------------------------------
 
+    def _token(self) -> re.Match:
+        """The next token; pos moves past it."""
+        m = _TOKEN_RE.match(self.data, self.pos)
+        if m is None:  # only whitespace and comments are left
+            self.pos = len(self.data)
+            raise _Truncated
+        self.pos = m.end()
+        return m
+
     def parse_value(self, depth: int) -> Any:
         if depth > MAX_NESTING_DEPTH:
             raise _DepthExceeded
+        return self._value(self._token(), depth)
+
+    def _value(self, m: re.Match, depth: int) -> Any:
+        """The value that token m starts; tokens that are no value are skipped."""
         while True:
-            self.skip_ws()
-            if self.at_end():
-                raise _Truncated
-            b = self.peek()
-            if b == 0x3C:  # '<'
-                if self.data.startswith(b"<<", self.pos):
-                    return self.parse_dict(depth + 1)
-                return self.read_hex_string()
-            if b == 0x3E:  # '>'
-                if self.data.startswith(b">>", self.pos):
-                    self.pos += 2
-                    raise _Terminator(b">>")
-                self.pos += 1
-                continue
-            if b == 0x5B:  # '['
-                self.pos += 1
+            kind = m.lastindex
+            if kind == _NAME:
+                return _name(m.group(kind))
+            if kind == _NUMBER:
+                return self._number(m.group(kind))
+            if kind == _DICT:
+                return self.parse_dict(depth + 1)
+            if kind == _DICT_END:
+                raise _Terminator(b">>")
+            if kind == _ARRAY:
                 return self.parse_array(depth + 1)
-            if b == 0x5D:  # ']'
-                self.pos += 1
+            if kind == _ARRAY_END:
                 raise _Terminator(b"]")
-            if b == 0x2F:  # '/'
-                return self.read_name()
-            if b == 0x28:  # '('
+            if kind == _LITERAL:
+                self.pos = m.start(kind)
                 return self.read_literal_string()
-            if 0x30 <= b <= 0x39 or b in (0x2B, 0x2D, 0x2E):  # digit + - .
-                return self.read_number()
-            if (0x41 <= b <= 0x5A) or (0x61 <= b <= 0x7A):
-                value = self.read_keyword()
-                if value is not _SKIPPED:
-                    return value
-                continue
-            # Unparseable byte (braces, stray delimiters, binary junk).
-            self.pos += 1
+            if kind == _HEX:
+                self.pos = m.start(kind)
+                return self.read_hex_string()
+            if kind == _KEYWORD:
+                word = m.group(kind)
+                if word in _STOP_KEYWORDS:
+                    self.pos = m.start(kind)  # leave the keyword unconsumed
+                    raise _StopKeyword
+                if word in _CONSTANTS:
+                    return _CONSTANTS[word]
+            elif kind == _LONE_SIGN:
+                return None
+            # Another keyword, a lone '>' or an unparseable byte (braces,
+            # stray delimiters, binary junk) is skipped.
+            m = self._token()
 
     def parse_dict(self, depth: int) -> dict:
-        self.pos += 2  # consume '<<'
+        """The dictionary whose '<<' ends at pos."""
         out: dict = {}
         while True:
-            self.skip_ws()
-            if self.at_end():
-                raise _Truncated
-            if self.data.startswith(b">>", self.pos):
-                self.pos += 2
+            m = self._token()
+            kind = m.lastindex
+            if kind == _DICT_END:
                 return out
-            # Junk where a key belongs is read as one value and dropped.
-            key = self.read_name() if self.peek() == 0x2F else None
+            if kind == _NAME:
+                key = _name(m.group(kind))
+            else:
+                # Junk where a key belongs is read as one value and dropped,
+                # from the junk's first byte.
+                key = None
+                self.pos = m.start(kind)
             try:
                 value = self.parse_value(depth)
             except _Terminator as t:
@@ -226,60 +257,33 @@ class _Scanner:
                 out[key] = value
 
     def parse_array(self, depth: int) -> list:
+        """The array whose '[' ends at pos."""
         out: list = []
         while True:
-            self.skip_ws()
-            if self.at_end():
-                raise _Truncated
-            if self.peek() == 0x5D:
-                self.pos += 1
+            m = self._token()
+            kind = m.lastindex
+            if kind == _ARRAY_END:
                 return out
+            if depth > MAX_NESTING_DEPTH:  # parse_value's check, at the element's first byte
+                self.pos = m.start(kind)
+                raise _DepthExceeded
             try:
-                out.append(self.parse_value(depth))
+                out.append(self._value(m, depth))
             except _Terminator as t:
                 if t.which == b"]":
                     return out
                 # Stray '>>' inside an array: consumed, keep going.
 
-    def read_number(self) -> Any:
-        m = _NUMBER_RE.match(self.data, self.pos)
-        if not m:
-            self.pos += 1
-            return None
-        text = m.group()
-        self.pos = m.end()
+    def _number(self, text: bytes) -> Any:
         if b"." in text or len(text) > _MAX_INT_DIGITS:
-            return float(text)  # accepts every _NUMBER_RE match; a huge one gives inf
+            return float(text)  # accepts every number token; a huge one gives inf
         value = int(text)
-        if text[:1] not in (b"+", b"-"):
+        if text[0] not in b"+-":
             tail = _REF_TAIL_RE.match(self.data, self.pos)
             if tail:
                 self.pos = tail.end()
                 return PdfRef(value, int(tail.group(1)))
         return value
-
-    def read_keyword(self) -> Any:
-        m = _KEYWORD_RE.match(self.data, self.pos)
-        word = m.group()
-        if word in _STOP_KEYWORDS:
-            raise _StopKeyword  # leave the keyword unconsumed
-        self.pos = m.end()
-        if word == b"true":
-            return True
-        if word == b"false":
-            return False
-        if word == b"null":
-            return None
-        return _SKIPPED
-
-    def read_name(self) -> PdfName:
-        m = _NAME_RE.match(self.data, self.pos + 1)  # past '/'
-        self.pos = m.end()
-        raw = m.group()
-        if b"#" in raw:
-            # '#' and two hex digits is one escaped byte; any other '#' is literal.
-            raw = _NAME_ESCAPE_RE.sub(lambda e: bytes((int(e.group(1), 16),)), raw)
-        return PdfName("/" + raw.decode("latin-1"))
 
     def read_literal_string(self) -> PdfString:
         data = self.data
@@ -314,9 +318,6 @@ class _Scanner:
         if len(digits) % 2:
             digits += b"0"
         return PdfString(bytes.fromhex(digits.decode("ascii")), hex=True)
-
-
-_SKIPPED = object()
 
 
 # The %PDF- header must start within this many bytes of the file's start, and
@@ -594,6 +595,7 @@ class _DocumentParser:
         if not sc.starts_with(b"<<"):
             self.diag(keyword_at, DiagnosticKind.BAD_XREF, "trailer without dictionary")
             return keyword_at + 7
+        sc.pos += 2
         try:
             trailers.append((keyword_at, sc.parse_dict(1)))
         except (_Truncated, _DepthExceeded, _StopKeyword, _Terminator):

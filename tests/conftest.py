@@ -1,9 +1,14 @@
-"""Shared fixtures: a small on-disk corpus of synthetic benign/malicious PDFs."""
+"""Shared fixtures: a small on-disk corpus of synthetic benign/malicious PDFs,
+and the fuzzed documents that the parser and extractor tests walk."""
+
+import time
 
 import numpy as np
 import pytest
 
-from pdfbuild import assemble_pdf, stream_body
+from pdfmlp import parse_pdf
+
+from pdfbuild import assemble_pdf, fuzzed_pdfs, stream_body
 
 
 def benign_pdf(rng: np.random.Generator) -> bytes:
@@ -58,3 +63,18 @@ def corpus(tmp_path_factory):
     for i in range(16):
         (malicious_dir / f"m{i:02d}.pdf").write_bytes(malicious_pdf(rng))
     return {"root": root, "benign": benign_dir, "malicious": malicious_dir}
+
+
+@pytest.fixture(scope="session")
+def fuzz_corpus():
+    """10,000 fuzzed documents as (bytes, parse_pdf document, seconds to parse).
+
+    Built and parsed once for the tests that walk them all; a document is
+    not mutated after parse_pdf returns, so they can share it.
+    """
+    corpus = []
+    for data in fuzzed_pdfs(10_000):
+        started = time.perf_counter()
+        doc = parse_pdf(data)
+        corpus.append((data, doc, time.perf_counter() - started))
+    return corpus

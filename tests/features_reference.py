@@ -13,7 +13,9 @@ took the Info strings.
 ``np.bincount`` per entropy input and per gap between stream spans, the
 Info strings built twice, and each trailer's /Root resolved by
 ``_page_count`` and ``_has_xmp`` apart.  Its helpers are copied here; the
-unchanged ones come from ``pdfmlp.features``.
+unchanged ones come from ``pdfmlp.features``.  ``_entropy_from_counts``
+is the entropy before it took its total from the byte length and summed
+with ``np.add.reduce``, and the mean stream size is still ``np.mean``.
 """
 
 import sys
@@ -26,7 +28,6 @@ from pdfmlp.features import (
     _OBFUSCATION_TOKENS,
     N_FEATURES,
     _bytes_after_last_eof,
-    _entropy_from_counts,
     _info_dict,
     _info_string_values,
     _resolve,
@@ -154,6 +155,14 @@ def extract_features(doc: PdfDocument, raw: bytes) -> np.ndarray:
     values[46] = 1.0 if _has_xmp(doc) else 0.0
     values[47] = 1.0 if (values[12] > 0 or values[13] > 0) else 0.0
     return values
+
+
+def _entropy_from_counts(counts: np.ndarray) -> float:
+    total = int(counts.sum())
+    if total == 0:
+        return 0.0
+    p = counts[counts > 0] / total
+    return float(-np.sum(p * np.log2(p)))
 
 
 def shannon_entropy(data: bytes) -> float:

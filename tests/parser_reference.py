@@ -12,6 +12,11 @@ trailer are one item.  The per-item parsers (object bodies, xref tables,
 trailer dictionaries, object streams) and the tokenizer are the
 library's own, so a test that compares the two isolates the scan.
 
+``PeekScanner`` is the former value grammar, the oracle for the one
+that reads each token with one match: per token it skips whitespace and
+comments, tests for the end of the data, peeks at the next byte and calls
+a reader.  Its string readers and ``skip_ws`` are the library's own.
+
 ``read_name``, ``read_literal_string`` and ``read_hex_string`` are the
 per-byte readers, the oracles for the ``_Scanner`` methods of the same
 names; each returns the value (None where the input ends first) and the
@@ -30,10 +35,26 @@ from pdfmlp.pdf.objects import (
     DiagnosticKind,
     PdfDocument,
     PdfName,
+    PdfRef,
     PdfStream,
     PdfString,
 )
-from pdfmlp.pdf.parser import _OBJ_RE, _REGULAR_END, _DocumentParser, _Scanner, _probe
+from pdfmlp.pdf.parser import (
+    _MAX_INT_DIGITS,
+    _NAME_ESCAPE_RE,
+    _OBJ_RE,
+    _REF_TAIL_RE,
+    _REGULAR_END,
+    _STOP_KEYWORDS,
+    MAX_NESTING_DEPTH,
+    _DepthExceeded,
+    _DocumentParser,
+    _Scanner,
+    _StopKeyword,
+    _Terminator,
+    _Truncated,
+    _probe,
+)
 
 # The byte each one-byte escape of a literal string stands for.
 _STRING_ESCAPES = {
@@ -183,6 +204,137 @@ class FivePassParser(_DocumentParser):
 
 def parse_pdf(data: bytes) -> PdfDocument:
     return FivePassParser(bytes(data)).parse()
+
+_NAME_RE = re.compile(b"[^" + re.escape(bytes(sorted(_REGULAR_END))) + b"]*")
+_NUMBER_RE = re.compile(rb"[+-]?(?:\d+(?:\.\d*)?|\.\d+)")
+_KEYWORD_RE = re.compile(rb"[A-Za-z]{1,32}")
+_SKIPPED = object()
+
+
+class PeekScanner(_Scanner):
+    """The former value grammar: skip_ws, at_end, peek and a reader per token.
+
+    ``parse_dict`` starts at its '<<', where the library's starts past it.
+    """
+
+    def peek(self) -> int:
+        return self.data[self.pos] if self.pos < len(self.data) else -1
+
+    def parse_value(self, depth: int) -> Any:
+        if depth > MAX_NESTING_DEPTH:
+            raise _DepthExceeded
+        while True:
+            self.skip_ws()
+            if self.at_end():
+                raise _Truncated
+            b = self.peek()
+            if b == 0x3C:  # '<'
+                if self.data.startswith(b"<<", self.pos):
+                    return self.parse_dict(depth + 1)
+                return self.read_hex_string()
+            if b == 0x3E:  # '>'
+                if self.data.startswith(b">>", self.pos):
+                    self.pos += 2
+                    raise _Terminator(b">>")
+                self.pos += 1
+                continue
+            if b == 0x5B:  # '['
+                self.pos += 1
+                return self.parse_array(depth + 1)
+            if b == 0x5D:  # ']'
+                self.pos += 1
+                raise _Terminator(b"]")
+            if b == 0x2F:  # '/'
+                return self.read_name()
+            if b == 0x28:  # '('
+                return self.read_literal_string()
+            if 0x30 <= b <= 0x39 or b in (0x2B, 0x2D, 0x2E):  # digit + - .
+                return self.read_number()
+            if (0x41 <= b <= 0x5A) or (0x61 <= b <= 0x7A):
+                value = self.read_keyword()
+                if value is not _SKIPPED:
+                    return value
+                continue
+            # Unparseable byte (braces, stray delimiters, binary junk).
+            self.pos += 1
+
+    def parse_dict(self, depth: int) -> dict:
+        self.pos += 2  # consume '<<'
+        out: dict = {}
+        while True:
+            self.skip_ws()
+            if self.at_end():
+                raise _Truncated
+            if self.data.startswith(b">>", self.pos):
+                self.pos += 2
+                return out
+            # Junk where a key belongs is read as one value and dropped.
+            key = self.read_name() if self.peek() == 0x2F else None
+            try:
+                value = self.parse_value(depth)
+            except _Terminator as t:
+                if t.which == b">>":
+                    return out
+                continue  # stray ']' consumed; drop the key
+            if key is not None:
+                out[key] = value
+
+    def parse_array(self, depth: int) -> list:
+        out: list = []
+        while True:
+            self.skip_ws()
+            if self.at_end():
+                raise _Truncated
+            if self.peek() == 0x5D:
+                self.pos += 1
+                return out
+            try:
+                out.append(self.parse_value(depth))
+            except _Terminator as t:
+                if t.which == b"]":
+                    return out
+                # Stray '>>' inside an array: consumed, keep going.
+
+    def read_number(self) -> Any:
+        m = _NUMBER_RE.match(self.data, self.pos)
+        if not m:
+            self.pos += 1
+            return None
+        text = m.group()
+        self.pos = m.end()
+        if b"." in text or len(text) > _MAX_INT_DIGITS:
+            return float(text)  # accepts every _NUMBER_RE match; a huge one gives inf
+        value = int(text)
+        if text[:1] not in (b"+", b"-"):
+            tail = _REF_TAIL_RE.match(self.data, self.pos)
+            if tail:
+                self.pos = tail.end()
+                return PdfRef(value, int(tail.group(1)))
+        return value
+
+    def read_keyword(self) -> Any:
+        m = _KEYWORD_RE.match(self.data, self.pos)
+        word = m.group()
+        if word in _STOP_KEYWORDS:
+            raise _StopKeyword  # leave the keyword unconsumed
+        self.pos = m.end()
+        if word == b"true":
+            return True
+        if word == b"false":
+            return False
+        if word == b"null":
+            return None
+        return _SKIPPED
+
+    def read_name(self) -> PdfName:
+        m = _NAME_RE.match(self.data, self.pos + 1)  # past '/'
+        self.pos = m.end()
+        raw = m.group()
+        if b"#" in raw:
+            # '#' and two hex digits is one escaped byte; any other '#' is literal.
+            raw = _NAME_ESCAPE_RE.sub(lambda e: bytes((int(e.group(1), 16),)), raw)
+        return PdfName("/" + raw.decode("latin-1"))
+
 
 
 def skip_ws(data: bytes, pos: int) -> int:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import zlib
 from typing import Optional, Sequence
 
+import numpy as np
+
 
 def assemble_pdf(
     bodies: Sequence[bytes],
@@ -124,3 +126,43 @@ def long_number_pdfs() -> dict[str, bytes]:
             ]
         ),
     }
+
+
+def fuzzed_pdfs(count: int):
+    """Deterministic mutations over a few realistic seed documents."""
+    rng = np.random.default_rng(0xF0221)
+    seeds = [
+        minimal_pdf(),
+        pdf_with_stream(b"q Q re f " * 12),
+        pdf_with_objstm([(9, b"<< /S /JavaScript /JS (eval(1)) >>"), (12, b"[1 2 3]")]),
+        assemble_pdf(
+            [
+                b"<< /Type /Catalog /Pages 2 0 R /OpenAction 3 0 R >>",
+                b"<< /Type /Pages /Kids [] /Count 0 >>",
+                stream_body(b"<< /Filter /FlateDecode >>", b"broken deflate"),
+            ],
+            info=3,
+        ),
+    ]
+    keywords = [b"obj", b"endobj", b"stream", b"endstream", b"xref", b"trailer",
+                b"startxref", b"%%EOF", b"/Length 999", b"<<", b">>", b"(", b"R"]
+    for i in range(count):
+        base = bytearray(seeds[i % len(seeds)])
+        for _ in range(int(rng.integers(1, 8))):
+            op = rng.integers(0, 5)
+            if len(base) == 0:
+                break
+            pos = int(rng.integers(0, len(base)))
+            if op == 0:  # flip bytes
+                base[pos] = int(rng.integers(0, 256))
+            elif op == 1:  # delete a chunk
+                del base[pos : pos + int(rng.integers(1, 40))]
+            elif op == 2:  # duplicate a chunk
+                chunk = base[pos : pos + int(rng.integers(1, 40))]
+                base[pos:pos] = chunk
+            elif op == 3:  # inject a structural keyword
+                kw = keywords[int(rng.integers(0, len(keywords)))]
+                base[pos:pos] = kw
+            else:  # truncate
+                del base[pos:]
+        yield bytes(base)

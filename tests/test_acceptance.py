@@ -19,7 +19,6 @@ from pdfmlp import (
     cross_entropy,
     extract_features,
     fit_scaler,
-    parse_pdf,
     train,
 )
 from pdfmlp.evaluate import evaluate
@@ -29,7 +28,6 @@ from pdfmlp.preprocess import Scaler, split_train_validation
 from pdfmlp.store import dumps, load, loads, save
 
 from gradcheck import max_relative_error, min_relu_margin, param_arrays
-from pdfbuild import assemble_pdf, minimal_pdf, pdf_with_objstm, pdf_with_stream, stream_body
 from synth import best_linear_accuracy_2d, perceptron_separates, separable_dataset, xor_dataset
 from test_evaluate import dataset_with_scores, identity_scaler, passthrough_model
 
@@ -199,53 +197,12 @@ def test_criterion_6_default_configuration_snapshot():
 # -- criterion 7: parser totality under fuzzing -------------------------------------------
 
 
-def _fuzz_corpus(count: int):
-    """Deterministic mutations over a few realistic seed documents."""
-    rng = np.random.default_rng(0xF0221)
-    seeds = [
-        minimal_pdf(),
-        pdf_with_stream(b"q Q re f " * 12),
-        pdf_with_objstm([(9, b"<< /S /JavaScript /JS (eval(1)) >>"), (12, b"[1 2 3]")]),
-        assemble_pdf(
-            [
-                b"<< /Type /Catalog /Pages 2 0 R /OpenAction 3 0 R >>",
-                b"<< /Type /Pages /Kids [] /Count 0 >>",
-                stream_body(b"<< /Filter /FlateDecode >>", b"broken deflate"),
-            ],
-            info=3,
-        ),
-    ]
-    keywords = [b"obj", b"endobj", b"stream", b"endstream", b"xref", b"trailer",
-                b"startxref", b"%%EOF", b"/Length 999", b"<<", b">>", b"(", b"R"]
-    for i in range(count):
-        base = bytearray(seeds[i % len(seeds)])
-        for _ in range(int(rng.integers(1, 8))):
-            op = rng.integers(0, 5)
-            if len(base) == 0:
-                break
-            pos = int(rng.integers(0, len(base)))
-            if op == 0:  # flip bytes
-                base[pos] = int(rng.integers(0, 256))
-            elif op == 1:  # delete a chunk
-                del base[pos : pos + int(rng.integers(1, 40))]
-            elif op == 2:  # duplicate a chunk
-                chunk = base[pos : pos + int(rng.integers(1, 40))]
-                base[pos:pos] = chunk
-            elif op == 3:  # inject a structural keyword
-                kw = keywords[int(rng.integers(0, len(keywords)))]
-                base[pos:pos] = kw
-            else:  # truncate
-                del base[pos:]
-        yield bytes(base)
-
-
-def test_criterion_7_parser_totality_under_fuzz():
+def test_criterion_7_parser_totality_under_fuzz(fuzz_corpus):
     slowest = 0.0
-    for data in _fuzz_corpus(10_000):
+    for data, doc, parse_s in fuzz_corpus:
         started = time.perf_counter()
-        doc = parse_pdf(data)
         vector = extract_features(doc, data)
-        elapsed = time.perf_counter() - started
+        elapsed = parse_s + time.perf_counter() - started
         slowest = max(slowest, elapsed)
         assert elapsed < 5.0
         assert doc.total_size == len(data)

@@ -443,6 +443,111 @@ def test_scan_model_with_a_nan_weight_is_a_load_error(corpus, model_file, tmp_pa
     assert captured.err.startswith(f"pdfmlp: error: cannot load model {bad}: ")
 
 
+def test_scan_prints_one_line_of_three_fields_for_a_name_with_control_characters(
+    model_file, tmp_path, capsys
+):
+    # A name could forge a verdict line of its own: the output read
+    # 'a.pdf\nforged.pdf\t0.0000\tbenign\t1.0000\tmalicious\n'.
+    forged = tmp_path / "a.pdf\nforged.pdf\t0.0000\tbenign"
+    forged.write_bytes(minimal_pdf())
+    plain = tmp_path / "é ü.pdf"
+    plain.write_bytes(minimal_pdf())
+    missing = str(tmp_path / "gone.pdf\rforged.pdf")
+    rc = cli.main(["scan", "--model", model_file, str(forged), str(plain), missing])
+    captured = capsys.readouterr()
+    assert rc == 2
+    lines = captured.out.splitlines()
+    assert captured.out.count("\n") == len(lines) == 2
+    assert [line.split("\t")[0] for line in lines] == [repr(str(forged)), str(plain)]
+    assert all(len(line.split("\t")) == 3 for line in lines)
+    assert captured.err.count("\n") == 1 and "\r" not in captured.err
+    assert captured.err.startswith(f"pdfmlp: warning: cannot read {missing!r}: ")
+
+
+# -- scan's model memo --------------------------------------------------------------
+
+
+@pytest.fixture
+def counted_loads(monkeypatch):
+    """A fresh scan memo, and the list of blobs store.loads is called with."""
+    monkeypatch.setattr(cli, "_scan_model", cli._LastModel())
+    calls = []
+    loads = cli.loads
+
+    def counting(blob):
+        calls.append(blob)
+        return loads(blob)
+
+    monkeypatch.setattr(cli, "loads", counting)
+    return calls
+
+
+def _scan(model, target, capsys):
+    rc = cli.main(["scan", "--model", model, target])
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_scan_parses_its_model_once_per_process(model_file, corpus, counted_loads, capsys):
+    targets = [str(corpus[kind] / name) for kind, name in (("benign", "b01.pdf"), ("malicious", "m00.pdf"))]
+    results = [_scan(model_file, target, capsys) for target in (*targets, targets[0])]
+    assert len(counted_loads) == 1
+    assert results[0] == results[2]
+    assert [rc for rc, _, _ in results] == [0, 3, 0]
+
+
+def test_scan_model_rewritten_with_its_size_and_mtime_is_parsed_again(
+    model_file, corpus, counted_loads, tmp_path, capsys
+):
+    model = tmp_path / "model.bin"
+    blob = open(model_file, "rb").read()
+    model.write_bytes(blob)
+    stat = os.stat(model)
+    target = str(corpus["benign"] / "b01.pdf")
+    assert _scan(str(model), target, capsys)[0] == 0
+    # The output layer's bias is the file's last 8 bytes; a large one makes
+    # every score 1.
+    model.write_bytes(blob[:-8] + np.float64(50.0).astype("<f8").tobytes())
+    os.utime(model, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(model).st_size == stat.st_size and os.stat(model).st_mtime_ns == stat.st_mtime_ns
+    assert _scan(str(model), target, capsys) == (3, f"{target}\t1.0000\tmalicious\n", "")
+    assert len(counted_loads) == 2
+
+
+def test_scan_after_a_corrupt_model_recovers_when_the_bytes_do(
+    model_file, corpus, counted_loads, tmp_path, capsys
+):
+    model = tmp_path / "model.bin"
+    blob = open(model_file, "rb").read()
+    model.write_bytes(blob)
+    target = str(corpus["malicious"] / "m00.pdf")
+    first = _scan(str(model), target, capsys)
+    assert first[0] == 3
+    model.write_bytes(blob[: len(blob) // 2])
+    rc, out, err = _scan(str(model), target, capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"pdfmlp: error: cannot load model {model}: ")
+    model.write_bytes(blob)
+    assert _scan(str(model), target, capsys) == first
+    assert len(counted_loads) == 2  # the corrupt bytes were parsed, and nothing of them kept
+
+
+def test_scan_keeps_its_model_read_only(model_file, corpus, counted_loads, capsys):
+    from pdfmlp.mlp import BATCH_NORM_ARRAYS
+
+    assert _scan(model_file, str(corpus["benign"] / "b01.pdf"), capsys)[0] == 0
+    model, scaler, _ = cli._scan_model.kept[1]
+    arrays = [scaler.means, scaler.stds]
+    for layer in model.layers:
+        arrays += [layer.weights, layer.biases]
+        if layer.batch_norm is not None:
+            arrays += [getattr(layer.batch_norm, name) for name in BATCH_NORM_ARRAYS]
+    assert len(arrays) == 2 + 2 * 3 + 4 * 2
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0.0
+
+
 def test_scan_empty_file_list_usage_error(model_file):
     result = run_cli(["scan", "--model", model_file])
     assert result.returncode == 2

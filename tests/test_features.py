@@ -31,7 +31,6 @@ from pdfmlp.pdf import MAX_NESTING_DEPTH, PdfDocument, PdfName, PdfRef, PdfStrea
 
 from pdfbuild import assemble_pdf, long_number_pdfs, minimal_pdf, pdf_with_stream, stream_body
 import features_reference
-from test_acceptance import _fuzz_corpus
 from test_parser import _bomb_stream_pdf, assert_same_name_counts_as_recursive_walk, best_time
 
 
@@ -387,9 +386,9 @@ def assert_same_as_former_extractor(doc, raw):
     assert values.tobytes() == features_reference.extract_features(doc, raw).tobytes()
 
 
-def test_features_match_the_former_extractor_on_fuzz_corpus():
-    for data in _fuzz_corpus(10_000):
-        assert_same_as_former_extractor(parse_pdf(data), data)
+def test_features_match_the_former_extractor_on_fuzz_corpus(fuzz_corpus):
+    for data, doc, _ in fuzz_corpus:
+        assert_same_as_former_extractor(doc, data)
     for data in long_number_pdfs().values():
         assert_same_as_former_extractor(parse_pdf(data), data)
 
@@ -500,9 +499,8 @@ def graph_facts(doc):
     return doc._graph.depth, _obfuscation_score(doc)
 
 
-def test_graph_facts_match_former_walks_on_fuzz_corpus():
-    for data in _fuzz_corpus(10_000):
-        doc = parse_pdf(data)
+def test_graph_facts_match_former_walks_on_fuzz_corpus(fuzz_corpus):
+    for _, doc, _ in fuzz_corpus:
         assert graph_facts(doc) == features_reference.graph_facts(doc)
         info = _info_dict(doc)
         assert _longest_hex_run(_info_string_values(info)) == features_reference._longest_hex_run(info)

@@ -5,6 +5,7 @@ import sys
 import time
 import tracemalloc
 import zlib
+from typing import Optional
 
 import pytest
 
@@ -25,7 +26,7 @@ from pdfmlp.pdf import (
 )
 from pdfmlp.pdf.filters import _INFLATE_CHUNK, MAX_DECODED
 from pdfmlp.pdf.objects import WHITESPACE
-from pdfmlp.pdf.parser import _MAX_TURNS, _Scanner, _Truncated
+from pdfmlp.pdf.parser import _MAX_TURNS, _Scanner, _Terminator, _Truncated
 
 from pdfbuild import (
     assemble_pdf,
@@ -36,7 +37,6 @@ from pdfbuild import (
     stream_body,
 )
 import parser_reference
-from test_acceptance import _fuzz_corpus
 
 
 def kinds(doc):
@@ -507,6 +507,86 @@ def test_nesting_depth_capped():
     assert (1, 0) in doc.objects
 
 
+# -- the value grammar against its former code ------------------------------------
+
+
+def _shape(value):
+    """A value with the type of every part, so that True and 1 differ."""
+    if isinstance(value, dict):
+        return ("dict", [(type(k).__name__, k, _shape(v)) for k, v in value.items()])
+    if isinstance(value, list):
+        return ("list", [_shape(v) for v in value])
+    return (type(value).__name__, value)
+
+
+def _outcome(sc, parse):
+    """What parse() returned or raised, and where it left the scanner."""
+    try:
+        result = _shape(parse())
+    except _Terminator as t:
+        result = ("_Terminator", t.which)
+    except Exception as exc:  # the parser's own signals: _Truncated, _DepthExceeded, _StopKeyword
+        result = (type(exc).__name__,)
+    return result, sc.pos
+
+
+def assert_same_as_peek_scanner(data: bytes, depth: int) -> None:
+    """parse_value at 0, and parse_dict after a leading '<<', as the former grammar reads them."""
+    sc, ref = _Scanner(data, 0), parser_reference.PeekScanner(data, 0)
+    assert _outcome(sc, lambda: sc.parse_value(depth)) == _outcome(ref, lambda: ref.parse_value(depth))
+    if data.startswith(b"<<"):
+        sc, ref = _Scanner(data, 2), parser_reference.PeekScanner(data, 0)
+        assert _outcome(sc, lambda: sc.parse_dict(depth)) == _outcome(ref, lambda: ref.parse_dict(depth))
+
+
+_SOUP_TOKENS = [
+    b"<<", b">>", b"<", b">", b"[", b"]", b"(", b")", b"{", b"}", b"/", b"/A", b"/K", b"/J#61",
+    b"(s)", b"(a\\)b)", b"<41 4>", b"1", b"12", b"-3", b"+4", b"2.5", b".5", b"7.", b"+", b"-", b".",
+    b"+.", b"0 R", b"R", b"true", b"false", b"null", b"junk", b"endobj", b"stream", b"obj", b"xref",
+    b"%c\n", b"%", b" ", b"\n", b"\r\n", b"\x00", b"\\", b"\xff",
+]
+
+
+@given(
+    st.lists(st.sampled_from(_SOUP_TOKENS), max_size=24),
+    st.sampled_from([b"", b" "]),
+    st.sampled_from([0, 1, MAX_NESTING_DEPTH - 1, MAX_NESTING_DEPTH, MAX_NESTING_DEPTH + 1]),
+)
+@settings(max_examples=600, deadline=None)
+def test_value_grammar_matches_former_on_token_soups(tokens, separator, depth):
+    assert_same_as_peek_scanner(separator.join(tokens), depth)
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        # a token handed on to be read again restarts at its own first byte
+        (b"[<<>> /A]", [{}, PdfName("/A")]),
+        (b"[/A /B]", [PdfName("/A"), PdfName("/B")]),
+        (b"<< junk /K 1 >>", {}),  # the junk's value is /K, dropped with it; then 1
+        (b"<< /K junk 1 >>", {PdfName("/K"): 1}),
+        (b"[+ - . > 1]", [None, None, None, 1]),  # a lone sign or dot is None, a lone '>' skipped
+        (b"> 5", 5),
+        (b"+", None),
+        (b"-", None),
+        (b".", None),
+    ],
+)
+def test_value_grammar_named_cases(data, expected):
+    assert_same_as_peek_scanner(data, 0)
+    assert _shape(_Scanner(data, 0).parse_value(0)) == _shape(expected)
+
+
+@pytest.mark.parametrize("levels", range(MAX_NESTING_DEPTH - 1, MAX_NESTING_DEPTH + 3))
+@pytest.mark.parametrize("opening, empty, closing", [(b"[", b"[]", b"]"), (b"<< /K ", b"<<>>", b" >>")])
+def test_empty_container_at_the_nesting_cap_parses_as_before(levels, opening, empty, closing):
+    data = opening * levels + empty + closing * levels
+    assert_same_as_peek_scanner(data, 0)
+    sc = _Scanner(data, 0)
+    if levels <= MAX_NESTING_DEPTH:  # the empty container opens at depth levels + 1
+        assert sc.parse_value(0) is not None and sc.pos == len(data)
+
+
 def test_object_stream_contents_merged():
     raw = pdf_with_objstm(
         [(10, b"<< /S /JavaScript /JS (eval(x)) >>"), (11, b"<< /Type /Page >>")]
@@ -617,7 +697,7 @@ _NAME_PIECES = st.one_of(
 def test_read_name_matches_per_byte_reader(body, tail):
     data = b"/" + body + tail
     sc = _Scanner(data, 0)
-    name = sc.read_name()
+    name = sc.parse_value(0)
     expected, end = parser_reference.read_name(data, 0)
     assert (name, sc.pos) == (expected, end)
     assert type(name) is PdfName
@@ -666,9 +746,9 @@ def assert_same_name_counts_as_recursive_walk(doc, more_names=()):
         assert iter_name_occurrences(doc, name) == expected, name
 
 
-def test_name_counts_match_recursive_walk_on_fuzz_corpus():
-    for data in _fuzz_corpus(10_000):
-        assert_same_name_counts_as_recursive_walk(parse_pdf(data))
+def test_name_counts_match_recursive_walk_on_fuzz_corpus(fuzz_corpus):
+    for _, doc, _ in fuzz_corpus:
+        assert_same_name_counts_as_recursive_walk(doc)
 
 
 def _nested(depth, leaf):
@@ -763,9 +843,11 @@ def _diagnostic_order(d):
     return (d.offset, d.kind, d.detail)
 
 
-def assert_same_as_five_pass_scan(data: bytes) -> None:
-    """Every PdfDocument field equals the oracle's; diagnostics in any order."""
-    new, old = parse_pdf(data), parser_reference.parse_pdf(data)
+def assert_same_as_five_pass_scan(data: bytes, new: Optional[PdfDocument] = None) -> None:
+    """Every field of new, parse_pdf(data) by default, equals the oracle's; diagnostics in any order."""
+    if new is None:
+        new = parse_pdf(data)
+    old = parser_reference.parse_pdf(data)
     for f in dataclasses.fields(PdfDocument):
         a, b = getattr(new, f.name), getattr(old, f.name)
         if f.name == "diagnostics":
@@ -852,9 +934,9 @@ def test_unterminated_trailer_after_a_table_is_reported_once():
     assert doc.startxref_offsets == [186]
 
 
-def test_scan_matches_five_pass_scan_on_fuzz_corpus():
-    for data in _fuzz_corpus(10_000):
-        assert_same_as_five_pass_scan(data)
+def test_scan_matches_five_pass_scan_on_fuzz_corpus(fuzz_corpus):
+    for data, doc, _ in fuzz_corpus:
+        assert_same_as_five_pass_scan(data, doc)
 
 
 _SPLICE_BASES = [
