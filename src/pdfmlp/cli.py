@@ -38,12 +38,12 @@ def _warn(message: str) -> None:
     print(f"pdfmlp: warning: {message}", file=sys.stderr)
 
 
-# A control character in a file name could end scan's line or field early.
+# A control character in a file name could end a printed line or field early.
 _CONTROL_RE = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
 
 def _shown(path: str) -> str:
-    """The path as scan prints it: quoted and escaped if it holds a control character."""
+    """The path as printed: quoted and escaped if it holds a control character."""
     return repr(path) if _CONTROL_RE.search(path) else path
 
 
@@ -113,12 +113,12 @@ def _collect_corpus(args: argparse.Namespace) -> list[tuple[str, int]]:
                     _warn(f"skipping {path!r}: name is not valid UTF-8")
                     continue
                 if not os.path.isfile(path):
-                    _warn(f"skipping non-file {path}")
+                    _warn(f"skipping non-file {_shown(path)}")
                     continue
                 if path in seen:
                     if seen[path] != label:
-                        raise CliError(f"{path} listed as both benign and malicious")
-                    _warn(f"skipping duplicate {path}")
+                        raise CliError(f"{_shown(path)} listed as both benign and malicious")
+                    _warn(f"skipping duplicate {_shown(path)}")
                     continue
                 seen[path] = label
                 entries.append((path, label))
@@ -139,7 +139,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     rows = []
     for path, label, values in results:
         if values is None:
-            _warn(f"cannot read {path}; row omitted")
+            _warn(f"cannot read {_shown(path)}; row omitted")
             continue
         rows.append((path, label, values))
     if not rows:

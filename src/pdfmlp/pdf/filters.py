@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import base64
 import zlib
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -273,28 +273,38 @@ def _ascii85_decode(data: bytes) -> bytes:
         raise StreamDecodeError("ASCII85Decode", str(exc)) from exc
 
 
-def _runlength_decode(data: bytes) -> bytes:
-    out = bytearray()
+def _runlength_runs(data: bytes) -> Iterator[tuple[bytes, int]]:
+    """Each run as a piece and how often it repeats; a missing EOD is tolerated."""
     i = 0
     n = len(data)
     while i < n:
         length = data[i]
         if length == 128:  # EOD
-            return bytes(out)
+            return
         if length < 128:
-            chunk = data[i + 1 : i + 2 + length]
-            if len(chunk) != length + 1:
+            piece = data[i + 1 : i + 2 + length]
+            if len(piece) != length + 1:
                 raise StreamDecodeError("RunLengthDecode", "literal run truncated")
-            out += chunk
+            yield piece, 1
             i += 2 + length
         else:
             if i + 1 >= n:
                 raise StreamDecodeError("RunLengthDecode", "repeat run truncated")
-            out += data[i + 1 : i + 2] * (257 - length)
+            yield data[i + 1 : i + 2], 257 - length
             i += 2
-        if len(out) > MAX_DECODED:
+
+
+def _runlength_decode(data: bytes) -> bytes:
+    # The output is counted before it is built, so a stream that would pass
+    # MAX_DECODED fails having allocated none of it.
+    size = 0
+    for piece, times in _runlength_runs(data):
+        size += len(piece) * times
+        if size > MAX_DECODED:
             raise _over_cap("RunLengthDecode")
-    # Missing EOD is tolerated; everything decoded so far is complete.
+    out = bytearray()
+    for piece, times in _runlength_runs(data):
+        out += piece * times
     return bytes(out)
 
 

@@ -46,11 +46,12 @@ _SCAN_RE = re.compile(_OBJ_RE.pattern + rb"|startxref|xref|trailer|%%EOF")
 _HEADER_RE = re.compile(rb"%PDF-(\d+(?:\.\d+)?)")
 _REF_TAIL_RE = re.compile(_WS + rb"+(\d{1,10})" + _WS + rb"+R(?![0-9A-Za-z])")
 _XREF_ENTRY_RE = re.compile(rb"(\d{10})" + _WS + rb"(\d{5})" + _WS + rb"([nf])")
-# A comment runs from '%' to the end of the line; one match takes a run of
-# comment lines and the whitespace between and after them.  Possessive
-# repeats keep no regex frame per turn, so the match holds flat memory.
-_COMMENT_RE = re.compile(rb"(?:%%[^\r\n]*+%s*+)++" % _WS)
-_WS_RUN_RE = re.compile(_WS + b"*")
+# Whitespace and comments, which separate tokens; a comment runs from '%'
+# to the end of its line.  Unrolled as W*(?:%C*W*)*, a turn per comment,
+# and possessive, so that it keeps no regex frame per turn: one match takes
+# any run in flat memory.
+_SKIP = rb"%s*+(?:%%[^\r\n]*+%s*+)*+" % (_WS, _WS)
+_SKIP_RE = re.compile(_SKIP)
 # A literal-string byte taken as it is: all but '(', ')' and the backslash.
 # Written as ranges, the class is one bitmap test per byte.
 _PLAIN = rb"[\x00-\x27\x2a-\x5b\x5d-\xff]"
@@ -73,7 +74,7 @@ _STRING_ESCAPES = {
      b"\r": b"", b"\n": b"", b"\r\n": b""}
 _NOT_HEX_DIGITS = bytes(sorted(frozenset(range(256)) - HEX_DIGITS))
 _NAME_ESCAPE_RE = re.compile(rb"#([0-9A-Fa-f]{2})")
-_UINT_RE = re.compile(rb"\d{1,15}")
+_UINT_RE = re.compile(_SKIP + rb"(\d{1,15})")
 # Number tokens longer than this are read as reals.  It is Python's default
 # int-string limit, fixed here so the parse never raises on a long integer
 # and does not depend on sys.set_int_max_str_digits.
@@ -90,7 +91,7 @@ _CONSTANTS = {b"true": True, b"false": False, b"null": None}
 # its '/' and the run of regular bytes after it; a number's first byte is a
 # digit, '+', '-' or '.', and one that is no number is that byte alone.
 _TOKEN_RE = re.compile(
-    rb"(?:%s|%%[^\r\n]*+)*+" % _WS
+    _SKIP
     + rb"(?:(/[^%s]*)|([+-]?(?:\d+(?:\.\d*)?|\.\d+))|(<<)|(>>)|(\[)|(\])|(\()|(<)"
     % re.escape(bytes(sorted(_REGULAR_END)))
     + rb"|([A-Za-z]{1,32})|([+.-])|(.))",
@@ -151,35 +152,19 @@ class _Scanner:
         return self.pos >= len(self.data)
 
     def skip_ws(self) -> None:
-        data, pos = self.data, self.pos
-        run = 0
-        try:  # the end of the data raises IndexError, one test fewer per byte
-            while True:
-                b = data[pos]
-                if b in WHITESPACE:
-                    # Runs are mostly 0-2 bytes, cheaper to step over than
-                    # to match; the rest of a longer run is one match.
-                    pos += 1
-                    run += 1
-                    if run == 4:
-                        pos = _WS_RUN_RE.match(data, pos).end()
-                elif b == 0x25:  # '%'
-                    pos = _COMMENT_RE.match(data, pos).end()
-                else:
-                    break
-        except IndexError:
-            pass
-        self.pos = pos
+        if self.pos < len(self.data):  # a match would clamp a position past the end
+            self.pos = _SKIP_RE.match(self.data, self.pos).end()
 
     def starts_with(self, token: bytes) -> bool:
         return self.data.startswith(token, self.pos)
 
     def read_uint(self) -> Optional[int]:
+        """The unsigned integer after the whitespace and comments at pos."""
         m = _UINT_RE.match(self.data, self.pos)
         if not m:
             return None
         self.pos = m.end()
-        return int(m.group())
+        return int(m.group(1))
 
     # -- value parsing -----------------------------------------------------
 
@@ -331,12 +316,9 @@ def _probe(data: bytes, offset: int) -> bytes:
     Empty when no token starts within _WINDOW bytes of offset, so a
     probe reads at most two windows however often an offset is declared.
     """
-    sc = _Scanner(data[offset : offset + _WINDOW])
-    sc.skip_ws()
-    if sc.at_end():
-        return b""
-    start = offset + sc.pos
-    return data[start : start + _WINDOW]
+    end = min(offset + _WINDOW, len(data))
+    start = _SKIP_RE.match(data, offset, end).end()
+    return data[start : start + _WINDOW] if start < end else b""
 
 
 def _skip_eol(data: bytes, pos: int) -> int:
@@ -444,7 +426,7 @@ class _DocumentParser:
         sc.skip_ws()
         if isinstance(value, dict) and sc.starts_with(b"stream"):
             value = self._read_stream(sc, value)
-        sc.skip_ws()
+            sc.skip_ws()
         if sc.starts_with(b"endobj"):
             sc.pos += 6
         elif not sc.at_end():
@@ -554,7 +536,6 @@ class _DocumentParser:
             if first is None:
                 self.diag(m.start(), DiagnosticKind.BAD_XREF, "cross-reference table without trailer")
                 break
-            sc.skip_ws()
             count = sc.read_uint()
             if count is None:
                 self.diag(m.start(), DiagnosticKind.BAD_XREF, "malformed subsection header")
@@ -606,9 +587,7 @@ class _DocumentParser:
     def _parse_startxref(self, m: re.Match) -> Optional[int]:
         """The offset after a startxref keyword, checked against the file."""
         data = self.data
-        sc = _Scanner(data, m.end())
-        sc.skip_ws()
-        value = sc.read_uint()
+        value = _Scanner(data, m.end()).read_uint()
         if value is None:
             self.diag(m.start(), DiagnosticKind.BAD_XREF, "startxref without offset")
             return None
@@ -686,9 +665,7 @@ class _DocumentParser:
         sc = _Scanner(header, 0)
         pairs: list[tuple[int, int]] = []
         for _ in range(count):
-            sc.skip_ws()
             number = sc.read_uint()
-            sc.skip_ws()
             rel = sc.read_uint()
             if number is None or rel is None:
                 self.diag(at, DiagnosticKind.GARBAGE_BYTES, "short object stream index")

@@ -8,6 +8,8 @@ them only on inputs well below ``MAX_DECODED``.
 ``asciihex_decode`` and ``ascii85_decode`` are the former ASCII filters,
 which strip whitespace one byte per step.  They keep the up-front size
 cap, read from ``filters.MAX_DECODED`` so a test can lower it.
+``runlength_decode`` is the former RunLength filter, which checks the cap
+after each run it appends, so it builds up to the cap before it fails.
 """
 
 import base64
@@ -127,3 +129,28 @@ def ascii85_decode(data: bytes) -> bytes:
         return base64.a85decode(body, adobe=False)
     except ValueError as exc:
         raise StreamDecodeError("ASCII85Decode", str(exc)) from exc
+
+
+def runlength_decode(data: bytes) -> bytes:
+    out = bytearray()
+    i = 0
+    n = len(data)
+    while i < n:
+        length = data[i]
+        if length == 128:  # EOD
+            return bytes(out)
+        if length < 128:
+            chunk = data[i + 1 : i + 2 + length]
+            if len(chunk) != length + 1:
+                raise StreamDecodeError("RunLengthDecode", "literal run truncated")
+            out += chunk
+            i += 2 + length
+        else:
+            if i + 1 >= n:
+                raise StreamDecodeError("RunLengthDecode", "repeat run truncated")
+            out += data[i + 1 : i + 2] * (257 - length)
+            i += 2
+        if len(out) > filters.MAX_DECODED:
+            raise _over_cap("RunLengthDecode")
+    # Missing EOD is tolerated; everything decoded so far is complete.
+    return bytes(out)

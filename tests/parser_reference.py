@@ -21,7 +21,10 @@ a reader.  Its string readers and ``skip_ws`` are the library's own.
 per-byte readers, the oracles for the ``_Scanner`` methods of the same
 names; each returns the value (None where the input ends first) and the
 position after it.  ``skip_ws`` is the per-byte skip of whitespace and
-comments; it returns the position after them.  ``iter_name_occurrences``
+comments; it returns the position after them.  ``read_uint`` is that skip
+and then the former integer read, the oracle for ``_Scanner.read_uint``,
+which skips for itself; ``probe`` is the former ``_probe``, which sliced
+the window out and skipped over the slice.  ``iter_name_occurrences``
 is the recursive name walk, the oracle for the one walk that counts every
 name.
 """
@@ -45,6 +48,7 @@ from pdfmlp.pdf.parser import (
     _OBJ_RE,
     _REF_TAIL_RE,
     _REGULAR_END,
+    _WINDOW,
     _STOP_KEYWORDS,
     MAX_NESTING_DEPTH,
     _DepthExceeded,
@@ -182,9 +186,7 @@ class FivePassParser(_DocumentParser):
         for m in _STARTXREF_RE.finditer(data):
             if not self._outside(m.start()):
                 continue
-            sc = _Scanner(data, m.end())
-            sc.skip_ws()
-            value = sc.read_uint()
+            value = _Scanner(data, m.end()).read_uint()
             if value is None:
                 self.diag(m.start(), DiagnosticKind.BAD_XREF, "startxref without offset")
                 continue
@@ -350,6 +352,29 @@ def skip_ws(data: bytes, pos: int) -> int:
         else:
             break
     return pos
+
+
+_UINT_RE = re.compile(rb"\d{1,15}")
+
+
+def read_uint(data: bytes, pos: int) -> tuple[Optional[int], int]:
+    """The integer after the whitespace and comments at pos (None if no digit
+    follows them), and the position after it, or after them if None."""
+    pos = skip_ws(data, pos)
+    m = _UINT_RE.match(data, pos)
+    if not m:
+        return None, pos
+    return int(m.group()), m.end()
+
+
+def probe(data: bytes, offset: int) -> bytes:
+    """The bytes from the token at offset on; empty if none starts in the window."""
+    window = data[offset : offset + _WINDOW]
+    pos = skip_ws(window, 0)
+    if pos >= len(window):
+        return b""
+    start = offset + pos
+    return data[start : start + _WINDOW]
 
 
 def read_name(data: bytes, pos: int) -> tuple[PdfName, int]:

@@ -169,6 +169,36 @@ def test_extract_unreadable_file_omitted(corpus, tmp_path, capsys, monkeypatch):
     assert len(read_features_csv(out)) == 39
 
 
+
+def test_extract_prints_a_name_with_control_characters_on_one_line(tmp_path, capsys, monkeypatch):
+    # A name could forge a line of its own: 'skipping non-file' printed
+    # '.../a' and then 'pdfmlp: error: x' on a second stderr line.
+    benign = tmp_path / "b"
+    benign.mkdir()
+    forged_dir = benign / "a\npdfmlp: error: x"
+    forged_dir.mkdir()
+    unread = benign / "c\rd.pdf"
+    unread.write_bytes(minimal_pdf())
+    (benign / "real.pdf").write_bytes(minimal_pdf())
+    real = cli._extract_row
+    monkeypatch.setattr(cli, "_extract_row", lambda item: (*item, None) if "\r" in item[0] else real(item))
+    out = str(tmp_path / "out.csv")
+    rc = cli.main(["extract", "--benign", str(benign), "--benign", str(benign), "--out", out])
+    assert rc == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"pdfmlp: warning: skipping non-file {str(forged_dir)!r}",
+        f"pdfmlp: warning: skipping non-file {str(forged_dir)!r}",
+        f"pdfmlp: warning: skipping duplicate {str(unread)!r}",
+        f"pdfmlp: warning: skipping duplicate {benign / 'real.pdf'}",
+        f"pdfmlp: warning: cannot read {str(unread)!r}; row omitted",
+    ]
+    rc = cli.main(["extract", "--benign", str(benign), "--malicious", str(benign), "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"pdfmlp: error: {str(unread)!r} listed as both benign and malicious"
+    )
+
+
 def test_extract_long_numbers_writes_every_row(tmp_path, capsys):
     hostile = tmp_path / "hostile"
     hostile.mkdir()

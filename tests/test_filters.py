@@ -374,6 +374,30 @@ def test_ascii_filters_match_per_byte_strippers(data, cap):
         )
 
 
+
+# RunLength headers (a literal run of 1-3 bytes, a repeat of 2, 127 or 128,
+# EOD) and bytes, so that runs are cut short where the input ends.
+_RUNLENGTH_PIECES = st.one_of(
+    st.binary(max_size=4),
+    st.sampled_from([bytes([b]) for b in (0, 1, 2, 127, 128, 129, 255)]),
+)
+
+
+@given(st.lists(_RUNLENGTH_PIECES, max_size=24).map(b"".join), st.sampled_from([None, 1, 130, 300]))
+@example(b"\x81A\x81A", 254)
+@example(b"\x81A\x81A", 255)
+@example(b"\x81A\x02", 128)
+@settings(max_examples=500, deadline=None)
+def test_runlength_matches_former_decoder(data, cap):
+    # Counting first gives the same output and the same first error.
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            patch.setattr(filters, "MAX_DECODED", cap)
+        assert outcome(decode_stream, data, ["RunLengthDecode"]) == outcome(
+            reference.runlength_decode, data
+        )
+
+
 @st.composite
 def predictor_cases(draw, colors=st.integers(1, 5), bpc=st.sampled_from([1, 2, 4, 8, 16])):
     """Rows of a PNG-predicted image: a row type 0-4, then row_len bytes."""

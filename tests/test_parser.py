@@ -9,7 +9,7 @@ from typing import Optional
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdfmlp.features import _COUNTED_NAMES, extract_features
@@ -26,7 +26,14 @@ from pdfmlp.pdf import (
 )
 from pdfmlp.pdf.filters import _INFLATE_CHUNK, MAX_DECODED
 from pdfmlp.pdf.objects import WHITESPACE
-from pdfmlp.pdf.parser import _MAX_TURNS, _Scanner, _Terminator, _Truncated
+from pdfmlp.pdf.parser import (
+    _MAX_TURNS,
+    _DocumentParser,
+    _Scanner,
+    _Terminator,
+    _Truncated,
+    _probe,
+)
 
 from pdfbuild import (
     assemble_pdf,
@@ -370,10 +377,60 @@ def test_skip_ws_matches_per_byte_skip(data, pos):
     assert sc.pos == parser_reference.skip_ws(data, pos)
 
 
+# Whitespace, comments, EOLs, digits and junk, with runs long enough that a
+# probe's window can end inside a comment or a whitespace run.
+_SKIP_SOUP = st.lists(
+    st.sampled_from([b" ", b"\x00\t\x0c", b"\r", b"\n", b"\r\n", b"%", b"%c", b"%%EOF", b"1", b"15",
+                     b"0" * 16, b"x", b"obj", b"-", b" " * 700, b"%" + b"y" * 700, b"\r\n" * 300]),
+    max_size=12,
+).map(b"".join)
+
+
+@given(_SKIP_SOUP, st.integers(0, 4000))
+@settings(max_examples=600, deadline=None)
+def test_read_uint_matches_former_skip_and_read(data, pos):
+    # read_uint skips for itself; where no digit follows, the position it
+    # leaves is read by no caller.
+    sc = _Scanner(data, pos)
+    value = sc.read_uint()
+    expected, end = parser_reference.read_uint(data, pos)
+    assert value == expected
+    if value is not None:
+        assert sc.pos == end
+
+
+@given(_SKIP_SOUP, st.integers(0, 4000))
+@example(b"", 1)  # past the end
+@example(b"1", 1)  # at the end
+@example(b" " * 1023 + b"1", 0)  # the token starts in the window
+@example(b" " * 1024 + b"1", 0)  # and just past it
+@example(b" " * 600 + b"%" + b"y" * 600 + b"\n1", 0)  # the window ends in a comment
+@example(b"x" * 10 + b" " * 1100 + b"1", 10)  # or in a whitespace run
+@settings(max_examples=600, deadline=None)
+def test_probe_matches_former_probe(data, offset):
+    assert _probe(data, offset) == parser_reference.probe(data, offset)
+
+
+def test_object_stream_header_with_comments_between_its_numbers():
+    header = b"1 %c\n0 2 %x\r15"
+    parser = _DocumentParser(b"")
+    assert parser._objstm_pairs(header, 2, 0) == [(1, 0), (2, 15)]
+    assert parser.diags == []
+    # The pairs as the former skip_ws and read_uint read them.
+    pos, former = 0, []
+    for _ in range(4):
+        value, pos = parser_reference.read_uint(header, pos)
+        former.append(value)
+    assert former == [1, 0, 2, 15]
+    # A third pair is short, as before.
+    assert parser._objstm_pairs(header, 3, 7) == [(1, 0), (2, 15)]
+    assert [d.detail for d in parser.diags] == ["short object stream index"]
+
+
 def test_long_comment_is_skipped_in_bounded_time():
-    # One regex match skips a run of comment lines and the whitespace after
-    # them, here one comment and its CR: ~7 ms on this MiB, where the former
-    # per-byte loop took ~95-105 ms (2-core VM, Python 3.11).
+    # One possessive match skips the whole run of whitespace and comments,
+    # here one comment and its CR: ~7 ms on this MiB, where a step per byte
+    # took ~95-105 ms (2-core VM, Python 3.11).
     data = b"%" + b"eval(1);x=2 " * (_MIB // 12) + b"\r1"
     sc = _Scanner(data, 0)
     sc.skip_ws()
@@ -421,8 +478,9 @@ def test_comment_run_and_string_bytes_are_each_one_flat_match(data, read):
 
 
 def test_long_whitespace_run_is_skipped_in_bounded_time():
-    # The rest of a run after its first bytes is one regex match: ~3 ms on
-    # this MiB, where a step per byte took ~100-130 ms (2-core VM, Python 3.11).
+    # The run is part of the one match that skips whitespace and comments:
+    # ~2 ms on this MiB, where a step per byte took ~100-130 ms (2-core VM,
+    # Python 3.11).
     data = bytes(sorted(WHITESPACE)) * (_MIB // len(WHITESPACE)) + b"1"
     sc = _Scanner(data, 0)
     sc.skip_ws()
@@ -466,11 +524,12 @@ def test_flate_bomb_is_stopped_at_the_cap():
 def test_runlength_bomb_under_flate_is_stopped_at_the_cap():
     # Each (129, byte) pair repeats the byte 128 times: 2 MiB of runs
     # decode to 128 MiB, and flate shrinks the runs to a few kilobytes.
-    # RunLength builds its output as it checks it, so the peak stays near
-    # the cap, not near the 128 MiB the stream would decode to.
+    # RunLength counts its output before it builds it, so the parse holds
+    # the runs and little more: ~3 MiB traced, where building up to the cap
+    # held ~67 MiB (2-core VM, Python 3.11).
     runs = bytes([129, 0x41]) * (2 * MAX_DECODED // 128) + b"\x80"
     raw = _bomb_stream_pdf(b"[/FlateDecode /RunLengthDecode]", zlib.compress(runs, 9))
-    _assert_rejected_within_bound(raw, "RunLengthDecode", 1.25 * MAX_DECODED)
+    _assert_rejected_within_bound(raw, "RunLengthDecode", len(runs) + 2 * _INFLATE_CHUNK)
 
 
 _ZEROS_60_MIB = 60 * _MIB
