@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .evaluate import evaluate, write_report_files
 from .features import FeatureVector, describe_schema, extract_features
-from .mlp import predict
+from .mlp import MlpModel, predict
 from .pdf import parse_pdf
 from .preprocess import Dataset, read_features_csv, transform, write_features_csv
 from .store import ModelStoreError, _layer_arrays, dataset_checksum, load, loads, save
@@ -305,13 +305,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, metavar="CSV")
     p.add_argument("--out", required=True, metavar="MODEL")
     p.add_argument("--report", metavar="CSV", help="per-epoch report (default: MODEL.train.csv)")
-    p.add_argument("--epochs", type=_positive_int, default=5000)
-    p.add_argument("--batch-size", type=_positive_int, default=64)
-    p.add_argument("--eta", type=_positive_float, default=0.01)
-    p.add_argument("--dropout", type=float, default=0.15)
-    p.add_argument("--val-frac", type=_fraction, default=0.2)
+    p.add_argument("--epochs", type=_positive_int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=_positive_int, default=TrainConfig.batch_size)
+    p.add_argument("--eta", type=_positive_float, default=TrainConfig.eta)
+    p.add_argument("--dropout", type=float, default=TrainConfig.dropout_rate)
+    p.add_argument("--val-frac", type=_fraction, default=TrainConfig.validation_fraction)
     p.add_argument("--seed", type=int, default=None, help="defaults to $PDFMLP_SEED, then 0")
-    p.add_argument("--threshold", type=_fraction, default=0.62)
+    p.add_argument("--threshold", type=_fraction, default=MlpModel.threshold)
     p.add_argument("--early-stop-loss", type=_positive_float, default=None)
     p.set_defaults(func=cmd_train)
 

@@ -149,7 +149,7 @@ def build_model(
     *,
     dropout_rate: float = 0.15,
     batch_norm: bool = True,
-    threshold: float = 0.62,
+    threshold: float = MlpModel.threshold,
     rng: Optional[np.random.Generator] = None,
 ) -> MlpModel:
     """Create a freshly initialized network.

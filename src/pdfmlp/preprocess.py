@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import csv
-import io
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -167,68 +167,66 @@ def _format_value(v: float) -> str:
 def read_features_csv(path: str) -> Dataset:
     """Read a feature-matrix CSV produced by write_features_csv.
 
-    The file is read once, then parsed by _read_plain if it takes the
-    text, else by _read_csv, which also words every error.
+    _read_rows streams the file through np.loadtxt; a file it declines is
+    read again by _read_csv, which also words every error.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    dataset = _read_plain(text)
+    dataset = _read_rows(path)
     if dataset is None:
-        dataset = _read_csv(path, io.StringIO(text, newline=""))
+        with open(path, newline="", encoding="utf-8") as fh:
+            try:
+                fh.read()  # one decode of the whole file, so an error gives its offset in it
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            fh.seek(0)
+            dataset = _read_csv(path, fh)
     return dataset
 
 
-_HEADER_LINE = ",".join(CSV_HEADER)
+_HEADER_LINE = ",".join(CSV_HEADER) + "\n"
+# One feature-CSV row as np.loadtxt reads it. The label stays text: numpy
+# releases before 2.0 read "0.9" into an int64 field as 0, with a warning.
+_ROW = np.dtype([("path", object), ("label", object), ("values", np.float64, (N_FEATURES,))])
 _LABELS = {"-1": -1, "0": 0, "1": 1}
-# The bytes a row's value cells may hold on the loadtxt path.
-_VALUE_BYTES = b"0123456789.+-eE,"
 
 
-def _read_plain(text: str) -> Optional[Dataset]:
-    """Parse a plain feature CSV with np.loadtxt, or return None.
+def _read_rows(path: str) -> Optional[Dataset]:
+    """Read a feature CSV with one streamed np.loadtxt, or return None.
 
-    It takes only text that _read_csv reads without error and to the same
-    Dataset: the exact header; no quote, CR or NUL; every line ending in LF,
-    none empty and none longer than csv's field limit; labels spelled -1, 0
-    or 1; value cells made of _VALUE_BYTES only; and finite values. Over
-    that alphabet float() and numpy's parser both come down to
-    PyOS_string_to_double, so they accept the same cells and round them to
-    the same double. On anything else the csv reader reads the text.
+    numpy splits fields as the csv module does and reads values as float()
+    does, or declines them. The file is left to _read_csv on a header other
+    than _HEADER_LINE, no row, a line over csv's field limit, a cell numpy
+    declines, fewer rows than non-blank lines (a quoted line break, which
+    can hide an over-long field in short lines), a label spelled other than
+    -1, 0 or 1, or a non-finite value.
     """
-    if '"' in text or "\r" in text or "\x00" in text or not text.endswith("\n"):
-        return None
-    rows = text.split("\n")
-    rows.pop()  # the empty string after the last LF
-    if rows.pop(0) != _HEADER_LINE or max(map(len, rows), default=0) > csv.field_size_limit():
-        return None
+    limit, lines = csv.field_size_limit(), 0
+
+    def nonblank(fh: Iterable[str]) -> Iterator[str]:
+        nonlocal lines
+        for line in fh:
+            if len(line) > limit:
+                raise ValueError("line over the csv field limit")
+            if line.strip("\r\n"):
+                lines += 1
+                yield line
+
     try:
-        # With no rows, or a row of fewer than three fields (an empty line
-        # among them), zip yields fewer than three columns and the
-        # unpacking raises.
-        paths, labels, values = zip(*[row.split(",", 2) for row in rows])
-    except ValueError:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if fh.readline() != _HEADER_LINE:
+                return None
+            rows = nonblank(fh)
+            first = next(rows, None)
+            if first is None:  # loadtxt would warn of no data
+                return None
+            table = np.loadtxt(itertools.chain([first], rows), dtype=_ROW, delimiter=",",
+                               quotechar='"', comments=None, ndmin=1)
+    except ValueError:  # UnicodeDecodeError included
         return None
-    del rows
-    if not _LABELS.keys() >= set(labels):
+    labels, values = [_LABELS.get(s) for s in table["label"].tolist()], table["values"]
+    if len(table) != lines or None in labels or not np.isfinite(values).all():
         return None
-    try:
-        if any(cells.encode("ascii").translate(None, _VALUE_BYTES) for cells in values):
-            return None
-        features = np.loadtxt(
-            values, delimiter=",", comments=None, dtype=np.float64, ndmin=2
-        )
-    except ValueError:  # UnicodeEncodeError included
-        return None
-    if features.shape != (len(values), N_FEATURES) or not np.isfinite(features).all():
-        return None
-    return Dataset(
-        features=features,
-        labels=np.array([_LABELS[label] for label in labels], dtype=np.int64),
-        paths=list(paths),
-    )
+    # A copy, so that the Dataset does not keep the row table alive.
+    return Dataset(features=values.copy(), labels=labels, paths=table["path"].tolist())
 
 
 def _read_csv(path: str, lines: Iterable[str]) -> Dataset:

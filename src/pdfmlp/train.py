@@ -98,7 +98,7 @@ def train(
     *,
     hidden_widths: Sequence[int] = (72, 72),
     batch_norm: bool = True,
-    threshold: float = 0.62,
+    threshold: float = MlpModel.threshold,
 ) -> tuple[MlpModel, Scaler, TrainReport]:
     """Fit a fresh network on ``train_set``.
 

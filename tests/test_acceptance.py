@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,9 +244,9 @@ def _pipeline(corpus, workdir: str, jobs: int) -> dict:
     run("evaluate", "--features", features, "--model", model, "--out-dir", evaldir)
     artifacts = {}
     for name in (features, model, model + ".train.csv"):
-        artifacts[os.path.basename(name)] = open(name, "rb").read()
+        artifacts[os.path.basename(name)] = Path(name).read_bytes()
     for name in ("roc.csv", "sweep.csv", "report.txt"):
-        artifacts[name] = open(os.path.join(evaldir, name), "rb").read()
+        artifacts[name] = Path(evaldir, name).read_bytes()
     return artifacts
 
 

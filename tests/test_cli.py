@@ -4,11 +4,12 @@ import argparse
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pdfmlp import cli
+from pdfmlp import MlpModel, TrainConfig, cli
 from pdfmlp.preprocess import read_features_csv
 
 from pdfbuild import long_number_pdfs, minimal_pdf
@@ -101,7 +102,7 @@ def test_extract_small_mixed_corpus(tmp_path, capsys):
         ["extract", "--benign", str(benign), "--malicious", str(malicious), "--out", out]
     )
     assert rc == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + 3
 
 
@@ -110,7 +111,7 @@ def test_extract_jobs_byte_identical(corpus, tmp_path):
     parallel = str(tmp_path / "parallel.csv")
     assert extract(corpus, serial, jobs=1) == 0
     assert extract(corpus, parallel, jobs=4) == 0
-    assert open(serial, "rb").read() == open(parallel, "rb").read()
+    assert Path(serial).read_bytes() == Path(parallel).read_bytes()
 
 
 def test_extract_skips_non_files_with_warning(corpus, tmp_path, capsys):
@@ -133,7 +134,7 @@ def test_extract_skips_non_files_with_warning(corpus, tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "skipping non-file" in captured.err
-    assert "subdir" not in open(out).read()
+    assert "subdir" not in Path(out).read_text(encoding="utf-8")
 
 
 def test_extract_skips_a_name_that_is_not_utf8(corpus, tmp_path, capsys):
@@ -165,7 +166,7 @@ def test_extract_unreadable_file_omitted(corpus, tmp_path, capsys, monkeypatch):
     assert extract(corpus, out) == 0
     captured = capsys.readouterr()
     assert "row omitted" in captured.err
-    assert "b00.pdf" not in open(out).read()
+    assert "b00.pdf" not in Path(out).read_text(encoding="utf-8")
     assert len(read_features_csv(out)) == 39
 
 
@@ -239,6 +240,16 @@ def test_train_epochs_zero_is_usage_error(features_csv, tmp_path):
     assert result.returncode == 2
 
 
+def test_train_defaults_are_the_library_defaults():
+    args = cli._build_parser().parse_args(["train", "--features", "F", "--out", "M"])
+    config = TrainConfig()
+    assert (args.epochs, args.batch_size, args.eta, args.dropout, args.val_frac) == (
+        config.epochs, config.batch_size, config.eta, config.dropout_rate, config.validation_fraction
+    )
+    assert args.threshold == MlpModel.threshold
+    assert (args.seed, args.early_stop_loss) == (None, None)
+
+
 def test_printed_checksum_matches_model_file(features_csv, tmp_path, capsys):
     import hashlib
 
@@ -248,7 +259,7 @@ def test_printed_checksum_matches_model_file(features_csv, tmp_path, capsys):
     printed = [
         l.split()[-1] for l in capsys.readouterr().out.splitlines() if "checksum" in l
     ][0]
-    assert printed == hashlib.sha256(open(out, "rb").read()).hexdigest()
+    assert printed == hashlib.sha256(Path(out).read_bytes()).hexdigest()
 
 
 def test_train_same_seed_same_checksum(features_csv, tmp_path, capsys):
@@ -263,7 +274,7 @@ def test_train_same_seed_same_checksum(features_csv, tmp_path, capsys):
     a = checksum(str(tmp_path / "a.bin"))
     b = checksum(str(tmp_path / "b.bin"))
     assert a == b
-    assert open(str(tmp_path / "a.bin"), "rb").read() == open(str(tmp_path / "b.bin"), "rb").read()
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
 def test_train_seed_from_environment(features_csv, tmp_path):
@@ -287,24 +298,24 @@ def test_train_seed_from_environment(features_csv, tmp_path):
         ]
     )
     assert r2.returncode == 0
-    assert open(str(tmp_path / "e.bin"), "rb").read() == open(str(tmp_path / "s.bin"), "rb").read()
+    assert (tmp_path / "e.bin").read_bytes() == (tmp_path / "s.bin").read_bytes()
 
 
 def test_train_malformed_csv_is_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    bad.write_text("this,is,not\na,feature,matrix\n")
+    bad.write_text("this,is,not\na,feature,matrix\n", encoding="utf-8")
     rc = cli.main(["train", "--features", str(bad), "--out", str(tmp_path / "m.bin")])
     assert rc == 2
     assert "not a feature CSV" in capsys.readouterr().err
 
 
 def test_train_non_finite_csv_is_error(features_csv, tmp_path):
-    lines = open(features_csv).read().splitlines()
+    lines = Path(features_csv).read_text(encoding="utf-8").splitlines()
     fields = lines[5].split(",")
     fields[10] = "nan"
     lines[5] = ",".join(fields)
     bad = tmp_path / "nan.csv"
-    bad.write_text("\n".join(lines) + "\n")
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     result = run_cli(["train", "--features", str(bad), "--out", str(tmp_path / "m.bin")])
     assert result.returncode == 2
     assert result.stderr.splitlines() == [
@@ -342,18 +353,18 @@ def test_evaluate_writes_artifacts(features_csv, model_file, tmp_path, capsys):
     for name in ("roc.csv", "sweep.csv", "report.txt"):
         assert os.path.exists(os.path.join(out_dir, name))
     assert "tpr=" in captured.out and "fpr=" in captured.out and "fnr=" in captured.out
-    roc_lines = open(os.path.join(out_dir, "roc.csv")).read().splitlines()
+    roc_lines = Path(out_dir, "roc.csv").read_text(encoding="utf-8").splitlines()
     assert roc_lines[0] == "fpr,tpr"
     assert all(len(l.split(",")) == 2 for l in roc_lines[1:])
     # the synthetic corpus is easy: the trained model should separate it well
-    report = open(os.path.join(out_dir, "report.txt")).read()
+    report = Path(out_dir, "report.txt").read_text(encoding="utf-8")
     auc = float([l for l in report.splitlines() if l.startswith("auc:")][0].split()[1])
     assert auc >= 0.95
 
 
 def _foreign_model(model_file, tmp_path):
     """A copy of model_file whose META names another feature schema."""
-    blob = open(model_file, "rb").read()
+    blob = Path(model_file).read_bytes()
     # same length, so the META section's length prefix still holds
     foreign = blob.replace(b'"schema_id":"pdfmlp-v1"', b'"schema_id":"pdfmlp-v9"')
     assert foreign != blob
@@ -530,7 +541,7 @@ def test_scan_model_rewritten_with_its_size_and_mtime_is_parsed_again(
     model_file, corpus, counted_loads, tmp_path, capsys
 ):
     model = tmp_path / "model.bin"
-    blob = open(model_file, "rb").read()
+    blob = Path(model_file).read_bytes()
     model.write_bytes(blob)
     stat = os.stat(model)
     target = str(corpus["benign"] / "b01.pdf")
@@ -548,7 +559,7 @@ def test_scan_after_a_corrupt_model_recovers_when_the_bytes_do(
     model_file, corpus, counted_loads, tmp_path, capsys
 ):
     model = tmp_path / "model.bin"
-    blob = open(model_file, "rb").read()
+    blob = Path(model_file).read_bytes()
     model.write_bytes(blob)
     target = str(corpus["malicious"] / "m00.pdf")
     first = _scan(str(model), target, capsys)
@@ -663,10 +674,10 @@ def test_in_process_calls_match_a_fresh_process(model_file, corpus, monkeypatch,
 
 def test_train_csv_field_over_the_csv_limit_is_error(features_csv, tmp_path, capsys):
     # The csv module's _csv.Error is no ValueError: this ended in a traceback.
-    lines = open(features_csv).read().splitlines()
+    lines = Path(features_csv).read_text(encoding="utf-8").splitlines()
     lines[1] = "p" * 200_000 + lines[1][lines[1].index(",") :]
     bad = tmp_path / "long.csv"
-    bad.write_text("\n".join(lines) + "\n")
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     rc = cli.main(["train", "--features", str(bad), "--out", str(tmp_path / "m.bin")])
     assert rc == 2
     assert capsys.readouterr().err.splitlines() == [

@@ -222,10 +222,13 @@ def test_roundtrip_runlength(data):
     assert decode_stream(encode_runlength(data), ["RunLengthDecode"]) == data
 
 
+@pytest.mark.parametrize("early_change", [0, 1])
 @given(_blobs)
+@example(random.Random(0).randbytes(3000))  # past 511 and 1,023 table entries, where widths grow
 @settings(max_examples=60, deadline=None)
-def test_roundtrip_lzw(data):
-    assert decode_stream(encode_lzw(data), ["LZWDecode"]) == data
+def test_roundtrip_lzw(early_change, data):
+    encoded = encode_lzw(data, early_change)
+    assert decode_stream(encoded, ["LZWDecode"], {"/EarlyChange": early_change}) == data
 
 
 def test_lzw_decodes_in_linear_time():

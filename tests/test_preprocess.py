@@ -2,6 +2,7 @@
 
 import csv
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -203,7 +204,8 @@ def test_csv_header_exact(tmp_path):
     d = make_dataset(np.zeros((1, N_FEATURES)), [0])
     path = str(tmp_path / "features.csv")
     write_features_csv(path, d)
-    first = open(path).readline().strip()
+    with open(path, encoding="utf-8") as fh:
+        first = fh.readline().strip()
     assert first == ",".join(CSV_HEADER)
     assert first.startswith("path,label,f00,f01,")
     assert first.endswith(",f47")
@@ -211,7 +213,7 @@ def test_csv_header_exact(tmp_path):
 
 def test_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
+    path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
     with pytest.raises(ValueError, match="not a feature CSV"):
         read_features_csv(str(path))
 
@@ -220,10 +222,20 @@ def test_csv_rejects_bad_label(tmp_path):
     d = make_dataset(np.zeros((1, N_FEATURES)), [0])
     path = str(tmp_path / "features.csv")
     write_features_csv(path, d)
-    text = open(path).read().replace("doc0,0", "doc0,7")
-    open(path, "w").write(text)
+    text = Path(path).read_text(encoding="utf-8").replace("doc0,0", "doc0,7")
+    Path(path).write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match="label"):
         read_features_csv(path)
+
+
+@pytest.mark.parametrize("label", ["0.9", "-0.7", "1.0", "1e0", "+1", "01", " 0", "1 ", "-0"])
+def test_a_label_not_spelled_minus_one_zero_or_one_goes_to_the_csv_reader(tmp_path, label):
+    # numpy before 2.0 reads "0.9" into an int64 field as 0, with only a
+    # warning; so numpy reads the label as text and takes those three
+    # spellings alone.
+    path = _csv_with_cell(tmp_path, 1, label)
+    assert preprocess._read_rows(path) is None
+    assert_same_as_csv_module(path)
 
 
 def _csv_with_cell(tmp_path, column, cell):
@@ -231,11 +243,11 @@ def _csv_with_cell(tmp_path, column, cell):
     d = make_dataset(np.zeros((3, N_FEATURES)), [0, 1, 0])
     path = str(tmp_path / "features.csv")
     write_features_csv(path, d)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     fields = lines[2].split(",")
     fields[column] = cell
     lines[2] = ",".join(fields)
-    open(path, "w").write("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
@@ -282,12 +294,12 @@ def test_scaler_rejects_nan_std():
         Scaler(means=np.zeros(3), stds=np.array([1.0, np.nan, 1.0]))
 
 
-# -- the loadtxt path against the csv module reader ------------------------------
+# -- the numpy reader against the csv module reader -----------------------------
 
 
 def read_with_csv_module(path):
     """The oracle: the csv module reader alone, over the file."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         return preprocess._read_csv(path, fh)
 
 
@@ -304,8 +316,11 @@ def assert_same_as_csv_module(path):
 
 
 # Spellings float(), int() and numpy's parser may disagree on.  The first
-# four are numbers to every reader; the rest leave the loadtxt path.  The
-# last is two cells, so its row has one field too many.
+# four are numbers to every reader, and so are " 1" and "\xa01": numpy, like
+# float(), strips the whitespace.  "1_0" and "١" are numbers to float()
+# alone, and the next three are not finite, so each of those five sends the
+# file to the csv reader.  '""' is no number to any reader, and the last is
+# two cells, so its row has one field too many.
 ODD_CELLS = ["+.5", "5.", "1e0001", "00012", "1_0", " 1", "١", "\xa01",
              "inf", "nan", "1e999", '""', "1,2"]
 ODD_LABELS = ["+1", "01", "1.0", " 0", "2", '""']
@@ -334,7 +349,7 @@ def csv_row(draw):
 @settings(max_examples=300, deadline=None)
 def test_csv_reads_like_the_csv_module(tmp_path_factory, rows):
     path = str(tmp_path_factory.getbasetemp() / "spellings.csv")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
     assert_same_as_csv_module(path)
 
@@ -346,12 +361,11 @@ def test_benchmark_csvs_take_the_loadtxt_path_bit_exact(tmp_path, monkeypatch, s
 
     rng = np.random.default_rng(seed)
     path = str(tmp_path / "features.csv")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows(synthetic_feature_rows(rng, 500, "doc"))
-    with open(path, newline="") as fh:
-        assert preprocess._read_plain(fh.read()) is not None
+    assert preprocess._read_rows(path) is not None
     back, oracle = read_features_csv(path), read_with_csv_module(path)
     assert back.paths == oracle.paths
     assert back.labels.tobytes() == oracle.labels.tobytes()
@@ -363,7 +377,7 @@ def test_csv_row_of_the_wrong_width_names_its_line(tmp_path, n_values):
     # Every row is as wide as every other, so loadtxt reads the file; the
     # shape check must still send it to the csv reader.
     path = tmp_path / "features.csv"
-    path.write_text(",".join(CSV_HEADER) + "\n" + ",".join(["a", "0"] + ["1"] * n_values) + "\n")
+    path.write_text(",".join(CSV_HEADER) + "\n" + ",".join(["a", "0"] + ["1"] * n_values) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"features\.csv:2: expected {len(CSV_HEADER)} fields"):
         read_features_csv(str(path))
 
@@ -385,13 +399,16 @@ def _no_final_newline(text):
 
 
 @pytest.mark.parametrize("edit", [_quoted_path, _crlf, _blank_line, _no_final_newline])
-def test_odd_files_take_the_csv_path(tmp_path, edit):
+def test_odd_files_pick_their_reader(tmp_path, edit):
     d = make_dataset(np.random.default_rng(3).normal(size=(4, N_FEATURES)), [0, 1, 0, -1])
     path = str(tmp_path / "features.csv")
     write_features_csv(path, d)
-    text = edit(open(path, newline="").read())
-    open(path, "w", newline="").write(text)
-    assert preprocess._read_plain(text) is None
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = edit(fh.read())
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    # numpy reads all but the file whose header line ends in CRLF.
+    assert (preprocess._read_rows(path) is None) == (edit is _crlf)
     assert len(read_features_csv(path)) == 4
     assert_same_as_csv_module(path)
 
@@ -412,4 +429,85 @@ def test_csv_field_at_the_csv_limit_reads(tmp_path):
     limit = csv.field_size_limit()
     path = _csv_with_cell(tmp_path, 0, "p" * limit)
     assert read_features_csv(path).paths[1] == "p" * limit
+    assert_same_as_csv_module(path)
+
+
+def test_csv_field_over_the_csv_limit_across_a_line_break_names_its_line(tmp_path):
+    # Each of the path's two lines is under csv's limit and the field is
+    # over it: only the count of rows against lines sends it to the csv
+    # reader.
+    limit = csv.field_size_limit()
+    half = "p" * (limit // 2 + 4_000)
+    d = make_dataset(np.zeros((1, N_FEATURES)), [0])
+    d.paths[0] = f"{half}\n{half}"
+    path = str(tmp_path / "features.csv")
+    write_features_csv(path, d)
+    with pytest.raises(ValueError, match=rf"features\.csv:3: field larger than field limit \({limit}\)$"):
+        read_features_csv(path)
+    assert_same_as_csv_module(path)
+
+
+def test_invalid_utf8_names_its_offset_in_the_file(tmp_path):
+    # The streamed read meets the bad byte in a later chunk; the message
+    # still gives its offset in the whole file.
+    rng = np.random.default_rng(5)
+    d = make_dataset(rng.normal(size=(400, N_FEATURES)), rng.integers(0, 2, 400))
+    path = tmp_path / "features.csv"
+    write_features_csv(str(path), d)
+    raw = path.read_bytes()
+    at = raw.index(b"doc350,")
+    assert at > 200_000
+    path.write_bytes(raw[:at] + b"\xe9" + raw[at + 1:])
+    with pytest.raises(ValueError) as exc:
+        read_features_csv(str(path))
+    assert str(exc.value) == (
+        f"{path}: 'utf-8' codec can't decode byte 0xe9 in position {at}: invalid continuation byte"
+    )
+
+
+def test_reading_a_csv_traces_at_most_twice_its_size(tmp_path):
+    rng = np.random.default_rng(11)
+    d = make_dataset(rng.normal(size=(5_000, N_FEATURES)), rng.integers(0, 2, 5_000))
+    path = tmp_path / "features.csv"
+    write_features_csv(str(path), d)
+    tracemalloc.start()
+    try:
+        read_features_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * path.stat().st_size
+
+
+# Path characters csv quotes, numpy might not, or either might treat as a
+# line end, a comment or an escape.
+SPLICED_PATH_CHARS = 'a ,"\r\n\t\x00é#\\'
+# What a splice puts after the header: line breaks, blank and
+# whitespace-only lines, a stray quote or comma; None drops the final LF.
+SPLICES = ["\n", "\r\n", "\r", " \n", "\t\r\n", '"', ",", None]
+
+
+@given(data=st.data())
+@settings(max_examples=1_000, deadline=None)
+def test_spliced_files_read_like_the_csv_module(tmp_path_factory, data):
+    n = data.draw(st.integers(1, 4))
+    d = Dataset(
+        features=np.random.default_rng(data.draw(st.integers(0, 2**16))).integers(-9, 10, (n, N_FEATURES)),
+        labels=data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n)),
+        paths=data.draw(st.lists(st.text(SPLICED_PATH_CHARS, max_size=6), min_size=n, max_size=n)),
+    )
+    path = str(tmp_path_factory.getbasetemp() / "spliced.csv")
+    write_features_csv(path, d)
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    head = len(",".join(CSV_HEADER)) + 1
+    for splice in data.draw(st.lists(st.sampled_from(SPLICES), max_size=3)):
+        if splice is None:
+            text = text.removesuffix("\n")
+            continue
+        line_starts = [i + 1 for i in range(head - 1, len(text)) if text[i] == "\n"]
+        at = data.draw(st.one_of(st.sampled_from(line_starts), st.integers(head, len(text))))
+        text = text[:at] + splice + text[at:]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
     assert_same_as_csv_module(path)

@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def test_repeated_saves_identical(tmp_path, trained_pair):
     a, b = str(tmp_path / "a.bin"), str(tmp_path / "b.bin")
     save(model, scaler, a)
     save(model, scaler, b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
     assert model_checksum(model, scaler) == model_checksum(model, scaler)
 
 

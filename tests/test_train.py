@@ -1,5 +1,7 @@
 """Training loop: learning capacity, determinism, model selection, resume."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,7 +194,7 @@ def test_report_csv_format(tmp_path):
     dataset = separable_dataset(n=300, seed=13)
     _, _, report = train(dataset, TrainConfig(epochs=3, seed=6))
     report.write_csv(report_path)
-    lines = open(report_path).read().splitlines()
+    lines = Path(report_path).read_text(encoding="utf-8").splitlines()
     assert lines[0] == "epoch,train_loss,val_loss,val_tpr,val_fpr"
     assert len(lines) == 1 + 3
     first = lines[1].split(",")
