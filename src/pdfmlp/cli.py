@@ -11,6 +11,7 @@ import concurrent.futures
 import functools
 import os
 import re
+import stat
 import sys
 from typing import Optional
 
@@ -80,10 +81,25 @@ def _default_seed(value: Optional[int]) -> int:
         raise CliError(f"PDFMLP_SEED must be an integer, got {env!r}")
 
 
+def _read_file(path: str) -> bytes:
+    """A regular file's bytes; anything else raises OSError before a read.
+
+    The open does not block, so a FIFO with no writer is refused at once,
+    and a device, which could be endless, is never read.
+    """
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise OSError("not a regular file")
+        with open(fd, "rb", closefd=False) as fh:
+            return fh.read()
+    finally:
+        os.close(fd)
+
+
 def _read_features(path: str) -> FeatureVector:
     """Read, parse and extract one file; a read failure raises OSError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_file(path)
     return extract_features(parse_pdf(raw), raw)
 
 
@@ -224,8 +240,7 @@ class _LastModel:
         self.kept: tuple = (None, None)  # (bytes, loads' result), swapped as one
 
     def load(self, path: str):
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        blob = _read_file(path)
         kept_blob, loaded = self.kept
         if blob != kept_blob:
             loaded = loads(blob)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -36,10 +35,17 @@ class ThresholdNotReachable(ValueError):
 
 @dataclass
 class EvalReport:
+    """Counts, AUC and the operating point, with the sweep and ROC as record arrays.
+
+    ``sweep`` has float64 fields ``threshold, tpr, fpr, fnr``, ascending by
+    threshold; ``roc_points`` has float64 fields ``fpr, tpr``, from (0, 0)
+    at the highest threshold to (1, 1) at the lowest.
+    """
+
     n_benign: int
     n_malicious: int
-    sweep: list[SweepPoint]
-    roc_points: list[tuple[float, float]]  # (fpr, tpr), sorted by fpr
+    sweep: np.recarray
+    roc_points: np.recarray
     auc: float
     operating_point: SweepPoint
 
@@ -75,31 +81,32 @@ def evaluate(
     mal_sorted = np.sort(scores[labels == 1])
     ben_sorted = np.sort(scores[labels == 0])
 
-    def tpr_fpr(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def rates(values: np.ndarray) -> np.recarray:
         tpr = (n_mal - np.searchsorted(mal_sorted, values, side="left")) / n_mal
         fpr = (n_ben - np.searchsorted(ben_sorted, values, side="left")) / n_ben
-        return tpr, fpr
+        return np.rec.fromarrays((values, tpr, fpr, 1.0 - tpr), names=SweepPoint._fields)
 
-    def rates(values) -> list[SweepPoint]:
-        values = np.asarray(values, dtype=np.float64)
-        tpr, fpr = tpr_fpr(values)
-        return list(map(SweepPoint, values.tolist(), tpr.tolist(), fpr.tolist(), (1.0 - tpr).tolist()))
-
+    # One row per distinct score, with the model's threshold inserted in
+    # order unless it is one of them: the default sweep.
     distinct = np.unique(scores)
+    at = int(np.searchsorted(distinct, model.threshold))
+    inserted = at == len(distinct) or distinct[at] != model.threshold
+    rows = rates(np.insert(distinct, at, model.threshold) if inserted else distinct)
     if thresholds is None:
-        sweep = rates(np.union1d(distinct, [model.threshold]))
+        sweep = rows
     else:
         if len(thresholds) == 0:
             raise ValueError("thresholds must be nonempty")
         sweep = rates(np.sort(np.asarray(thresholds, dtype=np.float64), kind="stable"))
 
-    # ROC from high threshold to low: starts at (0,0), ends at (1,1).
-    tpr, fpr = tpr_fpr(distinct[::-1])
-    end = [] if (fpr[-1], tpr[-1]) == (1.0, 1.0) else [1.0]
-    fpr = np.concatenate(([0.0], fpr, end))
-    tpr = np.concatenate(([0.0], tpr, end))
-    roc_points = list(zip(fpr.tolist(), tpr.tolist()))
+    # ROC from high threshold to low: (0, 0), then the distinct scores'
+    # rows reversed.  The lowest score flags every sample, so the last is (1, 1).
+    fpr, tpr = rows.fpr, rows.tpr
+    if inserted:
+        fpr, tpr = np.delete(fpr, at), np.delete(tpr, at)
+    roc = np.rec.fromarrays((np.r_[0.0, fpr[::-1]], np.r_[0.0, tpr[::-1]]), names="fpr,tpr")
     # Trapezoids summed left to right, as a running total from 0.0.
+    fpr, tpr = roc.fpr, roc.tpr
     terms = (fpr[1:] - fpr[:-1]) * (tpr[:-1] + tpr[1:]) / 2.0
     auc = np.add.accumulate(np.concatenate(([0.0], terms)))[-1]
 
@@ -107,9 +114,9 @@ def evaluate(
         n_benign=n_ben,
         n_malicious=n_mal,
         sweep=sweep,
-        roc_points=roc_points,
+        roc_points=roc,
         auc=float(auc),
-        operating_point=rates([model.threshold])[0],
+        operating_point=SweepPoint(*rows[at].tolist()),
     )
 
 
@@ -121,25 +128,28 @@ def pick_threshold(report: EvalReport, max_fpr: float) -> float:
     """
     if not 0.0 <= max_fpr < 1.0:
         raise ValueError("max_fpr must be in [0, 1)")
-    eligible = [p for p in report.sweep if p.fpr <= max_fpr]
-    if not eligible:
-        floor = min(p.fpr for p in report.sweep)
+    sweep = report.sweep
+    eligible = sweep.fpr <= max_fpr
+    if not eligible.any():
         raise ThresholdNotReachable(
-            f"no swept threshold reaches FPR <= {max_fpr:g}; minimum achievable is {floor:g}"
+            f"no swept threshold reaches FPR <= {max_fpr:g}; "
+            f"minimum achievable is {float(sweep.fpr.min()):g}"
         )
-    best = max(eligible, key=lambda p: (p.tpr, p.threshold))
-    return best.threshold
+    tpr = sweep.tpr[eligible]
+    best = sweep.threshold[eligible][tpr == tpr.max()]
+    return float(best[np.argmax(best)])
 
 
 def write_report_files(report: EvalReport, out_dir: str) -> None:
     """Emit roc.csv, sweep.csv and report.txt under ``out_dir``."""
+    roc, sweep = report.roc_points, report.sweep
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "roc.csv"), "w", newline="", encoding="utf-8") as fh:
         fh.write("fpr,tpr\n")
-        fh.write("%.9g,%.9g\n" * len(report.roc_points) % tuple(chain.from_iterable(report.roc_points)))
+        fh.write("%.9g,%.9g\n" * len(roc) % _flat(roc, "fpr", "tpr"))
     with open(os.path.join(out_dir, "sweep.csv"), "w", newline="", encoding="utf-8") as fh:
         fh.write("threshold,tpr,fpr,fnr\n")
-        fh.write("%.9g,%.9g,%.9g,%.9g\n" * len(report.sweep) % tuple(chain.from_iterable(report.sweep)))
+        fh.write("%.9g,%.9g,%.9g,%.9g\n" * len(sweep) % _flat(sweep, *SweepPoint._fields))
     op = report.operating_point
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"benign: {report.n_benign}\n")
@@ -149,3 +159,8 @@ def write_report_files(report: EvalReport, out_dir: str) -> None:
             "operating point: threshold=%.4f tpr=%.6f fpr=%.6f fnr=%.6f\n"
             % (op.threshold, op.tpr, op.fpr, op.fnr)
         )
+
+
+def _flat(records: np.ndarray, *fields: str) -> tuple[float, ...]:
+    """The named fields of each record, row by row, as one tuple of floats."""
+    return tuple(np.column_stack([records[name] for name in fields]).ravel().tolist())

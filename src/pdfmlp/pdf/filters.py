@@ -29,6 +29,7 @@ __all__ = [
 MAX_DECODED = 1 << 26
 
 _INFLATE_CHUNK = 1 << 20
+_LZW_ENTRIES = 1 << 12
 
 # The shared byte classes as deletion tables for bytes.translate.
 _WHITESPACE_BYTES = bytes(sorted(WHITESPACE))
@@ -191,23 +192,17 @@ def _inflate_pieces(d: Any, data: bytes, keep: int) -> tuple[list[bytes], int]:
     return kept, size
 
 
-def _lzw_decode(data: bytes, early_change: int = 1) -> bytes:
-    """Variable-width (9..12 bit) LZW with clear code 256 and EOD 257."""
+def _lzw_codes(data: bytes, early_change: int) -> Iterator[int]:
+    """The codes of a variable-width (9..12 bit) LZW stream up to EOD 257.
+
+    The clear code 256 is passed on, and one comes first, so a reader sets
+    up its table only on a clear code.  A data code that names no entry of
+    the table, whose size follows from the codes alone, raises here.
+    """
     CLEAR, EOD = 256, 257
-    out = bytearray()
-    table: list[bytes] = []
-    bits = 9
-    prev: Optional[bytes] = None
-
-    def reset() -> None:
-        nonlocal table, bits, prev
-        table = [bytes([i]) for i in range(256)] + [b"", b""]
-        bits = 9
-        prev = None
-
-    reset()
-    acc = 0
-    nbits = 0
+    size, bits, first = 258, 9, True  # the table holds 256 bytes, CLEAR and EOD
+    acc = nbits = 0
+    yield CLEAR
     for byte in data:
         acc = (acc << 8) | byte
         nbits += 8
@@ -216,28 +211,47 @@ def _lzw_decode(data: bytes, early_change: int = 1) -> bytes:
             code = acc >> nbits
             acc &= (1 << nbits) - 1  # drop the code's bits, so acc stays short
             if code == CLEAR:
-                reset()
-                continue
-            if code == EOD:
-                return bytes(out)
-            if prev is None:
-                if code >= len(table):
+                size, bits, first = 258, 9, True
+            elif code == EOD:
+                return
+            elif first:
+                if code >= size:
                     raise StreamDecodeError("LZWDecode", f"bad initial code {code}")
-                entry = table[code]
-            elif code < len(table):
-                entry = table[code]
-                table.append(prev + entry[:1])
-            elif code == len(table):
-                entry = prev + prev[:1]
-                table.append(entry)
+                first = False
+            elif code <= size:
+                size += 1  # the previous entry plus this one's first byte
             else:
                 raise StreamDecodeError("LZWDecode", f"code {code} out of range")
-            out += entry
-            if len(out) > MAX_DECODED:
-                raise _over_cap("LZWDecode")
-            prev = entry
-            if len(table) + early_change >= (1 << bits) and bits < 12:
+            yield code
+            if size + early_change >= (1 << bits) and bits < 12:
                 bits += 1
+
+
+def _lzw_decode(data: bytes, early_change: int = 1) -> bytes:
+    # Each code is read twice: first for the length of its entry alone, so a
+    # stream that would pass MAX_DECODED fails having built none of it.  No
+    # 12-bit code names an entry past _LZW_ENTRIES, so no table grows past it.
+    total = 0
+    for code in _lzw_codes(data, early_change):
+        if code == 256:  # CLEAR
+            lengths, prev = [1] * 256 + [0, 0], 0
+            continue
+        length = lengths[code] if code < len(lengths) else prev + 1
+        if prev and len(lengths) < _LZW_ENTRIES:
+            lengths.append(prev + 1)
+        total += length
+        if total > MAX_DECODED:
+            raise _over_cap("LZWDecode")
+        prev = length
+    out = bytearray()
+    for code in _lzw_codes(data, early_change):
+        if code == 256:  # CLEAR
+            table, entry = [bytes([i]) for i in range(256)] + [b"", b""], b""
+            continue
+        prev, entry = entry, table[code] if code < len(table) else entry + entry[:1]
+        if prev and len(table) < _LZW_ENTRIES:
+            table.append(prev + entry[:1])
+        out += entry
     return bytes(out)
 
 

@@ -82,7 +82,8 @@ class Scaler:
             raise ValueError(
                 f"expected {self.means.shape[0]} features, got {X.shape[-1]}"
             )
-        return (X - self.means) / self.stds
+        centred = X - self.means
+        return np.divide(centred, self.stds, out=centred)
 
 
 def fit_scaler(train: Dataset) -> Scaler:
@@ -222,11 +223,12 @@ def _read_rows(path: str) -> Optional[Dataset]:
                                quotechar='"', comments=None, ndmin=1)
     except ValueError:  # UnicodeDecodeError included
         return None
-    labels, values = [_LABELS.get(s) for s in table["label"].tolist()], table["values"]
+    # A copy, so that the Dataset does not keep the row table alive and the
+    # finiteness check scans contiguous memory.
+    labels, values = [_LABELS.get(s) for s in table["label"].tolist()], table["values"].copy()
     if len(table) != lines or None in labels or not np.isfinite(values).all():
         return None
-    # A copy, so that the Dataset does not keep the row table alive.
-    return Dataset(features=values.copy(), labels=labels, paths=table["path"].tolist())
+    return Dataset(features=values, labels=labels, paths=table["path"].tolist())
 
 
 def _read_csv(path: str, lines: Iterable[str]) -> Dataset:

@@ -3,15 +3,17 @@
 This is the straightforward version: every rate is computed one threshold
 at a time with two scalar ``searchsorted`` calls, the default sweep takes
 its distinct scores from a Python ``set``, and the ROC curve walks
-``np.unique`` of the scores from the highest down.  ``write_report_files``
-writes one formatted line at a time.
+``np.unique`` of the scores from the highest down; only the finished lists
+become the report's record arrays.  ``pick_threshold`` looks at one sweep
+point at a time, and ``write_report_files`` writes one formatted line at a
+time.
 """
 
 import os
 
 import numpy as np
 
-from pdfmlp.evaluate import EvalReport, SweepPoint, score_dataset
+from pdfmlp.evaluate import EvalReport, SweepPoint, ThresholdNotReachable, score_dataset
 
 
 def evaluate(model, scaler, test, thresholds=None) -> EvalReport:
@@ -54,22 +56,41 @@ def evaluate(model, scaler, test, thresholds=None) -> EvalReport:
     return EvalReport(
         n_benign=n_ben,
         n_malicious=n_mal,
-        sweep=sweep,
-        roc_points=roc_points,
+        sweep=np.rec.fromrecords(sweep, names=SweepPoint._fields),
+        roc_points=np.rec.fromrecords(roc_points, names="fpr,tpr"),
         auc=float(auc),
         operating_point=rates(model.threshold),
     )
+
+
+def _points(report: EvalReport) -> list[SweepPoint]:
+    sweep = report.sweep
+    return [SweepPoint(*row) for row in zip(*(sweep[name].tolist() for name in SweepPoint._fields))]
+
+
+def pick_threshold(report: EvalReport, max_fpr: float) -> float:
+    if not 0.0 <= max_fpr < 1.0:
+        raise ValueError("max_fpr must be in [0, 1)")
+    points = _points(report)
+    eligible = [p for p in points if p.fpr <= max_fpr]
+    if not eligible:
+        floor = min(p.fpr for p in points)
+        raise ThresholdNotReachable(
+            f"no swept threshold reaches FPR <= {max_fpr:g}; minimum achievable is {floor:g}"
+        )
+    best = max(eligible, key=lambda p: (p.tpr, p.threshold))
+    return best.threshold
 
 
 def write_report_files(report: EvalReport, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "roc.csv"), "w", newline="") as fh:
         fh.write("fpr,tpr\n")
-        for fpr, tpr in report.roc_points:
+        for fpr, tpr in zip(report.roc_points.fpr.tolist(), report.roc_points.tpr.tolist()):
             fh.write(f"{fpr:.9g},{tpr:.9g}\n")
     with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
         fh.write("threshold,tpr,fpr,fnr\n")
-        for p in report.sweep:
+        for p in _points(report):
             fh.write(f"{p.threshold:.9g},{p.tpr:.9g},{p.fpr:.9g},{p.fnr:.9g}\n")
     op = report.operating_point
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:

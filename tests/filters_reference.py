@@ -10,10 +10,13 @@ which strip whitespace one byte per step.  They keep the up-front size
 cap, read from ``filters.MAX_DECODED`` so a test can lower it.
 ``runlength_decode`` is the former RunLength filter, which checks the cap
 after each run it appends, so it builds up to the cap before it fails.
+``lzw_decode`` is the former LZW filter, which does the same after each
+code.
 """
 
 import base64
 import zlib
+from typing import Optional
 
 from pdfmlp.pdf import filters
 from pdfmlp.pdf.filters import StreamDecodeError, _over_cap
@@ -153,4 +156,53 @@ def runlength_decode(data: bytes) -> bytes:
         if len(out) > filters.MAX_DECODED:
             raise _over_cap("RunLengthDecode")
     # Missing EOD is tolerated; everything decoded so far is complete.
+    return bytes(out)
+
+
+def lzw_decode(data: bytes, early_change: int = 1) -> bytes:
+    CLEAR, EOD = 256, 257
+    out = bytearray()
+    table: list[bytes] = []
+    bits = 9
+    prev: Optional[bytes] = None
+
+    def reset() -> None:
+        nonlocal table, bits, prev
+        table = [bytes([i]) for i in range(256)] + [b"", b""]
+        bits = 9
+        prev = None
+
+    reset()
+    acc = 0
+    nbits = 0
+    for byte in data:
+        acc = (acc << 8) | byte
+        nbits += 8
+        while nbits >= bits:
+            nbits -= bits
+            code = acc >> nbits
+            acc &= (1 << nbits) - 1
+            if code == CLEAR:
+                reset()
+                continue
+            if code == EOD:
+                return bytes(out)
+            if prev is None:
+                if code >= len(table):
+                    raise StreamDecodeError("LZWDecode", f"bad initial code {code}")
+                entry = table[code]
+            elif code < len(table):
+                entry = table[code]
+                table.append(prev + entry[:1])
+            elif code == len(table):
+                entry = prev + prev[:1]
+                table.append(entry)
+            else:
+                raise StreamDecodeError("LZWDecode", f"code {code} out of range")
+            out += entry
+            if len(out) > filters.MAX_DECODED:
+                raise _over_cap("LZWDecode")
+            prev = entry
+            if len(table) + early_change >= (1 << bits) and bits < 12:
+                bits += 1
     return bytes(out)

@@ -469,6 +469,34 @@ def test_scan_unreadable_target_is_operational_error(model_file, tmp_path, capsy
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_scan_refuses_a_fifo_without_waiting_for_a_writer(corpus, model_file, tmp_path):
+    # Opening a FIFO for reading waits for a writer, so scan once blocked
+    # there for good, whether the FIFO was a FILE or the model.
+    fifo = tmp_path / "pipe.pdf"
+    os.mkfifo(fifo)
+    done = run_cli(["scan", "--model", model_file, str(fifo)], timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"pdfmlp: warning: cannot read {fifo}: not a regular file\n"
+    done = run_cli(["scan", "--model", str(fifo), str(corpus["benign"] / "b01.pdf")], timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"pdfmlp: error: cannot load model {fifo}: not a regular file\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_scan_refuses_a_device(corpus, model_file, capsys):
+    # /dev/null read as an empty file and printed a benign verdict; an
+    # endless device would have been read until memory ran out.
+    assert cli.main(["scan", "--model", model_file, "/dev/null"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "pdfmlp: warning: cannot read /dev/null: not a regular file\n"
+    assert cli.main(["scan", "--model", "/dev/null", str(corpus["benign"] / "b01.pdf")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "pdfmlp: error: cannot load model /dev/null: not a regular file\n"
+
+
 def test_scan_model_with_a_nan_weight_is_a_load_error(corpus, model_file, tmp_path, capsys):
     # A NaN weight scored every file NaN, which printed as benign with exit 0.
     from pdfmlp.store import load, save

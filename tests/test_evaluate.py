@@ -79,7 +79,8 @@ def test_constant_scorer_gives_diagonal_roc():
     d = dataset_with_scores([0.5] * 10, [0.5] * 10)
     report = evaluate(passthrough_model(), identity_scaler(), d)
     assert report.auc == pytest.approx(0.5, abs=1e-15)
-    assert (0.0, 0.0) in report.roc_points and (1.0, 1.0) in report.roc_points
+    pairs = report.roc_points.tolist()
+    assert (0.0, 0.0) in pairs and (1.0, 1.0) in pairs
 
 
 def test_hand_enumerated_confusion_counts():
@@ -115,10 +116,9 @@ def test_rates_identities_and_monotonicity():
         assert point.fpr <= previous_fpr  # FPR never increases with threshold
         assert point.fnr >= previous_fnr  # FNR never decreases
         previous_fpr, previous_fnr = point.fpr, point.fnr
-    fprs = [p[0] for p in report.roc_points]
-    tprs = [p[1] for p in report.roc_points]
-    assert fprs == sorted(fprs)
-    assert tprs == sorted(tprs)
+    fprs, tprs = report.roc_points.fpr, report.roc_points.tpr
+    assert np.array_equal(fprs, np.sort(fprs))
+    assert np.array_equal(tprs, np.sort(tprs))
     assert 0.0 <= report.auc <= 1.0
 
 
@@ -131,8 +131,8 @@ def test_row_permutation_changes_nothing():
     shuffled = d.subset(order)
     a = evaluate(passthrough_model(), identity_scaler(), d)
     b = evaluate(passthrough_model(), identity_scaler(), shuffled)
-    assert a.sweep == b.sweep
-    assert a.roc_points == b.roc_points
+    assert a.sweep.tobytes() == b.sweep.tobytes()
+    assert a.roc_points.tobytes() == b.roc_points.tobytes()
     assert a.auc == b.auc
 
 
@@ -161,35 +161,67 @@ def test_operating_point_uses_model_threshold():
 _logits = st.one_of(st.integers(-12, 12).map(lambda k: k / 4.0), st.floats(-30.0, 30.0))
 
 
+def assert_same_report(got: EvalReport, want: EvalReport) -> None:
+    """Equal bit for bit, column by column, and of the same types."""
+    for got_rows, want_rows in ((got.sweep, want.sweep), (got.roc_points, want.roc_points)):
+        assert isinstance(got_rows, np.recarray)
+        assert got_rows.dtype.names == want_rows.dtype.names
+        for name in want_rows.dtype.names:
+            assert got_rows[name].dtype == np.float64
+            assert got_rows[name].tobytes() == want_rows[name].tobytes(), name
+    assert np.float64(got.auc).tobytes() == np.float64(want.auc).tobytes()
+    assert type(got.operating_point) is SweepPoint
+    assert np.array(got.operating_point).tobytes() == np.array(want.operating_point).tobytes()
+    assert (got.n_benign, got.n_malicious) == (want.n_benign, want.n_malicious)
+
+
 @given(
     mal=st.lists(_logits, min_size=1, max_size=40),
     ben=st.lists(_logits, min_size=1, max_size=40),
     model_threshold=st.floats(0.001, 0.999),
+    threshold_pick=st.none() | st.integers(0, 10**6),
     explicit=st.none() | st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=10),
-    data=st.data(),
+    picks=st.lists(st.integers(0, 10**6), max_size=8),
 )
 @example(
     mal=[1.0, 1.0, 0.0],
     ben=[0.0, -1.0, -1.0],
     model_threshold=0.5,
+    threshold_pick=None,
     explicit=[2.0, 0.5, -1.0, 0.5, 0.5],
-    data=None,
+    picks=[],
 )
-@settings(max_examples=150, deadline=None)
-def test_evaluate_equals_per_threshold_reference(mal, ben, model_threshold, explicit, data):
+@example(mal=[1.0, 1.0, 0.0], ben=[0.0, -1.0], model_threshold=0.5, threshold_pick=2, explicit=None, picks=[])
+@example(mal=[0.25], ben=[-0.25], model_threshold=0.999, threshold_pick=None, explicit=None, picks=[])
+@example(mal=[0.25], ben=[-0.25], model_threshold=0.001, threshold_pick=None, explicit=None, picks=[])
+@settings(max_examples=300, deadline=None)
+def test_evaluate_equals_per_threshold_reference(mal, ben, model_threshold, threshold_pick, explicit, picks):
     d = dataset_with_logits(mal, ben)
+    scores = score_dataset(passthrough_model(), identity_scaler(), d).tolist()
+    if threshold_pick is not None:  # the model's threshold is one of the scores
+        model_threshold = scores[threshold_pick % len(scores)]
     model, scaler = passthrough_model(model_threshold), identity_scaler()
-    if explicit is not None and data is not None:
+    if explicit is not None:
         # duplicate some thresholds and hit some scores exactly
-        scores = score_dataset(model, scaler, d).tolist()
-        explicit = explicit + data.draw(st.lists(st.sampled_from(explicit + scores), max_size=8))
-    got = evaluate(model, scaler, d, thresholds=explicit)
-    want = reference.evaluate(model, scaler, d, thresholds=explicit)
-    assert got.sweep == want.sweep
-    assert got.roc_points == want.roc_points
-    assert got.auc == want.auc
-    assert got.operating_point == want.operating_point
-    assert (got.n_benign, got.n_malicious) == (want.n_benign, want.n_malicious)
+        pool = explicit + scores
+        explicit = explicit + [pool[i % len(pool)] for i in picks]
+    assert_same_report(
+        evaluate(model, scaler, d, thresholds=explicit),
+        reference.evaluate(model, scaler, d, thresholds=explicit),
+    )
+
+
+def test_report_arrays_keep_len_indexing_iteration_and_fields():
+    d = dataset_with_scores([0.9, 0.7], [0.3, 0.1])
+    report = evaluate(passthrough_model(0.5), identity_scaler(), d)
+    assert report.sweep.dtype.names == ("threshold", "tpr", "fpr", "fnr")
+    assert report.roc_points.dtype.names == ("fpr", "tpr")
+    assert len(report.sweep) == 5  # four distinct scores and the model's threshold
+    assert len(report.roc_points) == 5  # (0, 0) and one point per distinct score
+    assert [p.threshold for p in report.sweep] == report.sweep.threshold.tolist()
+    assert report.sweep[2].threshold == 0.5 and report.sweep[2].tpr == 1.0
+    assert report.sweep[2].tolist() == tuple(report.operating_point)
+    assert report.roc_points[-1].tolist() == (1.0, 1.0)
 
 
 # -- pick_threshold ------------------------------------------------------------
@@ -214,6 +246,64 @@ def test_pick_threshold_unreachable_reports_floor():
     report = evaluate(passthrough_model(), identity_scaler(), d, thresholds=[0.1])
     with pytest.raises(ThresholdNotReachable, match="minimum achievable"):
         pick_threshold(report, max_fpr=0.01)
+
+
+def pick_outcome(pick, report, max_fpr):
+    """The picked threshold's bytes, or the error's type and text."""
+    try:
+        return np.float64(pick(report, max_fpr)).tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Few distinct values, so rates and thresholds tie often; -0.0 and 0.0 tie
+# as numbers but not as bytes, so the pick must take the same one.
+_tied = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+_sweep_rows = st.lists(
+    st.tuples(st.sampled_from([-0.0, 0.0, 0.3, 0.5, 0.7, 1.0]), _tied, _tied), min_size=1, max_size=12
+)
+
+
+@given(rows=_sweep_rows, max_fpr=_tied.filter(lambda f: f < 1.0) | st.floats(0.0, 1.0, exclude_max=True))
+@example(rows=[(0.3, 0.5, 0.5)], max_fpr=0.25)  # nothing qualifies
+@example(rows=[(0.0, 1.0, 0.0), (-0.0, 1.0, 0.0)], max_fpr=0.0)
+@example(rows=[(-0.0, 1.0, 0.0), (0.0, 1.0, 0.0)], max_fpr=0.0)
+@settings(max_examples=300, deadline=None)
+def test_pick_threshold_equals_per_point_reference(rows, max_fpr):
+    # Any sweep, even one out of order: the highest TPR within the budget,
+    # ties to the larger threshold, and the first of equal ones.
+    sweep = np.rec.fromrecords(
+        [(t, tpr, fpr, 1.0 - tpr) for t, tpr, fpr in rows], names=SweepPoint._fields
+    )
+    report = EvalReport(
+        n_benign=1, n_malicious=1, sweep=sweep, roc_points=sweep[["fpr", "tpr"]],
+        auc=0.5, operating_point=SweepPoint(*sweep[0].tolist()),
+    )
+    assert pick_outcome(pick_threshold, report, max_fpr) == pick_outcome(
+        reference.pick_threshold, report, max_fpr
+    )
+
+
+@given(
+    mal=st.lists(_logits, min_size=1, max_size=30),
+    ben=st.lists(_logits, min_size=1, max_size=30),
+    explicit=st.none() | st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=10),
+    picks=st.lists(st.integers(0, 10**6), max_size=8),
+    budget=st.none() | st.floats(0.0, 1.0, exclude_max=True),
+    budget_pick=st.integers(0, 10**6),
+)
+@settings(max_examples=200, deadline=None)
+def test_pick_threshold_on_evaluated_sweeps_equals_reference(mal, ben, explicit, picks, budget, budget_pick):
+    d = dataset_with_logits(mal, ben)
+    model, scaler = passthrough_model(), identity_scaler()
+    if explicit is not None:
+        explicit = explicit + [explicit[i % len(explicit)] for i in picks]  # duplicates
+    report = evaluate(model, scaler, d, thresholds=explicit)
+    if budget is None:  # a budget equal to a swept FPR
+        budget = min(report.sweep.fpr.tolist()[budget_pick % len(report.sweep)], 0.5)
+    assert pick_outcome(pick_threshold, report, budget) == pick_outcome(
+        reference.pick_threshold, report, budget
+    )
 
 
 def _phi(x: float) -> float:
@@ -285,8 +375,12 @@ _sweep_point = st.tuples(*[_report_float] * 4).map(lambda t: SweepPoint(*t))
 @settings(max_examples=150, deadline=None)
 def test_report_files_equal_the_line_by_line_reference(roc, sweep, auc, counts):
     report = EvalReport(
-        n_benign=counts[0], n_malicious=counts[1], sweep=sweep, roc_points=roc,
-        auc=auc, operating_point=sweep[0],
+        n_benign=counts[0],
+        n_malicious=counts[1],
+        sweep=np.rec.fromrecords(sweep, names=SweepPoint._fields),
+        roc_points=np.rec.fromrecords(roc, names="fpr,tpr"),
+        auc=auc,
+        operating_point=sweep[0],
     )
     with tempfile.TemporaryDirectory() as got_dir, tempfile.TemporaryDirectory() as want_dir:
         write_report_files(report, got_dir)

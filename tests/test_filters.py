@@ -8,6 +8,7 @@ import base64
 import binascii
 import random
 import time
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -234,8 +235,9 @@ def test_roundtrip_lzw(early_change, data):
 def test_lzw_decodes_in_linear_time():
     # The decoder drops each code's bits from its accumulator.  While it kept
     # them, every input byte shifted an integer as long as all the input read
-    # so far: this ~290 KiB stream took ~32 s, where it now takes ~0.4 s
-    # (2-core VM, Python 3.11).  A CLEAR every 200 literals keeps codes 9 bits.
+    # so far: this ~290 KiB stream took ~32 s, where it now takes ~0.5 s, its
+    # codes read twice (2-core VM, Python 3.11).  A CLEAR every 200 literals
+    # keeps codes 9 bits.
     CLEAR, EOD = 256, 257
     data = random.Random(0).randbytes(264_000)
     codes = []
@@ -399,6 +401,94 @@ def test_runlength_matches_former_decoder(data, cap):
         assert outcome(decode_stream, data, ["RunLengthDecode"]) == outcome(
             reference.runlength_decode, data
         )
+
+
+def pack_lzw(codes: list[int], early_change: int = 1) -> bytes:
+    """Codes packed at the widths the decoder reads them at."""
+    sized, size, bits, first = [], 258, 9, True
+    for code in codes:
+        sized.append((code, bits))
+        if code == 256:
+            size, bits, first = 258, 9, True
+            continue
+        if first:
+            first = False
+        else:
+            size += 1
+        if size + early_change >= (1 << bits) and bits < 12:
+            bits += 1
+    return pack_codes(sized)
+
+
+@st.composite
+def lzw_streams(draw):
+    """Codes that mostly name a table entry (the next one included, which
+    repeats the previous entry), with clear codes, a code past the table or
+    past the initial 256, and EOD or none at the end."""
+    early_change = draw(st.sampled_from([0, 1]))
+    codes, size, bits, first = [], 258, 9, True
+    for _ in range(draw(st.integers(0, 60))):
+        kind = draw(st.sampled_from(["entry"] * 12 + ["clear", "bad"]))
+        if kind == "clear":
+            codes.append(256)
+            size, bits, first = 258, 9, True
+            continue
+        if kind == "bad" and size + 1 < (1 << bits):
+            codes.append(258 if first else draw(st.integers(size + 1, (1 << bits) - 1)))
+            continue
+        code = draw(st.integers(0, 255 if first else min(size, 4095)))
+        codes.append(255 if code in (256, 257) else code)
+        if first:
+            first = False
+        else:
+            size += 1
+        if size + early_change >= (1 << bits) and bits < 12:
+            bits += 1
+    if draw(st.booleans()):
+        codes.append(257)
+    return pack_lzw(codes, early_change), early_change
+
+
+def _lzw_past_a_full_table(early_change: int) -> tuple[bytes, int]:
+    # 6,000 codes without a clear code: the table fills at 4,096 entries and
+    # later codes still name entries in it.
+    rng = random.Random(early_change)
+    codes = [rng.randrange(256)] + [rng.randrange(256, min(259 + k, 4096)) for k in range(6000)]
+    codes = [255 if code in (256, 257) else code for code in codes]
+    return pack_lzw(codes + [257], early_change), early_change
+
+
+@given(lzw_streams(), st.sampled_from([None, 1, 40, 300]))
+@example(_lzw_past_a_full_table(0), None)
+@example(_lzw_past_a_full_table(1), None)
+@settings(max_examples=500, deadline=None)
+def test_lzw_matches_former_decoder(case, cap):
+    # Counting first gives the same output and the same first error.
+    data, early_change = case
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            patch.setattr(filters, "MAX_DECODED", cap)
+        got = outcome(decode_stream, data, ["LZWDecode"], {"/EarlyChange": early_change})
+        assert got == outcome(reference.lzw_decode, data, early_change)
+
+
+def test_lzw_bomb_fails_having_built_nothing(monkeypatch):
+    # Each code names the entry being made, the previous one plus its first
+    # byte, so entry k is k + 2 bytes of "A": 3,838 codes (5.4 KB) decode to
+    # 7.4 MB.  Counting first fails at ~52 KiB traced, where the former
+    # decoder held its output up to the 1 MiB cap and the entries behind it,
+    # ~2.1 MiB (2-core VM, Python 3.11).
+    cap = 1 << 20
+    monkeypatch.setattr(filters, "MAX_DECODED", cap)
+    stream = pack_lzw([65, *range(258, 4096), 257])
+    tracemalloc.start()
+    try:
+        with pytest.raises(StreamDecodeError, match="decoded output exceeds size cap"):
+            decode_stream(stream, ["LZWDecode"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cap // 8
 
 
 @st.composite
