@@ -11,7 +11,6 @@ import concurrent.futures
 import functools
 import os
 import re
-import stat
 import sys
 from typing import Optional
 
@@ -23,7 +22,7 @@ from .features import FeatureVector, describe_schema, extract_features
 from .mlp import MlpModel, predict
 from .pdf import parse_pdf
 from .preprocess import Dataset, read_features_csv, transform, write_features_csv
-from .store import ModelStoreError, _layer_arrays, dataset_checksum, load, loads, save
+from .store import ModelStoreError, _layer_arrays, _read_file, dataset_checksum, load, loads, save
 from .train import TrainConfig, TrainingDivergedError, train
 
 EXIT_OK = 0
@@ -79,22 +78,6 @@ def _default_seed(value: Optional[int]) -> int:
         return int(env)
     except ValueError:
         raise CliError(f"PDFMLP_SEED must be an integer, got {env!r}")
-
-
-def _read_file(path: str) -> bytes:
-    """A regular file's bytes; anything else raises OSError before a read.
-
-    The open does not block, so a FIFO with no writer is refused at once,
-    and a device, which could be endless, is never read.
-    """
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-    try:
-        if not stat.S_ISREG(os.fstat(fd).st_mode):
-            raise OSError("not a regular file")
-        with open(fd, "rb", closefd=False) as fh:
-            return fh.read()
-    finally:
-        os.close(fd)
 
 
 def _read_features(path: str) -> FeatureVector:

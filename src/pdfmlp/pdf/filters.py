@@ -1,7 +1,7 @@
 """PDF stream filter decoders.
 
-Supported: FlateDecode (with PNG/TIFF predictors), ASCIIHexDecode,
-ASCII85Decode, RunLengthDecode and LZWDecode.  Anything else (DCTDecode,
+Supported: FlateDecode and LZWDecode (each with PNG/TIFF predictors),
+ASCIIHexDecode, ASCII85Decode and RunLengthDecode.  Anything else (DCTDecode,
 JBIG2Decode, ...) raises UnknownFilterError so callers can keep the raw
 bytes and move on.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import base64
 import zlib
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,10 +30,6 @@ MAX_DECODED = 1 << 26
 
 _INFLATE_CHUNK = 1 << 20
 _LZW_ENTRIES = 1 << 12
-
-# The shared byte classes as deletion tables for bytes.translate.
-_WHITESPACE_BYTES = bytes(sorted(WHITESPACE))
-_HEX_DIGIT_BYTES = bytes(sorted(HEX_DIGITS))
 
 # Abbreviated filter names are legal inside inline images and show up in
 # malformed files elsewhere too; treat them as their long forms.
@@ -84,43 +80,30 @@ def decode_stream(
 
     ``filters`` holds filter names as they appear in a stream dictionary
     (with or without the leading slash, abbreviations allowed).  ``params``
-    may be a single decode-parameter dictionary or a list parallel to
-    ``filters``.  An empty filter list returns ``raw`` unchanged.
+    is a /DecodeParms value: a list pairs with the filters in order, and
+    anything else belongs to the first filter.  An entry that is not a
+    dictionary counts as none.  A FlateDecode or LZWDecode stage applies
+    its own /Predictor.  An empty filter list returns ``raw`` unchanged.
 
     Raises StreamDecodeError (UnknownFilterError for filters outside the
     supported set) and never returns partial output.  A stage whose output
     would exceed MAX_DECODED bytes fails while it decodes, before the
     output is built.
     """
-    param_list = _normalize_params(params, len(filters))
+    if not isinstance(params, (list, tuple)):
+        params = (params,)
     data = raw
-    for name, parm in zip(filters, param_list):
+    for i, name in enumerate(filters):
         canonical = canonical_filter_name(name)
         decoder = _DECODERS.get(canonical)
         if decoder is None:
             raise UnknownFilterError(canonical)
-        data = decoder(data, parm)
-        if canonical in ("FlateDecode", "LZWDecode"):
-            data = _apply_predictor(data, parm, canonical)
+        data = decoder(data, params[i] if i < len(params) else None)
     return data
 
 
-def _normalize_params(params: Any, n: int) -> list[Optional[dict]]:
-    if params is None:
-        return [None] * n
-    if isinstance(params, dict):
-        return [params] + [None] * (n - 1) if n else []
-    if isinstance(params, (list, tuple)):
-        out: list[Optional[dict]] = []
-        for i in range(n):
-            p = params[i] if i < len(params) else None
-            out.append(p if isinstance(p, dict) else None)
-        return out
-    return [None] * n
-
-
-def _param(parm: Optional[dict], key: str, default: int) -> int:
-    if not parm:
+def _param(parm: Any, key: str, default: int) -> int:
+    if not isinstance(parm, dict):
         return default
     value = parm.get("/" + key, parm.get(key, default))
     return value if isinstance(value, int) else default
@@ -257,8 +240,8 @@ def _lzw_decode(data: bytes, early_change: int = 1) -> bytes:
 
 def _asciihex_decode(data: bytes) -> bytes:
     end = data.find(b">")
-    digits = (data if end == -1 else data[:end]).translate(None, _WHITESPACE_BYTES)
-    invalid = digits.translate(None, _HEX_DIGIT_BYTES)
+    digits = (data if end == -1 else data[:end]).translate(None, WHITESPACE)
+    invalid = digits.translate(None, HEX_DIGITS)
     if invalid:
         raise StreamDecodeError("ASCIIHexDecode", f"invalid byte 0x{invalid[0]:02x}")
     if (len(digits) + 1) // 2 > MAX_DECODED:
@@ -269,7 +252,7 @@ def _asciihex_decode(data: bytes) -> bytes:
 
 
 def _ascii85_decode(data: bytes) -> bytes:
-    body = data.translate(None, _WHITESPACE_BYTES)
+    body = data.translate(None, WHITESPACE)
     if body.startswith(b"<~"):
         body = body[2:]
     end = body.find(b"~>")
@@ -322,12 +305,12 @@ def _runlength_decode(data: bytes) -> bytes:
     return bytes(out)
 
 
-# Canonical filter name -> decoder(data, decode parameters).  decode_stream
-# applies any /Predictor after FlateDecode and LZWDecode.
-_DECODERS: dict[str, Callable[[bytes, Optional[dict]], bytes]] = {
-    "FlateDecode": lambda data, parm: _flate_decode(data),
-    "LZWDecode": lambda data, parm: _lzw_decode(
-        data, early_change=1 if _param(parm, "EarlyChange", 1) else 0
+# Canonical filter name -> decoder(data, decode parameters), where the
+# parameters are any /DecodeParms entry (only a dictionary counts).
+_DECODERS: dict[str, Callable[[bytes, Any], bytes]] = {
+    "FlateDecode": lambda data, parm: _apply_predictor(_flate_decode(data), parm, "FlateDecode"),
+    "LZWDecode": lambda data, parm: _apply_predictor(
+        _lzw_decode(data, early_change=1 if _param(parm, "EarlyChange", 1) else 0), parm, "LZWDecode"
     ),
     "ASCIIHexDecode": lambda data, parm: _asciihex_decode(data),
     "ASCII85Decode": lambda data, parm: _ascii85_decode(data),
@@ -335,7 +318,7 @@ _DECODERS: dict[str, Callable[[bytes, Optional[dict]], bytes]] = {
 }
 
 
-def _apply_predictor(data: bytes, parm: Optional[dict], filter_name: str) -> bytes:
+def _apply_predictor(data: bytes, parm: Any, filter_name: str) -> bytes:
     predictor = _param(parm, "Predictor", 1)
     if predictor <= 1:
         return data

@@ -11,9 +11,10 @@ from itertools import repeat
 from typing import Any, NamedTuple, Optional
 
 # Byte classes of the PDF lexer, shared by the parser, the filters and the
-# feature extractor.
-WHITESPACE = frozenset(b"\x00\t\n\x0c\r ")
-HEX_DIGITS = frozenset(b"0123456789abcdefABCDEF")
+# feature extractor.  Sorted bytes, so each serves as it is as a deletion
+# table for bytes.translate and, through re.escape, as a regex class.
+WHITESPACE = b"\x00\t\n\x0c\r "
+HEX_DIGITS = b"0123456789ABCDEFabcdef"
 
 
 class DiagnosticKind(str, Enum):

@@ -33,10 +33,10 @@ __all__ = ["parse_pdf", "iter_name_occurrences", "MAX_NESTING_DEPTH"]
 
 MAX_NESTING_DEPTH = 64
 
-_REGULAR_END = WHITESPACE | frozenset(b"()<>[]{}/%")
+_REGULAR_END = bytes(sorted(WHITESPACE + b"()<>[]{}/%"))
 
 # The whitespace class of the regexes below.
-_WS = b"[" + re.escape(bytes(sorted(WHITESPACE))) + b"]"
+_WS = b"[" + re.escape(WHITESPACE) + b"]"
 _OBJ_RE = re.compile(rb"(\d{1,10})" + _WS + rb"+(\d{1,5})" + _WS + rb"+obj(?![0-9A-Za-z])")
 # Object headers and the structural markers in one alternation.  A header
 # starts with a digit and a marker holds none, so matches never overlap.
@@ -72,8 +72,8 @@ _STRING_ESCAPES = {
     b"%0*o" % (width, v): bytes((v & 0xFF,)) for width in (1, 2, 3) for v in range(8**width)
 } | {b"n": b"\n", b"r": b"\r", b"t": b"\t", b"b": b"\b", b"f": b"\f",
      b"\r": b"", b"\n": b"", b"\r\n": b""}
-_NOT_HEX_DIGITS = bytes(sorted(frozenset(range(256)) - HEX_DIGITS))
-_NAME_ESCAPE_RE = re.compile(rb"#([0-9A-Fa-f]{2})")
+_NOT_HEX_DIGITS = bytes(range(256)).translate(None, HEX_DIGITS)
+_NAME_ESCAPE_RE = re.compile(rb"#([%s]{2})" % HEX_DIGITS)
 _UINT_RE = re.compile(_SKIP + rb"(\d{1,15})")
 # Number tokens longer than this are read as reals.  It is Python's default
 # int-string limit, fixed here so the parse never raises on a long integer
@@ -93,7 +93,7 @@ _CONSTANTS = {b"true": True, b"false": False, b"null": None}
 _TOKEN_RE = re.compile(
     _SKIP
     + rb"(?:(/[^%s]*)|([+-]?(?:\d+(?:\.\d*)?|\.\d+))|(<<)|(>>)|(\[)|(\])|(\()|(<)"
-    % re.escape(bytes(sorted(_REGULAR_END)))
+    % re.escape(_REGULAR_END)
     + rb"|([A-Za-z]{1,32})|([+.-])|(.))",
     re.S,
 )
@@ -493,20 +493,14 @@ class _DocumentParser:
         filters = dictionary.get("/Filter")
         if filters is None:
             return raw
-        if isinstance(filters, (PdfName, str)):
+        if isinstance(filters, str):
             filters = [filters]
-        if not isinstance(filters, list):
+        elif not (isinstance(filters, list) and all(isinstance(f, str) for f in filters)):
             self.diag(at, DiagnosticKind.DECODE_ERROR, "unusable /Filter entry")
             return None
-        names = []
-        for f in filters:
-            if not isinstance(f, (PdfName, str)):
-                self.diag(at, DiagnosticKind.DECODE_ERROR, "unusable /Filter entry")
-                return None
-            names.append(str(f))
         params = dictionary.get("/DecodeParms", dictionary.get("/DP"))
         try:
-            decoded = decode_stream(raw, names, params)
+            decoded = decode_stream(raw, filters, params)
         except UnknownFilterError as exc:
             self.diag(at, DiagnosticKind.UNKNOWN_FILTER, exc.filter_name)
             return None

@@ -14,8 +14,9 @@ import hashlib
 import json
 import math
 import os
+import secrets
+import stat
 import struct
-import tempfile
 from typing import Any, Optional
 
 import numpy as np
@@ -263,10 +264,16 @@ def save(
     path: str,
     fingerprint: Optional[dict[str, Any]] = None,
 ) -> None:
-    """Write atomically: temp file in the target directory, then rename."""
+    """Write atomically: temp file in the target directory, then rename.
+
+    The temp file is created here rather than by tempfile.mkstemp, whose
+    0o600 would keep a reader run as another user out: the model gets the
+    mode open(path, "wb") would give a new file, 0o666 less the umask.
+    """
     blob = dumps(model, scaler, fingerprint)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(prefix=".pdfmlp-", dir=directory)
+    tmp_path = os.path.join(directory, ".pdfmlp-" + secrets.token_hex(8))
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
@@ -279,9 +286,24 @@ def save(
         raise
 
 
+def _read_file(path: str) -> bytes:
+    """A regular file's bytes; anything else raises OSError before a read.
+
+    The open does not block, so a FIFO with no writer is refused at once,
+    and a device, which could be endless, is never read.
+    """
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise OSError("not a regular file")
+        with open(fd, "rb", closefd=False) as fh:
+            return fh.read()
+    finally:
+        os.close(fd)
+
+
 def load(path: str) -> tuple[MlpModel, Scaler, str]:
-    with open(path, "rb") as fh:
-        return loads(fh.read())
+    return loads(_read_file(path))
 
 
 def model_checksum(

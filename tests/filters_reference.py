@@ -12,14 +12,20 @@ cap, read from ``filters.MAX_DECODED`` so a test can lower it.
 after each run it appends, so it builds up to the cap before it fails.
 ``lzw_decode`` is the former LZW filter, which does the same after each
 code.
+
+``decode_stream`` is the former pairing of a filter chain with its
+parameters: ``normalize_params`` first rebuilds /DecodeParms as one entry
+per filter, and ``apply_predictor`` runs after a FlateDecode or LZWDecode
+stage, chosen by name.  The stage decoders and the predictors are the
+library's own, so a test that compares the two isolates the pairing.
 """
 
 import base64
 import zlib
-from typing import Optional
+from typing import Any, Optional
 
 from pdfmlp.pdf import filters
-from pdfmlp.pdf.filters import StreamDecodeError, _over_cap
+from pdfmlp.pdf.filters import StreamDecodeError, UnknownFilterError, _over_cap
 from pdfmlp.pdf.objects import HEX_DIGITS, WHITESPACE
 
 
@@ -206,3 +212,64 @@ def lzw_decode(data: bytes, early_change: int = 1) -> bytes:
             if len(table) + early_change >= (1 << bits) and bits < 12:
                 bits += 1
     return bytes(out)
+
+
+def decode_stream(raw: bytes, filter_names: list, params: Any = None) -> bytes:
+    param_list = normalize_params(params, len(filter_names))
+    data = raw
+    for name, parm in zip(filter_names, param_list):
+        canonical = filters.canonical_filter_name(name)
+        decoder = _STAGES.get(canonical)
+        if decoder is None:
+            raise UnknownFilterError(canonical)
+        data = decoder(data, parm)
+        if canonical in ("FlateDecode", "LZWDecode"):
+            data = apply_predictor(data, parm, canonical)
+    return data
+
+
+def normalize_params(params: Any, n: int) -> list[Optional[dict]]:
+    if params is None:
+        return [None] * n
+    if isinstance(params, dict):
+        return [params] + [None] * (n - 1) if n else []
+    if isinstance(params, (list, tuple)):
+        out: list[Optional[dict]] = []
+        for i in range(n):
+            p = params[i] if i < len(params) else None
+            out.append(p if isinstance(p, dict) else None)
+        return out
+    return [None] * n
+
+
+def param(parm: Optional[dict], key: str, default: int) -> int:
+    if not parm:
+        return default
+    value = parm.get("/" + key, parm.get(key, default))
+    return value if isinstance(value, int) else default
+
+
+# One stage of each filter, without its predictor.
+_STAGES = {
+    "FlateDecode": lambda data, parm: filters._flate_decode(data),
+    "LZWDecode": lambda data, parm: filters._lzw_decode(
+        data, early_change=1 if param(parm, "EarlyChange", 1) else 0
+    ),
+    "ASCIIHexDecode": lambda data, parm: filters._asciihex_decode(data),
+    "ASCII85Decode": lambda data, parm: filters._ascii85_decode(data),
+    "RunLengthDecode": lambda data, parm: filters._runlength_decode(data),
+}
+
+
+def apply_predictor(data: bytes, parm: Optional[dict], filter_name: str) -> bytes:
+    predictor = param(parm, "Predictor", 1)
+    if predictor <= 1:
+        return data
+    colors = param(parm, "Colors", 1)
+    bpc = param(parm, "BitsPerComponent", 8)
+    columns = param(parm, "Columns", 1)
+    if predictor == 2:
+        return filters._tiff_predictor(data, colors, bpc, columns, filter_name)
+    if predictor >= 10:
+        return filters._png_predictor(data, colors, bpc, columns, filter_name)
+    raise StreamDecodeError(filter_name, f"unsupported predictor {predictor}")

@@ -27,11 +27,17 @@ which skips for itself; ``probe`` is the former ``_probe``, which sliced
 the window out and skipped over the slice.  ``iter_name_occurrences``
 is the recursive name walk, the oracle for the one walk that counts every
 name.
+
+``FormerDecodeParser`` is the parser with its former ``_decode``, which
+checked each /Filter element while it copied the names into a list and
+handed them to the former filter pairing, ``filters_reference.decode_stream``;
+the oracle for the ``_decode`` that hands /Filter to ``decode_stream`` as it is.
 """
 
 import re
 from typing import Any, Optional
 
+from pdfmlp.pdf.filters import StreamDecodeError, UnknownFilterError
 from pdfmlp.pdf.objects import (
     HEX_DIGITS,
     WHITESPACE,
@@ -60,6 +66,8 @@ from pdfmlp.pdf.parser import (
     _probe,
 )
 
+import filters_reference
+
 # The byte each one-byte escape of a literal string stands for.
 _STRING_ESCAPES = {
     0x6E: 0x0A,  # \n
@@ -76,6 +84,34 @@ _XREF_RE = re.compile(rb"(?<![A-Za-z])xref(?![0-9A-Za-z])")
 _TRAILER_RE = re.compile(rb"(?<![A-Za-z])trailer(?![0-9A-Za-z])")
 _STARTXREF_RE = re.compile(rb"(?<![A-Za-z])startxref(?![0-9A-Za-z])")
 _EOF_RE = re.compile(rb"%%EOF")
+
+
+class FormerDecodeParser(_DocumentParser):
+    def _decode(self, dictionary: dict, raw: bytes, at: int) -> Optional[bytes]:
+        filters = dictionary.get("/Filter")
+        if filters is None:
+            return raw
+        if isinstance(filters, (PdfName, str)):
+            filters = [filters]
+        if not isinstance(filters, list):
+            self.diag(at, DiagnosticKind.DECODE_ERROR, "unusable /Filter entry")
+            return None
+        names = []
+        for f in filters:
+            if not isinstance(f, (PdfName, str)):
+                self.diag(at, DiagnosticKind.DECODE_ERROR, "unusable /Filter entry")
+                return None
+            names.append(str(f))
+        params = dictionary.get("/DecodeParms", dictionary.get("/DP"))
+        try:
+            decoded = filters_reference.decode_stream(raw, names, params)
+        except UnknownFilterError as exc:
+            self.diag(at, DiagnosticKind.UNKNOWN_FILTER, exc.filter_name)
+            return None
+        except StreamDecodeError as exc:
+            self.diag(at, DiagnosticKind.DECODE_ERROR, str(exc))
+            return None
+        return decoded
 
 
 class FivePassParser(_DocumentParser):

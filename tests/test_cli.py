@@ -399,6 +399,19 @@ def test_evaluate_missing_model(features_csv, tmp_path, capsys):
     assert "cannot load model" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_evaluate_refuses_a_fifo_model_without_waiting_for_a_writer(features_csv, tmp_path):
+    # store.load opened the model with a blocking open, so evaluate waited
+    # for a writer for good; it now reads through scan's regular-file reader.
+    fifo = tmp_path / "model.bin"
+    os.mkfifo(fifo)
+    out_dir = str(tmp_path / "e")
+    args = ["evaluate", "--features", features_csv, "--model", str(fifo), "--out-dir", out_dir]
+    done = run_cli(args, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"pdfmlp: error: cannot load model {fifo}: not a regular file\n"
+
+
 def test_text_files_are_written_and_read_as_utf8(corpus, tmp_path):
     # Every text-mode open names its encoding, so no output depends on the locale.
     def run(*args):

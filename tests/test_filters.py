@@ -557,3 +557,74 @@ def test_every_filter_stops_one_byte_past_the_cap(monkeypatch, name, payload):
     with pytest.raises(StreamDecodeError, match="decoded output exceeds size cap") as info:
         decode_stream(encode(payload[: _CAP + 1]), [name])
     assert info.value.filter_name == name
+
+
+# -- pairing a filter chain with its parameters --------------------------------
+
+_SPELLINGS = [
+    "FlateDecode", "/FlateDecode", "Fl", "/Fl", "LZWDecode", "/LZW", "ASCIIHexDecode",
+    "/AHx", "A85", "/RunLengthDecode", "RL", "/DCTDecode", "DCT", "NoSuchFilter",
+]
+_PARM_DICTS = st.one_of(
+    st.just({}),
+    st.fixed_dictionaries(
+        {
+            "/Predictor": st.sampled_from([1, 2, 7, 10, 12, 15]),
+            "/Columns": st.sampled_from([1, 3, 4]),
+            "/Colors": st.sampled_from([1, 2]),
+            "/BitsPerComponent": st.sampled_from([4, 8]),
+        }
+    ),
+    st.fixed_dictionaries({"/Predictor": st.sampled_from([2, 12]), "/Columns": st.just(4)}),
+    st.fixed_dictionaries({"Predictor": st.sampled_from([2, 12]), "Columns": st.just(4)}),
+    st.fixed_dictionaries({"/EarlyChange": st.sampled_from([0, 1])}),
+    st.just({"/Predictor": "/12", "/Columns": 4}),  # a value that is no integer
+)
+_PARM_ENTRIES = st.one_of(_PARM_DICTS, st.none(), st.integers(-1, 15), st.just("/Name"), st.just([{}]))
+_PARAMS = st.one_of(
+    st.none(),
+    _PARM_DICTS,
+    st.lists(_PARM_ENTRIES, max_size=4),
+    st.lists(_PARM_ENTRIES, max_size=4).map(tuple),
+    st.integers(-1, 15),
+)
+
+
+@st.composite
+def filter_chains(draw):
+    """Rows of four bytes (PNG rows have a row type first) encoded through a
+    drawn filter list, with /DecodeParms of any shape."""
+    names = draw(st.lists(st.sampled_from(_SPELLINGS), max_size=3))
+    rows = draw(st.lists(st.binary(min_size=4, max_size=4), max_size=5))
+    if draw(st.booleans()):
+        rows = [bytes([draw(st.integers(0, 5))]) + row for row in rows]
+    data = b"".join(rows)
+    for name in reversed(names):
+        encode = _ENCODERS.get(canonical_filter_name(name))
+        if encode is not None:
+            data = encode(data)
+    return data, names, draw(_PARAMS)
+
+
+def typed_outcome(decode, *args):
+    try:
+        return decode(*args)
+    except StreamDecodeError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_PNG_ROWS = bytes([2, 1, 2, 3, 4, 1, 9, 1, 1, 1])  # an Up row and a Sub row
+
+
+@given(filter_chains())
+@example((zlib.compress(_PNG_ROWS), ["FlateDecode"], {"/Predictor": 12, "/Columns": 4}))
+@example((encode_lzw(bytes(range(8))), ["/LZW"], [{"/Predictor": 2, "/Columns": 4}]))
+@example((encode_asciihex(zlib.compress(_PNG_ROWS)), ["AHx", "Fl"], (None, {"/Predictor": 12, "/Columns": 4})))
+@example((encode_asciihex(zlib.compress(_PNG_ROWS)), ["AHx", "Fl"], {"/Predictor": 12, "/Columns": 4}))
+@example((zlib.compress(_PNG_ROWS), ["FlateDecode"], [5, {"/Predictor": 12, "/Columns": 4}, None]))
+@example((zlib.compress(_PNG_ROWS), ["FlateDecode"], 12))
+@settings(max_examples=500, deadline=None)
+def test_decode_stream_pairs_parameters_as_the_former_pairing(case):
+    data, names, params = case
+    expected = typed_outcome(reference.decode_stream, data, names, params)
+    assert typed_outcome(decode_stream, data, names, params) == expected

@@ -1026,3 +1026,69 @@ def spliced_documents(draw):
 @settings(max_examples=300, deadline=None)
 def test_scan_matches_five_pass_scan_on_spliced_keywords(data):
     assert_same_as_five_pass_scan(data)
+
+
+# -- /Filter and /DecodeParms spellings ----------------------------------------
+
+_PLAIN_TEXT = b"the bytes under a filter chain"
+_UP_ROWS = bytes([2, 1, 2, 3, 4, 2, 1, 1, 1, 1])  # two PNG Up rows of four bytes
+_HEX_ROWS = b"\x006869\x002121"  # two PNG None rows holding the hex digits of "hi!!"
+_PNG_PARMS = b"<< /Predictor 12 /Columns 4 >>"
+
+# name -> (stream dictionary, raw bytes, decoded bytes or None)
+_FILTER_ENTRIES = {
+    "no-filter": (b"<< >>", _PLAIN_TEXT, _PLAIN_TEXT),
+    "name": (b"<< /Filter /FlateDecode >>", zlib.compress(_PLAIN_TEXT), _PLAIN_TEXT),
+    "alias": (b"<< /Filter /Fl >>", zlib.compress(_PLAIN_TEXT), _PLAIN_TEXT),
+    "empty-list": (b"<< /Filter [] >>", _PLAIN_TEXT, _PLAIN_TEXT),
+    "list": (b"<< /Filter [/FlateDecode] >>", zlib.compress(_PLAIN_TEXT), _PLAIN_TEXT),
+    "list-with-ref": (b"<< /Filter [/FlateDecode 9 0 R] >>", zlib.compress(_PLAIN_TEXT), None),
+    "ref": (b"<< /Filter 9 0 R >>", zlib.compress(_PLAIN_TEXT), None),
+    "int": (b"<< /Filter 5 >>", _PLAIN_TEXT, None),
+    "dict": (b"<< /Filter << /F /FlateDecode >> >>", zlib.compress(_PLAIN_TEXT), None),
+    "asciihex-flate": (
+        b"<< /Filter [/ASCIIHexDecode /FlateDecode] >>",
+        zlib.compress(_PLAIN_TEXT).hex().encode() + b">",
+        _PLAIN_TEXT,
+    ),
+    "dct": (b"<< /Filter /DCTDecode >>", b"\xff\xd8\xff\xe0", None),
+    "unknown": (b"<< /Filter /NoSuchFilter >>", _PLAIN_TEXT, None),
+    "params-int": (b"<< /Filter /FlateDecode /DecodeParms 5 >>", zlib.compress(_PLAIN_TEXT), _PLAIN_TEXT),
+    "params-list": (
+        b"<< /Filter [/AHx /Fl] /DecodeParms [null " + _PNG_PARMS + b"] >>",
+        zlib.compress(_UP_ROWS).hex().encode() + b">",
+        bytes([1, 2, 3, 4, 2, 3, 4, 5]),
+    ),
+    "dp-png": (
+        b"<< /Filter /FlateDecode /DP " + _PNG_PARMS + b" >>",
+        zlib.compress(_UP_ROWS),
+        bytes([1, 2, 3, 4, 2, 3, 4, 5]),
+    ),
+    # One dictionary belongs to the first filter: the predictor runs on
+    # Flate's output, before ASCIIHex.
+    "one-dict-two-filters": (
+        b"<< /Filter [/FlateDecode /ASCIIHexDecode] /DecodeParms " + _PNG_PARMS + b" >>",
+        zlib.compress(_HEX_ROWS),
+        b"hi!!",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "dictionary, raw, expected", list(_FILTER_ENTRIES.values()), ids=list(_FILTER_ENTRIES)
+)
+def test_filter_entry_decodes_as_the_former_decode(dictionary, raw, expected):
+    pdf = assemble_pdf([stream_body(dictionary, raw)])
+    doc = parse_pdf(pdf)
+    former = parser_reference.FormerDecodeParser(pdf).parse()
+    assert doc.objects[(1, 0)].decoded == former.objects[(1, 0)].decoded == expected
+    assert doc.diagnostics == former.diagnostics
+
+
+@pytest.mark.parametrize("entry", ["list-with-ref", "ref", "int", "dict"])
+def test_unusable_filter_entry_is_one_decode_error(entry):
+    dictionary, raw, _ = _FILTER_ENTRIES[entry]
+    doc = parse_pdf(assemble_pdf([stream_body(dictionary, raw)]))
+    assert [(d.kind, d.detail) for d in doc.diagnostics] == [
+        (DiagnosticKind.DECODE_ERROR, "unusable /Filter entry")
+    ]

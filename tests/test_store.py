@@ -2,7 +2,10 @@
 
 import json
 import re
+import stat
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +86,30 @@ def test_unwritable_path_leaves_nothing(tmp_path, trained_pair):
         save(model, scaler, str(missing_dir / "model.bin"))
     assert not missing_dir.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+# Saves a model and opens a plain file in one directory under one umask.
+_SAVE_UNDER_UMASK = """
+import os, sys
+import numpy as np
+from pdfmlp import save
+from pdfmlp.mlp import build_model
+from pdfmlp.preprocess import Scaler
+os.umask(int(sys.argv[1], 8))
+model = build_model(48, (4,), rng=np.random.default_rng(0))
+save(model, Scaler(means=np.zeros(48), stds=np.ones(48)), os.path.join(sys.argv[2], "model.bin"))
+open(os.path.join(sys.argv[2], "plain"), "wb").close()
+"""
+
+
+@pytest.mark.parametrize("umask", ["022", "077"])
+def test_saved_model_gets_the_mode_of_a_plain_open(tmp_path, umask):
+    # The temp file came from mkstemp, so a model was 0o600 whatever the
+    # umask, and a scan service run as another user could not read it.
+    command = [sys.executable, "-c", _SAVE_UNDER_UMASK, umask, str(tmp_path)]
+    subprocess.run(command, check=True, timeout=60)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == {"model.bin": modes["plain"], "plain": 0o666 & ~int(umask, 8)}
 
 
 def test_unsupported_version(trained_pair):
