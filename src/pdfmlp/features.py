@@ -2,7 +2,8 @@
 
 Features fall into four categories: document structure, object
 properties (auto-action and scripting keywords), content statistics
-(entropy, stream/filter shape) and metadata.  Every feature is a real
+(entropy, stream/filter shape) and metadata, filled by five block
+functions (content statistics takes two).  Every feature is a real
 number; flags are 0/1.  Extraction is deterministic and total: a
 degenerate document produces zeros, never an error.
 """
@@ -19,7 +20,6 @@ import numpy as np
 from .pdf import (
     DiagnosticKind,
     PdfDocument,
-    PdfName,
     PdfRef,
     PdfStream,
     PdfString,
@@ -50,25 +50,25 @@ _OBFUSCATION_TOKENS = (b"eval", b"unescape", b"String.fromCharCode", b"charCodeA
 # Maps every byte that is no hex digit to a space, so split() yields the hex runs.
 _HEX_RUNS = bytes(b if b in HEX_DIGITS else 0x20 for b in range(256))
 
-# Names counted by the object-properties block, in schema order.  The
-# /GoToR-or-GoToE entry sums two names.
+# Names counted by the object-properties block, in schema order; each entry
+# sums its names, so the /GoToR-or-GoToE entry sums two.
 _COUNTED_NAMES = (
-    "/JavaScript",
-    "/JS",
-    "/OpenAction",
-    "/AA",
-    "/Launch",
-    "/EmbeddedFile",
-    "/RichMedia",
-    "/AcroForm",
-    "/XFA",
-    "/URI",
+    ("/JavaScript",),
+    ("/JS",),
+    ("/OpenAction",),
+    ("/AA",),
+    ("/Launch",),
+    ("/EmbeddedFile",),
+    ("/RichMedia",),
+    ("/AcroForm",),
+    ("/XFA",),
+    ("/URI",),
     ("/GoToR", "/GoToE"),
-    "/ObjStm",
-    "/Encrypt",
-    "/Names",
-    "/SubmitForm",
-    "/Action",
+    ("/ObjStm",),
+    ("/Encrypt",),
+    ("/Names",),
+    ("/SubmitForm",),
+    ("/Action",),
 )
 
 
@@ -218,55 +218,102 @@ def _entropy(counts: np.ndarray, total: int) -> float:
 
 
 def extract_features(doc: PdfDocument, raw: bytes) -> FeatureVector:
-    """Map a parsed document plus its raw bytes to the 48-feature vector."""
-    values = np.zeros(N_FEATURES, dtype=np.float64)
+    """Map a parsed document plus its raw bytes to the 48-feature vector.
+
+    The five block functions below fill the schema in order.  Each is looked
+    up as a module global when it runs, so a wrapper set there sees every call.
+    """
     streams = list(doc.iter_streams())
-    roots = [_resolve(doc, t["/Root"]) for t in doc.trailer_dicts if "/Root" in t]
     info = _info_dict(doc)
     info_strings = _info_string_values(info)
+    values = [
+        *_structure(doc, streams),
+        *_names(doc),
+        *_entropies(raw, streams),
+        *_sizes_and_filters(doc, streams, info_strings),
+        *_metadata(doc, streams, info, info_strings),
+    ]
+    return FeatureVector(values=np.array(values, dtype=np.float64))
 
-    # structure
-    values[0] = doc.total_size
-    values[1] = _version_number(doc.header_version)
-    values[2] = len(doc.objects)
-    values[3] = len(streams)
-    values[4] = doc.xref_section_count
-    values[5] = len(doc.trailer_dicts)
-    values[6] = len(doc.startxref_offsets)
-    values[7] = len(doc.eof_marker_offsets)
-    values[8] = _bytes_after_last_eof(doc)
-    values[9] = doc._graph.depth
-    values[10] = doc.diagnostic_count(DiagnosticKind.DUPLICATE_OBJECT)
-    values[11] = len(doc.diagnostics)
 
-    # object properties
-    for i, entry in enumerate(_COUNTED_NAMES):
-        names = entry if isinstance(entry, tuple) else (entry,)
-        values[12 + i] = sum(iter_name_occurrences(doc, n) for n in names)
+def _structure(doc: PdfDocument, streams: list[PdfStream]) -> list[float]:
+    """Features 0-11: file_size through diagnostic_count."""
+    return [
+        doc.total_size,
+        _version_number(doc.header_version),
+        len(doc.objects),
+        len(streams),
+        doc.xref_section_count,
+        len(doc.trailer_dicts),
+        len(doc.startxref_offsets),
+        len(doc.eof_marker_offsets),
+        _bytes_after_last_eof(doc),
+        doc._graph.depth,
+        doc.diagnostic_count(DiagnosticKind.DUPLICATE_OBJECT),
+        len(doc.diagnostics),
+    ]
 
-    # content stats
-    values[28] = shannon_entropy(raw)
-    values[29], values[31] = _stream_entropies(streams)
-    values[30] = _entropy_outside_streams(raw, streams)
+
+def _names(doc: PdfDocument) -> list[float]:
+    """Features 12-27: the _COUNTED_NAMES occurrences."""
+    return [sum(iter_name_occurrences(doc, n) for n in names) for names in _COUNTED_NAMES]
+
+
+def _entropies(raw: bytes, streams: list[PdfStream]) -> list[float]:
+    """Features 28-31: entropy_file through entropy_stream_max.
+
+    Streams whose filters failed keep contributing their raw bytes; an
+    undecodable payload is still content.
+    """
+    combined = np.zeros(256, dtype=np.int64)
+    per_stream_max = 0.0
+    for s in streams:
+        counts = _byte_counts(s.data)
+        combined += counts
+        per_stream_max = max(per_stream_max, _entropy(counts, len(s.data)))
+    gaps = []
+    pos = 0
+    for start, end in sorted(s.span for s in streams if s.span is not None):
+        gaps.append(raw[pos:start])
+        pos = max(pos, end)
+    gaps.append(raw[pos:])
+    combined_entropy = _entropy(combined, sum(len(s.data) for s in streams))
+    return [shannon_entropy(raw), combined_entropy, shannon_entropy(b"".join(gaps)), per_stream_max]
+
+
+def _sizes_and_filters(doc: PdfDocument, streams: list[PdfStream], info_strings: list[bytes]) -> list[float]:
+    """Features 32-41: stream_size_mean through js_obfuscation_score."""
     raw_sizes = [len(s.raw) for s in streams]
     raw_total = sum(raw_sizes)
-    values[32] = raw_total / len(raw_sizes) if raw_sizes else 0.0
-    values[33] = max(raw_sizes, default=0)
-    values[34] = (raw_total / doc.total_size) if doc.total_size else 0.0
-    values[35:39] = _filter_counts(doc, streams)  # flate, ascii, other, cascade
-    values[39] = sum(1 for s in streams if s.decoded is None)
-    values[40] = _longest_hex_run(info_strings)
-    values[41] = _obfuscation_score(doc)
+    kinds = {"FlateDecode": 0, "ASCIIHexDecode": 1, "ASCII85Decode": 1}  # any other name: 2
+    filters = [0, 0, 0, 0]  # flate, ascii, other, cascade
+    for s in streams:
+        names = _declared_filters(doc, s)
+        filters[3] += len(names) >= 2
+        for name in names:
+            filters[kinds.get(name, 2)] += 1
+    return [
+        raw_total / len(raw_sizes) if raw_sizes else 0.0,
+        max(raw_sizes, default=0),
+        raw_total / doc.total_size if doc.total_size else 0.0,
+        *filters,
+        sum(1 for s in streams if s.decoded is None),
+        _longest_hex_run(info_strings),
+        _obfuscation_score(doc),
+    ]
 
-    # metadata
-    values[42] = _page_count(doc, roots[-1] if roots else None)
-    values[43] = 1.0 if info is not None else 0.0
-    values[44] = sum(len(s) for s in info_strings)
-    values[45] = sum(1 for s in info_strings if len(s) > 256)
-    values[46] = 1.0 if _has_xmp(doc, roots, streams) else 0.0
-    values[47] = 1.0 if (values[12] > 0 or values[13] > 0) else 0.0
 
-    return FeatureVector(values=values)
+def _metadata(doc: PdfDocument, streams: list[PdfStream], info: Optional[dict], info_strings: list[bytes]) -> list[float]:
+    """Features 42-47: page_count through js_present."""
+    roots = [_resolve(doc, t["/Root"]) for t in doc.trailer_dicts if "/Root" in t]
+    return [
+        _page_count(doc, roots[-1] if roots else None),
+        float(info is not None),
+        sum(len(s) for s in info_strings),
+        sum(1 for s in info_strings if len(s) > 256),
+        float(_has_xmp(doc, roots, streams)),
+        float(doc._graph.names["/JavaScript"] + doc._graph.names["/JS"] > 0),
+    ]
 
 
 # -- helpers -------------------------------------------------------------
@@ -288,61 +335,12 @@ def _bytes_after_last_eof(doc: PdfDocument) -> int:
     return max(0, doc.total_size - (max(doc.eof_marker_offsets) + 5))
 
 
-def _stream_entropies(streams: list[PdfStream]) -> tuple[float, float]:
-    """Entropy over all stream content combined, and the per-stream max.
-
-    Streams whose filters failed keep contributing their raw bytes; an
-    undecodable payload is still content.
-    """
-    combined = np.zeros(256, dtype=np.int64)
-    total = 0
-    per_stream_max = 0.0
-    for s in streams:
-        counts = _byte_counts(s.data)
-        combined += counts
-        total += len(s.data)
-        per_stream_max = max(per_stream_max, _entropy(counts, len(s.data)))
-    return _entropy(combined, total), per_stream_max
-
-
-def _entropy_outside_streams(raw: bytes, streams: list[PdfStream]) -> float:
-    gaps = []
-    pos = 0
-    for start, end in sorted(s.span for s in streams if s.span is not None):
-        gaps.append(raw[pos:start])
-        pos = max(pos, end)
-    gaps.append(raw[pos:])
-    return shannon_entropy(b"".join(gaps))
-
-
 def _declared_filters(doc: PdfDocument, stream: PdfStream) -> list[str]:
     filters = _resolve(doc, stream.dictionary.get("/Filter"))
-    if isinstance(filters, (PdfName, str)):
-        filters = [filters]
-    elif not isinstance(filters, list):
-        return []
-    out = []
-    for f in filters:
-        f = _resolve(doc, f)
-        if isinstance(f, (PdfName, str)):
-            out.append(canonical_filter_name(f))
-    return out
-
-
-def _filter_counts(doc: PdfDocument, streams: list[PdfStream]) -> tuple[int, int, int, int]:
-    flate = ascii_ = other = cascade = 0
-    for s in streams:
-        names = _declared_filters(doc, s)
-        if len(names) >= 2:
-            cascade += 1
-        for name in names:
-            if name == "FlateDecode":
-                flate += 1
-            elif name in ("ASCIIHexDecode", "ASCII85Decode"):
-                ascii_ += 1
-            else:
-                other += 1
-    return flate, ascii_, other, cascade
+    if not isinstance(filters, list):
+        return [canonical_filter_name(filters)] if isinstance(filters, str) else []
+    resolved = (_resolve(doc, f) for f in filters)
+    return [canonical_filter_name(f) for f in resolved if isinstance(f, str)]
 
 
 def _resolve(doc: PdfDocument, value: Any, depth: int = 8) -> Any:
@@ -380,7 +378,7 @@ def _page_count(doc: PdfDocument, root: Any) -> float:
     for tree in trees:
         count = _resolve(doc, tree.get("/Count")) if isinstance(tree, dict) else None
         # a count that is no integer, or too large for a float, is skipped
-        if isinstance(count, int) and 0 <= count <= sys.float_info.max:
+        if type(count) is int and 0 <= count <= sys.float_info.max:
             return float(count)
     return 0.0
 

@@ -73,23 +73,25 @@ def canonical_filter_name(name: Any) -> str:
 
 def decode_stream(
     raw: bytes,
-    filters: Sequence[Any],
+    filters: str | Sequence[Any],
     params: Any = None,
 ) -> bytes:
     """Apply ``filters`` to ``raw`` in declared order and return the result.
 
-    ``filters`` holds filter names as they appear in a stream dictionary
-    (with or without the leading slash, abbreviations allowed).  ``params``
-    is a /DecodeParms value: a list pairs with the filters in order, and
-    anything else belongs to the first filter.  An entry that is not a
-    dictionary counts as none.  A FlateDecode or LZWDecode stage applies
-    its own /Predictor.  An empty filter list returns ``raw`` unchanged.
+    ``filters`` is one filter name or a sequence of names, as a stream
+    dictionary gives them (leading slash optional, abbreviations allowed).
+    ``params`` is a /DecodeParms value: a list pairs with the filters in
+    order, and anything else belongs to the first filter.  An entry that
+    is not a dictionary counts as none.  A FlateDecode or LZWDecode stage
+    applies its own /Predictor.  An empty list returns ``raw`` unchanged.
 
     Raises StreamDecodeError (UnknownFilterError for filters outside the
     supported set) and never returns partial output.  A stage whose output
     would exceed MAX_DECODED bytes fails while it decodes, before the
     output is built.
     """
+    if isinstance(filters, str):
+        filters = (filters,)
     if not isinstance(params, (list, tuple)):
         params = (params,)
     data = raw

@@ -493,9 +493,7 @@ class _DocumentParser:
         filters = dictionary.get("/Filter")
         if filters is None:
             return raw
-        if isinstance(filters, str):
-            filters = [filters]
-        elif not (isinstance(filters, list) and all(isinstance(f, str) for f in filters)):
+        if not (isinstance(filters, str) or isinstance(filters, list) and all(isinstance(f, str) for f in filters)):
             self.diag(at, DiagnosticKind.DECODE_ERROR, "unusable /Filter entry")
             return None
         params = dictionary.get("/DecodeParms", dictionary.get("/DP"))

@@ -309,6 +309,20 @@ def test_page_count_falls_back_to_pages_count_entry():
     assert extract(raw)["page_count"] == 17
 
 
+_PAGES_3 = b"<< /Type /Pages /Kids [] /Count 3 >>"
+
+
+@pytest.mark.parametrize(
+    "count, more, pages",
+    [(b"true", [], 0), (b"true", [_PAGES_3], 3), (b"false", [_PAGES_3], 3)],
+    ids=["true", "true-then-3", "false-then-3"],
+)
+def test_page_count_skips_a_boolean_count(count, more, pages):
+    tree = b"<< /Type /Pages /Kids [] /Count " + count + b" >>"
+    raw = assemble_pdf([b"<< /Type /Catalog /Pages 2 0 R >>", tree, *more])
+    assert extract(raw)["page_count"] == pages
+
+
 def test_long_numbers_keep_extraction_total():
     docs = long_number_pdfs()
     integer = extract(docs["long-integer.pdf"])
@@ -489,6 +503,71 @@ def test_features_match_the_former_extractor_on_hand_built_documents(name):
     assert_same_as_former_extractor(doc, raw)
     vector = extract_features(doc, raw)
     assert {key: vector[key] for key in expected} == expected
+
+
+# -- the feature blocks --------------------------------------------------------
+
+# Each block function, with the first and last feature of its schema range.
+_BLOCKS = {
+    "_structure": ("file_size", "diagnostic_count"),
+    "_names": ("count_javascript", "count_action"),
+    "_entropies": ("entropy_file", "entropy_stream_max"),
+    "_sizes_and_filters": ("stream_size_mean", "js_obfuscation_score"),
+    "_metadata": ("page_count", "js_present"),
+}
+
+
+def _block_range(block):
+    first, last = _BLOCKS[block]
+    return describe_schema().index_of(first), describe_schema().index_of(last) + 1
+
+
+def _block_documents(fuzz_corpus):
+    """The hand-built cases and the first 300 fuzzed documents, as (doc, raw)."""
+    for source, _ in _FORMER_EXTRACTOR_CASES.values():
+        yield source if isinstance(source, tuple) else (parse_pdf(source), source)
+    for data, doc, _ in fuzz_corpus[:300]:
+        yield doc, data
+
+
+def test_feature_blocks_cover_the_schema_in_order():
+    ranges = [_block_range(block) for block in _BLOCKS]
+    assert [hi - lo for lo, hi in ranges] == [12, 16, 4, 10, 6]
+    assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+    assert sum(hi - lo for lo, hi in ranges) == N_FEATURES
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+def test_each_block_runs_once_through_its_module_global_and_fills_its_range(monkeypatch, fuzz_corpus, block):
+    original = getattr(features, block)
+    returned = []
+
+    def counted(*args):
+        returned.append(original(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(features, block, counted)
+    lo, hi = _block_range(block)
+    for calls, (doc, raw) in enumerate(_block_documents(fuzz_corpus), start=1):
+        values = extract_features(doc, raw).values
+        assert len(returned) == calls
+        assert len(returned[-1]) == hi - lo
+        assert np.array(returned[-1], dtype=np.float64).tobytes() == values[lo:hi].tobytes()
+
+
+def test_names_block_makes_17_name_lookups_per_document(monkeypatch, fuzz_corpus):
+    original = features.iter_name_occurrences
+    lookups = []
+
+    def counted(doc, name):
+        lookups.append(name)
+        return original(doc, name)
+
+    monkeypatch.setattr(features, "iter_name_occurrences", counted)
+    for calls, (doc, raw) in enumerate(_block_documents(fuzz_corpus), start=1):
+        extract_features(doc, raw)
+        assert len(lookups) == 17 * calls
+    assert lookups[:17] == [n for names in features._COUNTED_NAMES for n in names]
 
 
 # -- the graph walk ------------------------------------------------------------

@@ -163,6 +163,17 @@ def test_unknown_filter_raises_distinctly():
         decode_stream(b"", ["NoSuchFilter"])
 
 
+@pytest.mark.parametrize("name", ["/FlateDecode", "FlateDecode", "/Fl"])
+def test_one_filter_name_is_one_filter_not_a_list_of_characters(name):
+    assert decode_stream(zlib.compress(b"x"), name) == b"x"
+    assert decode_stream(zlib.compress(b"x"), name, {"/Predictor": 1}) == b"x"
+
+
+def test_one_unknown_filter_name_is_named_whole():
+    with pytest.raises(UnknownFilterError, match="^NoSuchFilter: unsupported filter$"):
+        decode_stream(b"", "/NoSuchFilter")
+
+
 def test_filter_name_aliases():
     assert canonical_filter_name("/Fl") == "FlateDecode"
     assert canonical_filter_name("AHx") == "ASCIIHexDecode"

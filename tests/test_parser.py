@@ -794,9 +794,7 @@ def test_xref_stream_counts_as_section_and_trailer():
     assert len(doc.trailer_dicts) == 2
 
 
-_ALL_COUNTED_NAMES = [
-    n for entry in _COUNTED_NAMES for n in (entry if isinstance(entry, tuple) else (entry,))
-]
+_ALL_COUNTED_NAMES = [n for names in _COUNTED_NAMES for n in names]
 
 
 def assert_same_name_counts_as_recursive_walk(doc, more_names=()):
