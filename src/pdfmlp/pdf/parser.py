@@ -331,42 +331,48 @@ def _skip_eol(data: bytes, pos: int) -> int:
 
 
 class _DocumentParser:
+    """Fills one PdfDocument: _scan in file order, then _expand_object_streams."""
+
     def __init__(self, data: bytes):
         self.data = data
-        self.diags: list[ParseDiagnostic] = []
-        self.objects: dict[tuple[int, int], Any] = {}
+        self.doc = PdfDocument(total_size=len(data))
+        # Where each top-level object's header starts, and the keyword of each
+        # of doc.trailer_dicts, by which the trailers are put in file order.
         self.object_offsets: dict[tuple[int, int], int] = {}
-        self.xref_section_count = 0
+        self.trailer_offsets: list[int] = []
 
     def diag(self, offset: int, kind: DiagnosticKind, detail: str = "") -> None:
         offset = max(0, min(offset, len(self.data)))
-        self.diags.append(ParseDiagnostic(offset, kind, detail))
+        self.doc.diagnostics.append(ParseDiagnostic(offset, kind, detail))
 
     # -- top level -----------------------------------------------------------
 
     def parse(self) -> PdfDocument:
-        data = self.data
-        if not data:
+        doc = self.doc
+        if not self.data:
             self.diag(0, DiagnosticKind.TRUNCATED, "empty input")
-            return PdfDocument(total_size=0, diagnostics=self.diags)
-
-        header_version = self._parse_header()
-        trailer_dicts, startxref_offsets, eof_offsets = self._scan()
+            return doc
+        doc.header_version = self._parse_header()
+        self._scan()
         self._expand_object_streams()
+        # An /XRef stream is both a trailer and a cross-reference section.
+        for key, value in doc.objects.items():
+            if isinstance(value, PdfStream) and value.dictionary.get("/Type") == "/XRef":
+                self._add_trailer(self.object_offsets[key], value.dictionary)
+                doc.xref_section_count += 1
+        in_order = sorted(zip(self.trailer_offsets, doc.trailer_dicts), key=lambda pair: pair[0])
+        doc.trailer_dicts[:] = [d for _, d in in_order]
+        return doc
 
-        xref_streams = self._xref_stream_trailers()
-        all_trailers = sorted(trailer_dicts + xref_streams, key=lambda pair: pair[0])
+    def _define(self, key: tuple[int, int], value: Any, at: int, how: str) -> None:
+        """Make value object key; a later definition wins, with one diagnostic at offset at."""
+        if key in self.doc.objects:
+            self.diag(at, DiagnosticKind.DUPLICATE_OBJECT, f"object {key[0]} {key[1]} redefined{how}")
+        self.doc.objects[key] = value
 
-        return PdfDocument(
-            header_version=header_version,
-            objects=self.objects,
-            trailer_dicts=[d for _, d in all_trailers],
-            xref_section_count=self.xref_section_count + len(xref_streams),
-            startxref_offsets=startxref_offsets,
-            eof_marker_offsets=eof_offsets,
-            total_size=len(data),
-            diagnostics=self.diags,
-        )
+    def _add_trailer(self, at: int, dictionary: dict) -> None:
+        self.trailer_offsets.append(at)
+        self.doc.trailer_dicts.append(dictionary)
 
     def _parse_header(self) -> Optional[str]:
         m = _HEADER_RE.search(self.data, 0, _WINDOW + 16)
@@ -377,48 +383,35 @@ class _DocumentParser:
 
     # -- pass 1: one linear scan for objects and the xref/trailer markers -----
 
-    def _scan(self) -> tuple[list[tuple[int, dict]], list[int], list[int]]:
-        """Parse every object, xref table, trailer, startxref and %%EOF in file order.
+    def _scan(self) -> None:
+        """Add every object, xref table, trailer, startxref and %%EOF to the document in file order.
 
-        Returns (offset, trailer dict) pairs, startxref values and %%EOF
-        offsets.  The search resumes after each parsed object and trailer
-        dictionary, so an object body, stream payloads included, or a
-        trailer is read only by its own parser; a marker inside belongs to it.
+        The search resumes after each parsed object and trailer dictionary,
+        so an object body, stream payloads included, or a trailer is read
+        only by its own parser; a marker inside belongs to it.
         """
-        data = self.data
-        trailers: list[tuple[int, dict]] = []
-        startxref_offsets: list[int] = []
-        eof_offsets: list[int] = []
+        data, doc = self.data, self.doc
         pos = 0
         while (m := _SCAN_RE.search(data, pos)) is not None:
             at, pos = m.span()
             if m.group(1) is not None:
                 key = (int(m.group(1)), int(m.group(2)))
                 value, pos = self._parse_object_body(pos)
-                if key in self.objects:
-                    self.diag(
-                        at,
-                        DiagnosticKind.DUPLICATE_OBJECT,
-                        f"object {key[0]} {key[1]} redefined; keeping the later definition",
-                    )
-                self.objects[key] = value
+                self._define(key, value, at, "; keeping the later definition")
                 self.object_offsets[key] = at
                 continue
             word = m.group()
             if word == b"%%EOF":
-                eof_offsets.append(at)
+                doc.eof_marker_offsets.append(at)
             elif data[at - 1 : at].isalpha() or data[pos : pos + 1].isalnum():
                 continue  # the keyword is part of a longer word
             elif word == b"xref":
-                self.xref_section_count += 1
-                pos = self._parse_xref_table(m, trailers)
+                doc.xref_section_count += 1
+                pos = self._parse_xref_table(m)
             elif word == b"trailer":
-                pos = self._parse_trailer(at, trailers)
+                pos = self._parse_trailer(at)
             else:
-                value = self._parse_startxref(m)
-                if value is not None:
-                    startxref_offsets.append(value)
-        return trailers, startxref_offsets, eof_offsets
+                self._parse_startxref(m)
 
     def _parse_object_body(self, pos: int) -> tuple[Any, int]:
         sc = _Scanner(self.data, pos)
@@ -512,7 +505,7 @@ class _DocumentParser:
 
     # -- xref tables, trailers, startxref -------------------------------------
 
-    def _parse_xref_table(self, m: re.Match, trailers: list[tuple[int, dict]]) -> int:
+    def _parse_xref_table(self, m: re.Match) -> int:
         """Check the table after xref keyword m; resume past its trailer, else past m."""
         data = self.data
         sc = _Scanner(data, m.end())
@@ -522,7 +515,7 @@ class _DocumentParser:
         while True:
             sc.skip_ws()
             if sc.starts_with(b"trailer"):
-                resume = self._parse_trailer(sc.pos, trailers)
+                resume = self._parse_trailer(sc.pos)
                 break
             first = sc.read_uint()
             if first is None:
@@ -561,8 +554,8 @@ class _DocumentParser:
         om = _OBJ_RE.match(_probe(self.data, offset))
         return bool(om) and int(om.group(1)) == number and int(om.group(2)) == generation
 
-    def _parse_trailer(self, keyword_at: int, trailers: list[tuple[int, dict]]) -> int:
-        """Add the dictionary after the keyword to trailers; resume past it, else the keyword."""
+    def _parse_trailer(self, keyword_at: int) -> int:
+        """Add the dictionary after the keyword as a trailer; resume past it, else the keyword."""
         sc = _Scanner(self.data, keyword_at + 7)
         sc.skip_ws()
         if not sc.starts_with(b"<<"):
@@ -570,22 +563,23 @@ class _DocumentParser:
             return keyword_at + 7
         sc.pos += 2
         try:
-            trailers.append((keyword_at, sc.parse_dict(1)))
+            self._add_trailer(keyword_at, sc.parse_dict(1))
         except (_Truncated, _DepthExceeded, _StopKeyword, _Terminator):
             self.diag(keyword_at, DiagnosticKind.TRUNCATED, "unterminated trailer dictionary")
             return keyword_at + 7
         return sc.pos
 
-    def _parse_startxref(self, m: re.Match) -> Optional[int]:
-        """The offset after a startxref keyword, checked against the file."""
+    def _parse_startxref(self, m: re.Match) -> None:
+        """Add the offset after a startxref keyword to the document, checked against the file."""
         data = self.data
         value = _Scanner(data, m.end()).read_uint()
         if value is None:
             self.diag(m.start(), DiagnosticKind.BAD_XREF, "startxref without offset")
-            return None
+            return
+        self.doc.startxref_offsets.append(value)
         if value >= len(data):
             self.diag(m.start(), DiagnosticKind.BAD_XREF, f"startxref {value} is past end of file")
-            return value
+            return
         target = _probe(data, value)
         if not (target.startswith(b"xref") or target[:1].isdigit()):
             self.diag(
@@ -593,25 +587,16 @@ class _DocumentParser:
                 DiagnosticKind.BAD_XREF,
                 f"startxref {value} does not point at cross-reference data",
             )
-        return value
-
-    def _xref_stream_trailers(self) -> list[tuple[int, dict]]:
-        found = []
-        for key, value in self.objects.items():
-            if isinstance(value, PdfStream) and value.dictionary.get("/Type") == "/XRef":
-                found.append((self.object_offsets.get(key, 0), value.dictionary))
-        return found
 
     # -- pass 2: object streams -----------------------------------------------
 
     def _expand_object_streams(self) -> None:
         containers = [
-            (key, value)
-            for key, value in self.objects.items()
+            (self.object_offsets[key], value)
+            for key, value in self.doc.objects.items()
             if isinstance(value, PdfStream) and value.dictionary.get("/Type") == "/ObjStm"
         ]
-        for key, stream in containers:
-            at = self.object_offsets.get(key, 0)
+        for at, stream in containers:
             if stream.decoded is None:
                 continue  # the decode failure already has its diagnostic
             count = stream.dictionary.get("/N")
@@ -643,15 +628,7 @@ class _DocumentParser:
                 except (_Truncated, _DepthExceeded, _StopKeyword, _Terminator):
                     self.diag(at, DiagnosticKind.GARBAGE_BYTES, "unparseable object inside object stream")
                     value = None
-                inner = (number, 0)
-                if inner in self.objects:
-                    self.diag(
-                        at,
-                        DiagnosticKind.DUPLICATE_OBJECT,
-                        f"object {number} 0 redefined by object stream",
-                    )
-                self.objects[inner] = value
-                self.object_offsets.setdefault(inner, at)
+                self._define((number, 0), value, at, " by object stream")
 
     def _objstm_pairs(self, header: bytes, count: int, at: int) -> list[tuple[int, int]]:
         sc = _Scanner(header, 0)

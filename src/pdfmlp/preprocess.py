@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import itertools
 import math
+import shutil
+import tempfile
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, TextIO, Union
 
 import numpy as np
 
@@ -168,12 +172,22 @@ def _format_value(v: float) -> str:
 def read_features_csv(path: str) -> Dataset:
     """Read a feature-matrix CSV produced by write_features_csv.
 
-    _read_rows streams the file through np.loadtxt; a file it declines is
-    read again by _read_csv, which also words every error.
+    The file is opened once.  _read_rows streams it through np.loadtxt; a
+    file it declines is read again from its start by _read_csv, which also
+    words every error.  An input that cannot seek, such as a pipe, is read
+    from a temporary copy.
     """
-    dataset = _read_rows(path)
-    if dataset is None:
-        with open(path, newline="", encoding="utf-8") as fh:
+    with contextlib.ExitStack() as stack:
+        binary = stack.enter_context(open(path, "rb"))
+        if not binary.seekable():
+            copy = stack.enter_context(tempfile.TemporaryFile())
+            shutil.copyfileobj(binary, copy)
+            copy.seek(0)
+            binary = copy
+        fh = stack.enter_context(io.TextIOWrapper(binary, encoding="utf-8", newline=""))
+        dataset = _read_rows(fh)
+        if dataset is None:
+            fh.seek(0)
             try:
                 fh.read()  # one decode of the whole file, so an error gives its offset in it
             except UnicodeDecodeError as exc:
@@ -190,8 +204,8 @@ _ROW = np.dtype([("path", object), ("label", object), ("values", np.float64, (N_
 _LABELS = {"-1": -1, "0": 0, "1": 1}
 
 
-def _read_rows(path: str) -> Optional[Dataset]:
-    """Read a feature CSV with one streamed np.loadtxt, or return None.
+def _read_rows(fh: TextIO) -> Optional[Dataset]:
+    """Read a feature CSV from its open file with one streamed np.loadtxt, or return None.
 
     numpy splits fields as the csv module does and reads values as float()
     does, or declines them. The file is left to _read_csv on a header other
@@ -212,15 +226,14 @@ def _read_rows(path: str) -> Optional[Dataset]:
                 yield line
 
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            if fh.readline() != _HEADER_LINE:
-                return None
-            rows = nonblank(fh)
-            first = next(rows, None)
-            if first is None:  # loadtxt would warn of no data
-                return None
-            table = np.loadtxt(itertools.chain([first], rows), dtype=_ROW, delimiter=",",
-                               quotechar='"', comments=None, ndmin=1)
+        if fh.readline() != _HEADER_LINE:
+            return None
+        rows = nonblank(fh)
+        first = next(rows, None)
+        if first is None:  # loadtxt would warn of no data
+            return None
+        table = np.loadtxt(itertools.chain([first], rows), dtype=_ROW, delimiter=",",
+                           quotechar='"', comments=None, ndmin=1)
     except ValueError:  # UnicodeDecodeError included
         return None
     # A copy, so that the Dataset does not keep the row table alive and the

@@ -10,7 +10,10 @@ every claimed extent, found by binary search over them.  An xref table's
 extent runs to the end of its trailer dictionary, so the table and its
 trailer are one item.  The per-item parsers (object bodies, xref tables,
 trailer dictionaries, object streams) and the tokenizer are the
-library's own, so a test that compares the two isolates the scan.
+library's own, so a test that compares the two isolates the scan.  The
+item parsers add what they find to the parser's document; the oracle
+takes each item's additions off it again, and builds its own document
+from what it claims, with its own copy of the former /XRef stream loop.
 
 ``PeekScanner`` is the former value grammar, the oracle for the one
 that reads each token with one match: per token it skips whitespace and
@@ -118,12 +121,14 @@ class FivePassParser(_DocumentParser):
     def __init__(self, data: bytes):
         super().__init__(data)
         self.extents: list[tuple[int, int]] = []
+        self.xref_section_count = 0
 
     def parse(self) -> PdfDocument:
         data = self.data
+        diags = self.doc.diagnostics
         if not data:
             self.diag(0, DiagnosticKind.TRUNCATED, "empty input")
-            return PdfDocument(total_size=0, diagnostics=self.diags)
+            return PdfDocument(total_size=0, diagnostics=diags)
 
         header_version = self._parse_header()
         trailer_dicts = self._claim(self._objects() + self._xref_tables() + self._trailers())
@@ -131,51 +136,57 @@ class FivePassParser(_DocumentParser):
         eof_offsets = [m.start() for m in _EOF_RE.finditer(data) if self._outside(m.start())]
         self._expand_object_streams()
 
-        xref_streams = self._xref_stream_trailers()
+        xref_streams = []
+        for key, value in self.doc.objects.items():
+            if isinstance(value, PdfStream) and value.dictionary.get("/Type") == "/XRef":
+                xref_streams.append((self.object_offsets.get(key, 0), value.dictionary))
         all_trailers = sorted(trailer_dicts + xref_streams, key=lambda pair: pair[0])
 
         return PdfDocument(
             header_version=header_version,
-            objects=self.objects,
+            objects=self.doc.objects,
             trailer_dicts=[d for _, d in all_trailers],
             xref_section_count=self.xref_section_count + len(xref_streams),
             startxref_offsets=startxref_offsets,
             eof_marker_offsets=eof_offsets,
             total_size=len(data),
-            diagnostics=self.diags,
+            diagnostics=diags,
         )
 
     def _parsed(self, parse):
-        """parse()'s result and the diagnostics it made, which are taken off self.diags."""
-        mark = len(self.diags)
-        result = parse()
-        diags = self.diags[mark:]
-        del self.diags[mark:]
-        return result, diags
+        """parse()'s result, and the diagnostics and (offset, trailer) pairs it added.
 
-    # Each pass below returns (start, end, diagnostics, kind, value) items.
+        Those are taken off the parser's document, for _claim to keep or drop.
+        """
+        diags, trailers, offsets = self.doc.diagnostics, self.doc.trailer_dicts, self.trailer_offsets
+        diag_mark, trailer_mark = len(diags), len(trailers)
+        result = parse()
+        made = diags[diag_mark:], list(zip(offsets[trailer_mark:], trailers[trailer_mark:]))
+        del diags[diag_mark:], trailers[trailer_mark:], offsets[trailer_mark:]
+        return result, made
+
+    # Each pass below returns (start, end, diagnostics, kind, value) items;
+    # an xref or trailer item's value is its (offset, trailer) pairs.
 
     def _objects(self) -> list:
         items = []
         for m in _OBJ_RE.finditer(self.data):
             key = (int(m.group(1)), int(m.group(2)))
-            (value, end), diags = self._parsed(lambda: self._parse_object_body(m.end()))
+            (value, end), (diags, _) = self._parsed(lambda: self._parse_object_body(m.end()))
             items.append((m.start(), end, diags, key, value))
         return items
 
     def _xref_tables(self) -> list:
         items = []
         for m in _XREF_RE.finditer(self.data):
-            trailers: list[tuple[int, dict]] = []
-            end, diags = self._parsed(lambda: self._parse_xref_table(m, trailers))
+            end, (diags, trailers) = self._parsed(lambda: self._parse_xref_table(m))
             items.append((m.start(), end, diags, "xref", trailers))
         return items
 
     def _trailers(self) -> list:
         items = []
         for m in _TRAILER_RE.finditer(self.data):
-            trailers: list[tuple[int, dict]] = []
-            end, diags = self._parsed(lambda: self._parse_trailer(m.start(), trailers))
+            end, (diags, trailers) = self._parsed(lambda: self._parse_trailer(m.start()))
             items.append((m.start(), end, diags, "trailer", trailers))
         return items
 
@@ -188,19 +199,19 @@ class FivePassParser(_DocumentParser):
                 continue
             cursor = end
             self.extents.append((start, end))
-            self.diags += diags
+            self.doc.diagnostics.extend(diags)
             if kind == "xref":
                 self.xref_section_count += 1
             if isinstance(kind, str):
                 trailers += value
                 continue
-            if kind in self.objects:
+            if kind in self.doc.objects:
                 self.diag(
                     start,
                     DiagnosticKind.DUPLICATE_OBJECT,
                     f"object {kind[0]} {kind[1]} redefined; keeping the later definition",
                 )
-            self.objects[kind] = value
+            self.doc.objects[kind] = value
             self.object_offsets[kind] = start
         return trailers
 

@@ -138,8 +138,8 @@ def test_extract_skips_non_files_with_warning(corpus, tmp_path, capsys):
 
 
 def test_extract_skips_a_name_that_is_not_utf8(corpus, tmp_path, capsys):
-    # The file was extracted, then writing its CSV row failed: exit 2 and a
-    # CSV holding only the header.
+    # A file whose name is not UTF-8 cannot have a CSV row: it is skipped with
+    # a warning, and the extract exits 0 with the other files' rows.
     benign = tmp_path / "b"
     benign.mkdir()
     (benign / "real.pdf").write_bytes(minimal_pdf())

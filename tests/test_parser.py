@@ -16,6 +16,7 @@ from pdfmlp.features import _COUNTED_NAMES, extract_features
 from pdfmlp.pdf import (
     MAX_NESTING_DEPTH,
     DiagnosticKind,
+    ParseDiagnostic,
     PdfDocument,
     PdfName,
     PdfRef,
@@ -415,7 +416,7 @@ def test_object_stream_header_with_comments_between_its_numbers():
     header = b"1 %c\n0 2 %x\r15"
     parser = _DocumentParser(b"")
     assert parser._objstm_pairs(header, 2, 0) == [(1, 0), (2, 15)]
-    assert parser.diags == []
+    assert parser.doc.diagnostics == []
     # The pairs as the former skip_ws and read_uint read them.
     pos, former = 0, []
     for _ in range(4):
@@ -424,7 +425,7 @@ def test_object_stream_header_with_comments_between_its_numbers():
     assert former == [1, 0, 2, 15]
     # A third pair is short, as before.
     assert parser._objstm_pairs(header, 3, 7) == [(1, 0), (2, 15)]
-    assert [d.detail for d in parser.diags] == ["short object stream index"]
+    assert [d.detail for d in parser.doc.diagnostics] == ["short object stream index"]
 
 
 def test_long_comment_is_skipped_in_bounded_time():
@@ -661,6 +662,80 @@ def test_object_stream_collision_diagnosed():
     doc = parse_pdf(raw)
     assert DiagnosticKind.DUPLICATE_OBJECT in kinds(doc)
     assert doc.objects[(1, 0)] == {"/Hidden": True}
+
+
+# -- the definition rule: the later definition wins, with one diagnostic --------
+
+
+def _object(number: int, body: bytes) -> bytes:
+    return b"%d 0 obj\n%s\nendobj\n" % (number, body)
+
+
+def _object_stream(number: int, inner: list[tuple[int, bytes]]) -> bytes:
+    """Object number: an unfiltered object stream holding the (number, body) pairs."""
+    head = payload = b""
+    for n, body in inner:
+        head += b"%d %d " % (n, len(payload))
+        payload += body + b" "
+    dictionary = b"<< /Type /ObjStm /N %d /First %d >>" % (len(inner), len(head))
+    return _object(number, stream_body(dictionary, head + payload))
+
+
+def _redefined(at: int, detail: str) -> ParseDiagnostic:
+    return ParseDiagnostic(at, DiagnosticKind.DUPLICATE_OBJECT, detail)
+
+
+def test_a_top_level_redefinition_replaces_the_object():
+    data = b"%PDF-1.4\n" + _object(1, b"(first)") + _object(1, b"(second)")
+    doc = parse_pdf(data)
+    assert doc.objects == {(1, 0): PdfString(b"second", hex=False)}
+    assert doc.diagnostics == [
+        _redefined(data.rindex(b"1 0 obj"), "object 1 0 redefined; keeping the later definition")
+    ]
+
+
+def test_an_object_stream_object_replaces_a_top_level_object():
+    data = b"%PDF-1.4\n" + _object(1, b"(top)") + _object_stream(2, [(1, b"(inner)")])
+    doc = parse_pdf(data)
+    assert doc.objects[(1, 0)] == PdfString(b"inner", hex=False)
+    assert doc.diagnostics == [_redefined(data.index(b"2 0 obj"), "object 1 0 redefined by object stream")]
+
+
+def test_a_container_whose_number_is_taken_is_still_expanded_at_its_own_offset():
+    # Container 2 holds an object 3, which replaces container 3; container 3's
+    # object 1 still replaces the top-level object 1, diagnosed at its header.
+    data = (
+        b"%PDF-1.4\n"
+        + _object(1, b"(top)")
+        + _object_stream(2, [(3, b"(from 2)")])
+        + _object_stream(3, [(1, b"(from 3)")])
+    )
+    doc = parse_pdf(data)
+    assert doc.objects[(3, 0)] == PdfString(b"from 2", hex=False)
+    assert doc.objects[(1, 0)] == PdfString(b"from 3", hex=False)
+    assert doc.diagnostics == [
+        _redefined(data.index(b"2 0 obj"), "object 3 0 redefined by object stream"),
+        _redefined(data.index(b"3 0 obj"), "object 1 0 redefined by object stream"),
+    ]
+
+
+def test_an_xref_stream_replaced_by_an_object_stream_object_is_no_trailer_or_section():
+    data = (
+        b"%PDF-1.4\n"
+        + _object(4, stream_body(b"<< /Type /XRef /Size 5 >>", b""))
+        + _object_stream(2, [(4, b"null")])
+        + b"trailer\n<< /Size 5 >>\n"
+    )
+    doc = parse_pdf(data)
+    assert doc.objects[(4, 0)] is None
+    assert doc.trailer_dicts == [{"/Size": 5}]
+    assert doc.xref_section_count == 0
+    assert doc.diagnostics == [_redefined(data.index(b"2 0 obj"), "object 4 0 redefined by object stream")]
+    # Without the object stream, the /XRef stream is a trailer and a section,
+    # in file order before the trailer dictionary.
+    doc = parse_pdf(data.replace(b"/ObjStm", b"/Other"))
+    assert doc.trailer_dicts == [{"/Type": "/XRef", "/Size": 5, "/Length": 0}, {"/Size": 5}]
+    assert doc.xref_section_count == 1
 
 
 def _objstm_sharing_one_offset(pairs: int, elements: int) -> bytes:

@@ -2,6 +2,9 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -234,7 +237,7 @@ def test_a_label_not_spelled_minus_one_zero_or_one_goes_to_the_csv_reader(tmp_pa
     # warning; so numpy reads the label as text and takes those three
     # spellings alone.
     path = _csv_with_cell(tmp_path, 1, label)
-    assert preprocess._read_rows(path) is None
+    assert read_rows(path) is None
     assert_same_as_csv_module(path)
 
 
@@ -295,6 +298,12 @@ def test_scaler_rejects_nan_std():
 
 
 # -- the numpy reader against the csv module reader -----------------------------
+
+
+def read_rows(path):
+    """_read_rows over the file at path: a Dataset, or None where numpy declines it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return preprocess._read_rows(fh)
 
 
 def read_with_csv_module(path):
@@ -365,7 +374,7 @@ def test_benchmark_csvs_take_the_loadtxt_path_bit_exact(tmp_path, monkeypatch, s
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         writer.writerows(synthetic_feature_rows(rng, 500, "doc"))
-    assert preprocess._read_rows(path) is not None
+    assert read_rows(path) is not None
     back, oracle = read_features_csv(path), read_with_csv_module(path)
     assert back.paths == oracle.paths
     assert back.labels.tobytes() == oracle.labels.tobytes()
@@ -408,9 +417,64 @@ def test_odd_files_pick_their_reader(tmp_path, edit):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
     # numpy reads all but the file whose header line ends in CRLF.
-    assert (preprocess._read_rows(path) is None) == (edit is _crlf)
+    assert (read_rows(path) is None) == (edit is _crlf)
     assert len(read_features_csv(path)) == 4
     assert_same_as_csv_module(path)
+
+
+# A thread writes the file into the FIFO while the child reads it, so a
+# reader that opened the FIFO a second time would wait for another writer
+# until the timeout ended the child.
+_READ_FROM_A_FIFO = """
+import shutil, sys, threading
+from pdfmlp.preprocess import read_features_csv
+fifo, source = sys.argv[1:]
+
+def write():
+    with open(source, "rb") as src, open(fifo, "wb") as dst:
+        shutil.copyfileobj(src, dst)
+
+threading.Thread(target=write, daemon=True).start()
+try:
+    print(len(read_features_csv(fifo)))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def read_from_a_fifo(fifo, source):
+    """What a child that reads the CSV at source through a new FIFO prints: its rows or its error."""
+    os.mkfifo(fifo)
+    command = [sys.executable, "-c", _READ_FROM_A_FIFO, str(fifo), str(source)]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=30)
+    assert done.stderr == ""
+    return done.stdout
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_a_crlf_csv_reads_from_a_fifo(tmp_path):
+    # numpy declines the CRLF header, so the csv module reader reads the
+    # file again, from the one open.
+    path = tmp_path / "features.csv"
+    write_features_csv(str(path), make_dataset(np.ones((4, N_FEATURES)), [0, 1, 0, -1]))
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert read_from_a_fifo(tmp_path / "pipe.csv", path) == "4\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_a_bad_cell_read_from_a_fifo_names_its_line(tmp_path):
+    fifo, path = tmp_path / "pipe.csv", _csv_with_cell(tmp_path, 7, "abc")
+    assert read_from_a_fifo(fifo, path) == f"{fifo}:3: could not convert string to float: 'abc'\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_a_crlf_csv_reads_from_a_pipe_on_stdin(tmp_path):
+    path = tmp_path / "features.csv"
+    write_features_csv(str(path), make_dataset(np.ones((2, N_FEATURES)), [0, 1]))
+    code = "from pdfmlp.preprocess import read_features_csv; print(len(read_features_csv('/dev/stdin')))"
+    crlf = path.read_bytes().replace(b"\n", b"\r\n")
+    done = subprocess.run([sys.executable, "-c", code], input=crlf, capture_output=True, timeout=30)
+    assert (done.stdout, done.stderr) == (b"2\n", b"")
 
 
 @pytest.mark.parametrize("column", [0, 9], ids=["path", "value"])
