@@ -52,7 +52,7 @@ from .preprocess import (
     write_features_csv,
 )
 from .store import load, save
-from .train import TrainConfig, TrainReport, resume, train
+from .train import TrainConfig, TrainReport, train
 
 __all__ = [
     "BatchNormState",
@@ -89,7 +89,6 @@ __all__ = [
     "pick_threshold",
     "predict",
     "read_features_csv",
-    "resume",
     "save",
     "sgd_step",
     "shannon_entropy",

@@ -214,7 +214,9 @@ def _entropy(counts: np.ndarray, total: int) -> float:
     if total == 0:
         return 0.0
     p = counts[counts > 0] / total
-    return -float(np.add.reduce(p * np.log2(p)))
+    # 0.0 - sum, not -sum: one repeated byte value sums to 0.0, and -0.0
+    # would be written as "-0".
+    return 0.0 - float(np.add.reduce(p * np.log2(p)))
 
 
 def extract_features(doc: PdfDocument, raw: bytes) -> FeatureVector:

@@ -132,10 +132,6 @@ class MlpModel:
     def input_width(self) -> int:
         return self.layers[0].in_width
 
-    @property
-    def output_width(self) -> int:
-        return self.layers[-1].out_width
-
     def widths(self) -> tuple[int, ...]:
         return (self.input_width,) + tuple(l.out_width for l in self.layers)
 

@@ -157,16 +157,25 @@ def write_features_csv(path: str, dataset: Dataset) -> None:
     order (callers wanting deterministic files sort by path first).
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        fh.write(_HEADER_LINE)
         for i in range(len(dataset)):
-            row = [dataset.paths[i], str(int(dataset.labels[i]))]
-            row += [_format_value(v) for v in dataset.features[i]]
-            writer.writerow(row)
+            values = ",".join(_format_value(v) for v in dataset.features[i])
+            fh.write(f"{_csv_field(dataset.paths[i])},{int(dataset.labels[i])},{values}\n")
 
 
 def _format_value(v: float) -> str:
     return format(float(v), ".9g")
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted when it holds a comma, quote, CR or LF.
+
+    The csv module quotes a lone CR only from Python 3.13; unquoted, it
+    reads back as a line end.
+    """
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def read_features_csv(path: str) -> Dataset:

@@ -286,18 +286,31 @@ def save(
         raise
 
 
+# The largest file _read_file returns: 256 MiB.
+MAX_FILE_BYTES = 1 << 28
+
+
 def _read_file(path: str) -> bytes:
     """A regular file's bytes; anything else raises OSError before a read.
 
     The open does not block, so a FIFO with no writer is refused at once,
-    and a device, which could be endless, is never read.
+    and a device, which could be endless, is never read.  A file over
+    MAX_FILE_BYTES is refused by its size before a read, and one that
+    grows past it while read is refused after at most MAX_FILE_BYTES + 1.
     """
     fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        if not stat.S_ISREG(os.fstat(fd).st_mode):
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
             raise OSError("not a regular file")
-        with open(fd, "rb", closefd=False) as fh:
-            return fh.read()
+        if info.st_size <= MAX_FILE_BYTES:
+            with open(fd, "rb", closefd=False) as fh:
+                data = fh.read(info.st_size + 1)
+                if len(data) > info.st_size:  # it grew since the fstat
+                    data += fh.read(MAX_FILE_BYTES - info.st_size)
+            if len(data) <= MAX_FILE_BYTES:
+                return data
+        raise OSError(f"file larger than {MAX_FILE_BYTES} bytes")
     finally:
         os.close(fd)
 

@@ -14,11 +14,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .mlp import MlpModel, backward, build_model, forward, sgd_step
+from .mlp import MlpModel, backward, build_model, forward, mean_cross_entropy, sgd_step
 from .preprocess import Dataset, Scaler, fit_scaler, split_train_validation
 from .store import dataset_checksum, model_checksum
 
-__all__ = ["TrainConfig", "TrainReport", "EpochRecord", "TrainingDivergedError", "train", "resume"]
+__all__ = ["TrainConfig", "TrainReport", "EpochRecord", "TrainingDivergedError", "train"]
 
 
 class TrainingDivergedError(RuntimeError):
@@ -36,8 +36,8 @@ class TrainConfig:
     early_stop_loss: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ValueError("epochs must be at least 0")
+        if self.epochs < 1:
+            raise ValueError("no training performed: epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if not 0.0 < self.validation_fraction < 1.0:
@@ -87,11 +87,6 @@ def _rates_at_half(probs: np.ndarray, labels: np.ndarray) -> tuple[float, float]
     return tpr, fpr
 
 
-def _clamped_loss(probs: np.ndarray, labels: np.ndarray) -> float:
-    """``mean_cross_entropy`` of ``forward``'s probabilities, which are already clamped."""
-    return float(np.mean(-(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs))))
-
-
 def train(
     train_set: Dataset,
     config: TrainConfig,
@@ -107,8 +102,10 @@ def train(
     after ``config.epochs`` epochs or as soon as the validation loss drops
     below ``config.early_stop_loss`` when one is set.
     """
-    if config.epochs < 1:
-        raise ValueError("no training performed: epochs must be at least 1")
+    if np.any((train_set.labels != 0) & (train_set.labels != 1)):
+        raise ValueError("training labels must be 0 or 1")
+    if 0 in train_set.class_counts():
+        raise ValueError("training needs both classes present")
     model = build_model(
         input_width=train_set.features.shape[1],
         hidden_widths=hidden_widths,
@@ -117,53 +114,10 @@ def train(
         threshold=threshold,
         rng=_rng(config.seed, 0),
     )
-    return _fit(model, train_set, config, None)
-
-
-def resume(
-    model: MlpModel,
-    train_set: Dataset,
-    config: TrainConfig,
-    *,
-    scaler: Scaler,
-) -> tuple[MlpModel, TrainReport]:
-    """Continue SGD from existing parameters, on inputs scaled by ``scaler``.
-
-    The shuffle stream restarts from ``config.seed``, so train(a) followed
-    by resume(b) is deterministic but not the same trajectory as
-    train(a+b).  With ``epochs=0`` the model is returned unchanged.
-    """
-    if model.input_width != train_set.features.shape[1]:
-        raise ValueError(
-            f"model expects {model.input_width} features, "
-            f"dataset has {train_set.features.shape[1]}"
-        )
-    if config.epochs == 0:
-        return model, TrainReport()
-    best, _, report = _fit(model, train_set, config, scaler)
-    return best, report
-
-
-def _fit(
-    model: MlpModel,
-    dataset: Dataset,
-    config: TrainConfig,
-    scaler: Optional[Scaler],
-) -> tuple[MlpModel, Scaler, TrainReport]:
-    """Split, scale (fitting a scaler when none is given) and run SGD on ``model``.
-
-    Returns the snapshot with the lowest validation loss, the scaler and
-    the per-epoch report.
-    """
-    if np.any((dataset.labels != 0) & (dataset.labels != 1)):
-        raise ValueError("training labels must be 0 or 1")
-    if 0 in dataset.class_counts():
-        raise ValueError("training needs both classes present")
     fit_part, val_part = split_train_validation(
-        dataset, config.validation_fraction, config.seed
+        train_set, config.validation_fraction, config.seed
     )
-    if scaler is None:
-        scaler = fit_scaler(fit_part)
+    scaler = fit_scaler(fit_part)
     X = scaler.transform_matrix(fit_part.features)
     y = fit_part.labels.astype(np.float64)
     X_val = scaler.transform_matrix(val_part.features)
@@ -185,13 +139,13 @@ def _fit(
             X_batch = X_epoch[start : start + config.batch_size]
             y_batch = y_epoch[start : start + config.batch_size]
             probs, cache = forward(model, X_batch, mode="train", rng=dropout_rng)
-            loss_sum += _clamped_loss(probs, y_batch) * y_batch.shape[0]
+            loss_sum += mean_cross_entropy(probs, y_batch) * y_batch.shape[0]
             grads = backward(model, cache, y_batch)
             sgd_step(model, grads, config.eta)
         train_loss = loss_sum / n
 
         val_probs, _ = forward(model, X_val, mode="infer")
-        val_loss = _clamped_loss(val_probs, y_val.astype(np.float64))
+        val_loss = mean_cross_entropy(val_probs, y_val.astype(np.float64))
         tpr, fpr = _rates_at_half(val_probs, y_val)
         report.records.append(EpochRecord(epoch, train_loss, val_loss, tpr, fpr))
 
@@ -208,7 +162,7 @@ def _fit(
         "seed": config.seed,
         "epochs": config.epochs,
         "eta": config.eta,
-        "data_checksum": dataset_checksum(dataset),
+        "data_checksum": dataset_checksum(train_set),
     }
     report.final_model_checksum = model_checksum(best, scaler, fingerprint)
     return best, scaler, report

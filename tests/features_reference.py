@@ -16,6 +16,8 @@ Info strings built twice, and each trailer's /Root resolved by
 unchanged ones come from ``pdfmlp.features``.  ``_entropy_from_counts``
 is the entropy before it took its total from the byte length and summed
 with ``np.add.reduce``, and the mean stream size is still ``np.mean``.
+Its one change is the sign of a zero entropy: the former code returned
+-0.0 for one repeated byte value, which the CSV wrote as "-0".
 """
 
 import sys
@@ -162,7 +164,7 @@ def _entropy_from_counts(counts: np.ndarray) -> float:
     if total == 0:
         return 0.0
     p = counts[counts > 0] / total
-    return float(-np.sum(p * np.log2(p)))
+    return 0.0 - float(np.sum(p * np.log2(p)))
 
 
 def shannon_entropy(data: bytes) -> float:

@@ -496,6 +496,33 @@ def test_scan_refuses_a_fifo_without_waiting_for_a_writer(corpus, model_file, tm
     assert done.stderr == f"pdfmlp: error: cannot load model {fifo}: not a regular file\n"
 
 
+def test_files_over_the_read_cap_are_refused(corpus, model_file, tmp_path, capsys, monkeypatch):
+    # Any regular file was read whole, whatever its size.
+    from pdfmlp import store
+
+    small = str(corpus["benign"] / "b01.pdf")
+    cap = max(os.path.getsize(small), os.path.getsize(model_file))
+    big = tmp_path / "big.pdf"
+    big.write_bytes(minimal_pdf().ljust(cap + 1, b"%"))
+    monkeypatch.setattr(store, "MAX_FILE_BYTES", cap)
+    assert cli.main(["scan", "--model", model_file, str(big)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pdfmlp: warning: cannot read {big}: file larger than {store.MAX_FILE_BYTES} bytes\n"
+    benign = tmp_path / "benign"
+    benign.mkdir()
+    (benign / "big.pdf").write_bytes(big.read_bytes())
+    (benign / "small.pdf").write_bytes(Path(small).read_bytes())
+    out = tmp_path / "out.csv"
+    assert cli.main(["extract", "--benign", str(benign), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"pdfmlp: warning: cannot read {benign / 'big.pdf'}; row omitted\n"
+    assert read_features_csv(str(out)).paths == [str(benign / "small.pdf")]
+    monkeypatch.setattr(store, "MAX_FILE_BYTES", 64)
+    assert cli.main(["scan", "--model", model_file, small]) == 2
+    assert capsys.readouterr().err == f"pdfmlp: error: cannot load model {model_file}: file larger than 64 bytes\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
 def test_scan_refuses_a_device(corpus, model_file, capsys):
     # /dev/null read as an empty file and printed a benign verdict; an

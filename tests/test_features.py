@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 from pdfmlp import (
     N_FEATURES,
     SCHEMA_ID,
+    Dataset,
     describe_schema,
     extract_features,
     parse_pdf,
     shannon_entropy,
+    write_features_csv,
 )
 from pdfmlp import features
 from pdfmlp.features import (
@@ -70,6 +72,19 @@ def test_schema_stable_between_calls():
 
 def test_entropy_single_symbol():
     assert shannon_entropy(b"\x00" * 1024) == 0.0
+
+
+def test_entropy_of_one_byte_value_is_positive_zero(tmp_path):
+    # A zero sum negated is -0.0, which the feature CSV writes as "-0".
+    assert math.copysign(1.0, shannon_entropy(b"aaaa")) == 1.0
+    vec = extract(pdf_with_stream(b"a" * 64))
+    assert math.copysign(1.0, vec["entropy_streams"]) == 1.0
+    path = tmp_path / "features.csv"
+    write_features_csv(
+        str(path), Dataset(features=vec.values[None, :], labels=np.array([0]), paths=["a.pdf"])
+    )
+    row = path.read_text(encoding="utf-8").splitlines()[1].split(",")
+    assert "-0" not in row
 
 
 def test_entropy_uniform_bytes():

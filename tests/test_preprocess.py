@@ -291,6 +291,24 @@ def test_csv_paths_with_commas_survive(tmp_path):
     assert read_features_csv(path).paths == ['odd, "name".pdf']
 
 
+# The characters a feature CSV must quote (comma, quote, CR, LF), and others
+# a CSV reader may treat specially: tab, NUL, '#', backslash, non-ASCII.
+PATH_ALPHABET = 'a ,"\r\n\t\x00é#\\'
+
+
+@given(paths=st.lists(st.text(PATH_ALPHABET, max_size=8), min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_written_paths_read_back_exactly(tmp_path_factory, paths):
+    d = Dataset(
+        features=np.ones((len(paths), N_FEATURES)),
+        labels=np.zeros(len(paths), dtype=np.int64),
+        paths=paths,
+    )
+    path = str(tmp_path_factory.getbasetemp() / "paths.csv")
+    write_features_csv(path, d)
+    assert read_features_csv(path).paths == paths
+
+
 def test_scaler_rejects_nan_std():
     # NaN fails `stds <= 0` as well, so a NaN std used to pass.
     with pytest.raises(ValueError, match="stds must be positive"):

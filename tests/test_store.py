@@ -1,6 +1,8 @@
 """Model persistence: bit-exact round trips and deliberate corruption."""
 
+import io
 import json
+import os
 import re
 import stat
 import struct
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdfmlp import load, save
+from pdfmlp import load, save, store
 from pdfmlp.features import N_FEATURES, SCHEMA_ID
 from pdfmlp.mlp import build_model, forward
 from pdfmlp.preprocess import Scaler
@@ -394,6 +396,56 @@ def test_manifest_must_name_each_array_once(trained_pair, entry, message):
 def test_load_missing_file(tmp_path):
     with pytest.raises(OSError):
         load(str(tmp_path / "nope.bin"))
+
+
+def test_file_over_the_cap_is_refused_before_a_read(tmp_path, monkeypatch):
+    monkeypatch.setattr(store, "MAX_FILE_BYTES", 64)
+    path = tmp_path / "f"
+    path.write_bytes(b"x" * 64)
+    assert store._read_file(str(path)) == b"x" * 64
+    path.write_bytes(b"x" * 65)
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("opened for reading")
+
+    monkeypatch.setattr(store, "open", no_open, raising=False)
+    with pytest.raises(OSError, match=r"^file larger than 64 bytes$"):
+        store._read_file(str(path))
+    with pytest.raises(OSError, match="file larger than 64 bytes"):
+        load(str(path))
+
+
+@pytest.mark.parametrize("size, refused", [(50, False), (64, False), (65, True), (10_000, True)])
+def test_file_that_grows_after_its_fstat_is_read_to_the_cap_at_most(tmp_path, monkeypatch, size, refused):
+    # The fstat says 10 bytes, as it would have before the file grew.
+    monkeypatch.setattr(store, "MAX_FILE_BYTES", 64)
+    real_fstat = store.os.fstat
+
+    def stale_fstat(fd):
+        info = list(real_fstat(fd))
+        info[stat.ST_SIZE] = 10
+        return os.stat_result(info)
+
+    read_sizes = []
+
+    class CountingReader(io.BufferedReader):
+        def read(self, n=-1):
+            read_sizes.append(n)
+            return super().read(n)
+
+    def counting_open(fd, mode, closefd):
+        return CountingReader(io.FileIO(fd, mode, closefd=closefd))
+
+    path = tmp_path / "f"
+    path.write_bytes(b"x" * size)
+    monkeypatch.setattr(store.os, "fstat", stale_fstat)
+    monkeypatch.setattr(store, "open", counting_open, raising=False)
+    if refused:
+        with pytest.raises(OSError, match="file larger than 64 bytes"):
+            store._read_file(str(path))
+    else:
+        assert store._read_file(str(path)) == b"x" * size
+    assert read_sizes == [11, 54]  # 65 bytes: the cap and one more
 
 
 def test_checksum_reflects_parameters(trained_pair):

@@ -1,17 +1,15 @@
-"""Training loop: learning capacity, determinism, model selection, resume."""
+"""Training loop: learning capacity, determinism, model selection."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from pdfmlp import Dataset, TrainConfig, resume, train
+from pdfmlp import Dataset, TrainConfig, train
 from pdfmlp.features import N_FEATURES
-from pdfmlp.mlp import PROB_EPS, build_model, forward, mean_cross_entropy
-from pdfmlp.preprocess import fit_scaler, split_train_validation
-from pdfmlp.train import TrainingDivergedError, _clamped_loss, _rng
+from pdfmlp.mlp import build_model, forward, mean_cross_entropy
+from pdfmlp.preprocess import split_train_validation
+from pdfmlp.train import TrainingDivergedError, _rng
 
 from synth import best_linear_accuracy_2d, perceptron_separates, separable_dataset, xor_dataset
 
@@ -138,8 +136,6 @@ def test_selected_epoch_is_validation_minimum():
     # and the returned snapshot reproduces exactly that loss
     _, val_part = split_train_validation(dataset, 0.2, 3)
     probs, _ = forward(model, scaler.transform_matrix(val_part.features), mode="infer")
-    from pdfmlp.mlp import mean_cross_entropy
-
     got = mean_cross_entropy(probs, val_part.labels.astype(float))
     assert got == pytest.approx(min(losses), abs=1e-12)
 
@@ -166,24 +162,9 @@ def test_every_sample_visits_each_epoch_exactly_once():
         batch_norm=False,
         rng=_rng(config.seed, 0),
     )
-    from pdfmlp.mlp import mean_cross_entropy
-
     probs, _ = forward(fresh, scaler.transform_matrix(fit_part.features), mode="infer")
     expected = mean_cross_entropy(probs, fit_part.labels.astype(float))
     assert report.records[0].train_loss == pytest.approx(expected, rel=1e-12)
-
-
-_clamped_prob = st.floats(PROB_EPS, 1.0 - PROB_EPS) | st.sampled_from([PROB_EPS, 1.0 - PROB_EPS, 0.5])
-
-
-@given(rows=st.lists(st.tuples(_clamped_prob, st.sampled_from([0.0, 1.0])), min_size=1, max_size=70))
-@settings(max_examples=200, deadline=None)
-def test_batch_loss_skips_only_the_second_clamp(rows):
-    # forward's probabilities are already inside [PROB_EPS, 1 - PROB_EPS],
-    # so clamping them again changes no bit.
-    probs, labels = np.array(rows).T.copy()
-    got = _clamped_loss(probs, labels)
-    assert np.float64(got).tobytes() == np.float64(mean_cross_entropy(probs, labels)).tobytes()
 
 
 # -- report -------------------------------------------------------------------------
@@ -200,42 +181,3 @@ def test_report_csv_format(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     float(first[1]), float(first[2]), float(first[3]), float(first[4])
-
-
-# -- resume -------------------------------------------------------------------------
-
-
-def test_resume_zero_epochs_returns_model_unchanged():
-    dataset = separable_dataset(n=300, seed=14)
-    model, scaler, _ = train(dataset, TrainConfig(epochs=2, seed=7))
-    snapshot = [w.copy() for l in model.layers for w in (l.weights, l.biases)]
-    same, report = resume(model, dataset, TrainConfig(epochs=0, seed=7), scaler=scaler)
-    assert same is model
-    assert report.records == []
-    for before, after in zip(snapshot, [w for l in model.layers for w in (l.weights, l.biases)]):
-        np.testing.assert_array_equal(before, after)
-
-
-def test_resume_continues_deterministically():
-    dataset = separable_dataset(n=300, seed=15)
-    model_a, scaler, _ = train(dataset, TrainConfig(epochs=2, seed=8))
-    model_b, _, _ = train(dataset, TrainConfig(epochs=2, seed=8))
-    ra = resume(model_a, dataset, TrainConfig(epochs=2, seed=8), scaler=scaler)[1]
-    rb = resume(model_b, dataset, TrainConfig(epochs=2, seed=8), scaler=scaler)[1]
-    assert ra.final_model_checksum == rb.final_model_checksum
-
-
-def test_resume_rejects_feature_mismatch():
-    dataset = separable_dataset(n=300, seed=16)
-    wrong = build_model(input_width=7, hidden_widths=(4,), rng=np.random.default_rng(0))
-    with pytest.raises(ValueError, match="features"):
-        resume(wrong, dataset, TrainConfig(epochs=1), scaler=fit_scaler(dataset))
-
-
-def test_resume_requires_the_scaler_the_model_was_trained_with():
-    # A scaler fitted inside resume would differ from the caller's, who
-    # could then not scale inputs the way the resumed model expects.
-    dataset = separable_dataset(n=300, seed=16)
-    model, _, _ = train(dataset, TrainConfig(epochs=1, seed=9))
-    with pytest.raises(TypeError, match="scaler"):
-        resume(model, dataset, TrainConfig(epochs=1, seed=9))
