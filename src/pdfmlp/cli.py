@@ -86,13 +86,13 @@ def _read_features(path: str) -> FeatureVector:
     return extract_features(parse_pdf(raw), raw)
 
 
-def _extract_row(item: tuple[str, int]) -> tuple[str, int, Optional[list[float]]]:
+def _extract_row(item: tuple[str, int]) -> tuple[str, int, Optional[np.ndarray]]:
     path, label = item
     try:
         vector = _read_features(path)
     except OSError:
         return path, label, None
-    return path, label, vector.values.tolist()
+    return path, label, vector.values
 
 
 def _collect_corpus(args: argparse.Namespace) -> list[tuple[str, int]]:
@@ -146,7 +146,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
     rows.sort(key=lambda r: r[0])
     dataset = Dataset(
-        features=np.asarray([r[2] for r in rows], dtype=np.float64),
+        features=np.stack([r[2] for r in rows]),
         labels=np.asarray([r[1] for r in rows], dtype=np.int64),
         paths=[r[0] for r in rows],
     )

@@ -195,9 +195,9 @@ def shannon_entropy(data: bytes) -> float:
     return _entropy(_byte_counts(data), len(data))
 
 
-# Bytes counted per np.bincount call, which widens its input to int64: 8 MiB
-# of temporaries at most, whatever a stream decodes to.
-_COUNT_CHUNK = 1 << 20
+# Bytes counted per np.bincount call, which widens its input to int64: 512 KiB
+# of temporaries at most, whatever a stream decodes to or the file's size.
+_COUNT_CHUNK = 1 << 16
 
 
 def _byte_counts(data: bytes) -> np.ndarray:
@@ -273,12 +273,14 @@ def _entropies(raw: bytes, streams: list[PdfStream]) -> list[float]:
         counts = _byte_counts(s.data)
         combined += counts
         per_stream_max = max(per_stream_max, _entropy(counts, len(s.data)))
+    # Views, so the one join below is the only copy of the bytes between streams.
+    view = memoryview(raw)
     gaps = []
     pos = 0
     for start, end in sorted(s.span for s in streams if s.span is not None):
-        gaps.append(raw[pos:start])
+        gaps.append(view[pos:start])
         pos = max(pos, end)
-    gaps.append(raw[pos:])
+    gaps.append(view[pos:])
     combined_entropy = _entropy(combined, sum(len(s.data) for s in streams))
     return [shannon_entropy(raw), combined_entropy, shannon_entropy(b"".join(gaps)), per_stream_max]
 

@@ -9,15 +9,16 @@ translate table; it takes the Info dict, as the extractor's did before it
 took the Info strings.
 
 ``extract_features`` is the extractor before its byte counts were made in
-1 MiB chunks and each of its inputs was built once: a whole-buffer
-``np.bincount`` per entropy input and per gap between stream spans, the
-Info strings built twice, and each trailer's /Root resolved by
-``_page_count`` and ``_has_xmp`` apart.  Its helpers are copied here; the
-unchanged ones come from ``pdfmlp.features``.  ``_entropy_from_counts``
-is the entropy before it took its total from the byte length and summed
-with ``np.add.reduce``, and the mean stream size is still ``np.mean``.
-Its one change is the sign of a zero entropy: the former code returned
--0.0 for one repeated byte value, which the CSV wrote as "-0".
+chunks of ``features._COUNT_CHUNK`` bytes and each of its inputs was built
+once: a whole-buffer ``np.bincount`` per entropy input and per gap between
+stream spans, the Info strings built twice, and each trailer's /Root
+resolved by ``_page_count`` and ``_has_xmp`` apart.  Its helpers are
+copied here; the unchanged ones come from ``pdfmlp.features``.
+``_entropy_from_counts`` is the entropy before it took its total from the
+byte length and summed with ``np.add.reduce``, and the mean stream size is
+still ``np.mean``.  Its one change is the sign of a zero entropy: the
+former code returned -0.0 for one repeated byte value, which the CSV wrote
+as "-0".
 """
 
 import sys

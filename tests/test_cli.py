@@ -114,6 +114,21 @@ def test_extract_jobs_byte_identical(corpus, tmp_path):
     assert Path(serial).read_bytes() == Path(parallel).read_bytes()
 
 
+def test_extract_rows_stay_float64_arrays_and_jobs_2_matches_jobs_1(corpus, tmp_path):
+    # Each row is held as its 48 float64 values until the Dataset is built:
+    # ~0.64 KB a row with its path, against ~1.74 KB as a list of floats.
+    path = str(next(corpus["benign"].iterdir()))
+    _, label, values = cli._extract_row((path, 0))
+    assert label == 0
+    assert isinstance(values, np.ndarray)
+    assert values.dtype == np.float64 and values.shape == (48,)
+    serial = str(tmp_path / "serial.csv")
+    parallel = str(tmp_path / "parallel.csv")
+    assert extract(corpus, serial, jobs=1) == 0
+    assert extract(corpus, parallel, jobs=2) == 0
+    assert Path(serial).read_bytes() == Path(parallel).read_bytes()
+
+
 def test_extract_skips_non_files_with_warning(corpus, tmp_path, capsys):
     benign = tmp_path / "b"
     benign.mkdir()

@@ -1,7 +1,6 @@
 """Feature schema and extraction: frozen counts, entropy oracles, properties."""
 
 import math
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -33,7 +32,7 @@ from pdfmlp.pdf import MAX_NESTING_DEPTH, PdfDocument, PdfName, PdfRef, PdfStrea
 
 from pdfbuild import assemble_pdf, long_number_pdfs, minimal_pdf, pdf_with_stream, stream_body
 import features_reference
-from test_parser import _bomb_stream_pdf, assert_same_name_counts_as_recursive_walk, best_time
+from test_parser import _bomb_stream_pdf, assert_same_name_counts_as_recursive_walk, best_time, traced_peak
 
 
 def extract(raw: bytes) -> FeatureVector:
@@ -137,18 +136,46 @@ def test_byte_counts_equal_one_whole_buffer_count(data):
 def test_extraction_memory_does_not_grow_with_what_a_stream_decodes_to():
     # ~61 KiB of deflate that inflates to 60 MiB, under the decoding cap.
     # Counting the 60 MiB in one np.bincount, which widens every byte to an
-    # int64, peaked at 480 MiB; 1 MiB at a time it peaks at ~8 MiB.
+    # int64, peaked at 480 MiB; 1 MiB at a time it peaked at ~8 MiB, and
+    # 64 KiB at a time it peaks at ~0.5 MiB.
     raw = _bomb_stream_pdf(b"/FlateDecode", zlib.compress(bytes(60 << 20), 9))
     doc = parse_pdf(raw)
     assert len(doc.objects[(3, 0)].decoded) == 60 << 20
-    tracemalloc.start()
-    try:
-        vector = extract_features(doc, raw)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    vector, peak = traced_peak(lambda: extract_features(doc, raw))
     assert vector["entropy_stream_max"] == 0.0
-    assert peak < 32 << 20
+    assert peak < 2 << 20
+
+
+def test_extraction_memory_does_not_grow_with_the_file():
+    # A 1.2 MiB file, about half of it outside streams.  Counting it 1 MiB at
+    # a time added ~8.7 MiB; 64 KiB at a time it adds ~1.2 MiB, most of it the
+    # one copy of the bytes between streams.
+    rng = np.random.default_rng(7)
+    bodies = [b"<< /Type /Catalog /Pages 2 0 R >>", b"<< /Type /Pages /Kids [] /Count 0 >>"]
+    for _ in range(300):
+        text = rng.integers(97, 123, size=2000).astype(np.uint8).tobytes()
+        bodies.append(b"<< /Type /Annot /Contents (" + text + b") >>")
+        bodies.append(stream_body(b"<< >>", b"BT (" + text + b") Tj ET"))
+    raw = assemble_pdf(bodies)
+    assert len(raw) >= 1 << 20
+    doc = parse_pdf(raw)
+    vector, peak = traced_peak(lambda: extract_features(doc, raw))
+    assert vector["stream_count"] == 300
+    assert peak < 2 << 20
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_outside_stream_entropy_equals_the_reference_on_any_spans(data):
+    # Real parses give sorted, disjoint spans; these may be unsorted,
+    # overlapping, nested, empty or run past either end of the input.
+    raw = data.draw(st.binary(max_size=64), label="raw")
+    bound = st.integers(0, len(raw) + 2)
+    spans = data.draw(st.lists(st.tuples(bound, bound), max_size=6), label="spans")
+    streams = [PdfStream({}, b"", span=span) for span in spans]
+    streams.append(PdfStream({}, b"x"))  # unpacked from an object stream: no span
+    expected = features_reference._entropy_outside_streams(raw, streams)
+    assert features._entropies(raw, streams)[2] == expected
 
 
 # -- extraction on handcrafted documents ----------------------------------------
