@@ -273,7 +273,7 @@ def _entropies(raw: bytes, streams: list[PdfStream]) -> list[float]:
         counts = _byte_counts(s.data)
         combined += counts
         per_stream_max = max(per_stream_max, _entropy(counts, len(s.data)))
-    # Views, so the one join below is the only copy of the bytes between streams.
+    # Views, each counted where it lies: the bytes between streams are not copied.
     view = memoryview(raw)
     gaps = []
     pos = 0
@@ -281,8 +281,10 @@ def _entropies(raw: bytes, streams: list[PdfStream]) -> list[float]:
         gaps.append(view[pos:start])
         pos = max(pos, end)
     gaps.append(view[pos:])
+    outside = sum(map(_byte_counts, gaps))
     combined_entropy = _entropy(combined, sum(len(s.data) for s in streams))
-    return [shannon_entropy(raw), combined_entropy, shannon_entropy(b"".join(gaps)), per_stream_max]
+    outside_entropy = _entropy(outside, sum(map(len, gaps)))
+    return [shannon_entropy(raw), combined_entropy, outside_entropy, per_stream_max]
 
 
 def _sizes_and_filters(doc: PdfDocument, streams: list[PdfStream], info_strings: list[bytes]) -> list[float]:

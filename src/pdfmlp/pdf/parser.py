@@ -45,13 +45,14 @@ _OBJ_RE = re.compile(rb"(\d{1,10})" + _WS + rb"+(\d{1,5})" + _WS + rb"+obj(?![0-
 _SCAN_RE = re.compile(_OBJ_RE.pattern + rb"|startxref|xref|trailer|%%EOF")
 _HEADER_RE = re.compile(rb"%PDF-(\d+(?:\.\d+)?)")
 _REF_TAIL_RE = re.compile(_WS + rb"+(\d{1,10})" + _WS + rb"+R(?![0-9A-Za-z])")
-_XREF_ENTRY_RE = re.compile(rb"(\d{10})" + _WS + rb"(\d{5})" + _WS + rb"([nf])")
 # Whitespace and comments, which separate tokens; a comment runs from '%'
 # to the end of its line.  Unrolled as W*(?:%C*W*)*, a turn per comment,
 # and possessive, so that it keeps no regex frame per turn: one match takes
 # any run in flat memory.
 _SKIP = rb"%s*+(?:%%[^\r\n]*+%s*+)*+" % (_WS, _WS)
 _SKIP_RE = re.compile(_SKIP)
+# One cross-reference row, after the whitespace and comments before it.
+_XREF_ENTRY_RE = re.compile(_SKIP + rb"(\d{10})" + _WS + rb"(\d{5})" + _WS + rb"([nf])")
 # A literal-string byte taken as it is: all but '(', ')' and the backslash.
 # Written as ranges, the class is one bitmap test per byte.
 _PLAIN = rb"[\x00-\x27\x2a-\x5b\x5d-\xff]"
@@ -310,15 +311,16 @@ class _Scanner:
 _WINDOW = 1024
 
 
-def _probe(data: bytes, offset: int) -> bytes:
-    """The bytes from the token at offset on, past whitespace and comments.
+def _probe(data: bytes, offset: int) -> Optional[int]:
+    """Where the token at offset starts, past whitespace and comments.
 
-    Empty when no token starts within _WINDOW bytes of offset, so a
-    probe reads at most two windows however often an offset is declared.
+    None when no token starts within _WINDOW bytes of offset.  A caller
+    matches the token in place within _WINDOW bytes of its start, so a probe
+    reads at most two windows however often an offset is declared.
     """
     end = min(offset + _WINDOW, len(data))
     start = _SKIP_RE.match(data, offset, end).end()
-    return data[start : start + _WINDOW] if start < end else b""
+    return start if start < end else None
 
 
 def _skip_eol(data: bytes, pos: int) -> int:
@@ -526,22 +528,23 @@ class _DocumentParser:
                 self.diag(m.start(), DiagnosticKind.BAD_XREF, "malformed subsection header")
                 break
             count = min(count, max(0, (len(data) - sc.pos) // 18 + 1))
-            broken = False
-            for i in range(count):
-                sc.skip_ws()
+            for number in range(first, first + count):
                 em = _XREF_ENTRY_RE.match(data, sc.pos)
-                if not em:
+                if em is None:
+                    sc.skip_ws()
                     self.diag(sc.pos, DiagnosticKind.BAD_XREF, "malformed table entry")
-                    broken = True
                     break
                 sc.pos = em.end()
                 entries += 1
-                if em.group(3) == b"n" and not self._entry_resolves(
-                    int(em.group(1)), first + i, int(em.group(2))
-                ):
-                    mismatches += 1
-            if broken:
-                break
+                if em.group(3) == b"n":
+                    # An in-use row's offset must hold its object's header.
+                    at = _probe(data, int(em.group(1)))
+                    om = at is not None and _OBJ_RE.match(data, at, at + _WINDOW)
+                    if not (om and int(om.group(1)) == number and int(om.group(2)) == int(em.group(2))):
+                        mismatches += 1
+            else:
+                continue  # the next subsection
+            break
         if mismatches:
             self.diag(
                 m.start(),
@@ -549,10 +552,6 @@ class _DocumentParser:
                 f"{mismatches} of {entries} in-use entries do not point at their object",
             )
         return resume
-
-    def _entry_resolves(self, offset: int, number: int, generation: int) -> bool:
-        om = _OBJ_RE.match(_probe(self.data, offset))
-        return bool(om) and int(om.group(1)) == number and int(om.group(2)) == generation
 
     def _parse_trailer(self, keyword_at: int) -> int:
         """Add the dictionary after the keyword as a trailer; resume past it, else the keyword."""
@@ -580,8 +579,8 @@ class _DocumentParser:
         if value >= len(data):
             self.diag(m.start(), DiagnosticKind.BAD_XREF, f"startxref {value} is past end of file")
             return
-        target = _probe(data, value)
-        if not (target.startswith(b"xref") or target[:1].isdigit()):
+        at = _probe(data, value)
+        if at is None or not (data.startswith(b"xref", at) or data[at : at + 1].isdigit()):
             self.diag(
                 m.start(),
                 DiagnosticKind.BAD_XREF,

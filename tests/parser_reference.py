@@ -14,6 +14,7 @@ library's own, so a test that compares the two isolates the scan.  The
 item parsers add what they find to the parser's document; the oracle
 takes each item's additions off it again, and builds its own document
 from what it claims, with its own copy of the former /XRef stream loop.
+Its startxref check probes the declared offset with ``probe``.
 
 ``PeekScanner`` is the former value grammar, the oracle for the one
 that reads each token with one match: per token it skips whitespace and
@@ -30,6 +31,12 @@ which skips for itself; ``probe`` is the former ``_probe``, which sliced
 the window out and skipped over the slice.  ``iter_name_occurrences``
 is the recursive name walk, the oracle for the one walk that counts every
 name.
+
+``FormerXrefParser`` is the parser with its former cross-reference table
+check, the oracle for the one that takes each row in one match and matches
+each declared header in place: per row it skipped whitespace and comments,
+matched the row, and matched an in-use row's object header in the window
+that ``probe`` slices out at the row's offset.
 
 ``FormerDecodeParser`` is the parser with its former ``_decode``, which
 checked each /Filter element while it copied the names into a list and
@@ -58,6 +65,7 @@ from pdfmlp.pdf.parser import (
     _REF_TAIL_RE,
     _REGULAR_END,
     _WINDOW,
+    _WS,
     _STOP_KEYWORDS,
     MAX_NESTING_DEPTH,
     _DepthExceeded,
@@ -66,7 +74,6 @@ from pdfmlp.pdf.parser import (
     _StopKeyword,
     _Terminator,
     _Truncated,
-    _probe,
 )
 
 import filters_reference
@@ -87,6 +94,7 @@ _XREF_RE = re.compile(rb"(?<![A-Za-z])xref(?![0-9A-Za-z])")
 _TRAILER_RE = re.compile(rb"(?<![A-Za-z])trailer(?![0-9A-Za-z])")
 _STARTXREF_RE = re.compile(rb"(?<![A-Za-z])startxref(?![0-9A-Za-z])")
 _EOF_RE = re.compile(rb"%%EOF")
+_XREF_ENTRY_RE = re.compile(rb"(\d{10})" + _WS + rb"(\d{5})" + _WS + rb"([nf])")
 
 
 class FormerDecodeParser(_DocumentParser):
@@ -115,6 +123,56 @@ class FormerDecodeParser(_DocumentParser):
             self.diag(at, DiagnosticKind.DECODE_ERROR, str(exc))
             return None
         return decoded
+
+
+class FormerXrefParser(_DocumentParser):
+    def _parse_xref_table(self, m: re.Match) -> int:
+        data = self.data
+        sc = _Scanner(data, m.end())
+        resume = m.end()
+        mismatches = 0
+        entries = 0
+        while True:
+            sc.skip_ws()
+            if sc.starts_with(b"trailer"):
+                resume = self._parse_trailer(sc.pos)
+                break
+            first = sc.read_uint()
+            if first is None:
+                self.diag(m.start(), DiagnosticKind.BAD_XREF, "cross-reference table without trailer")
+                break
+            count = sc.read_uint()
+            if count is None:
+                self.diag(m.start(), DiagnosticKind.BAD_XREF, "malformed subsection header")
+                break
+            count = min(count, max(0, (len(data) - sc.pos) // 18 + 1))
+            broken = False
+            for i in range(count):
+                sc.skip_ws()
+                em = _XREF_ENTRY_RE.match(data, sc.pos)
+                if not em:
+                    self.diag(sc.pos, DiagnosticKind.BAD_XREF, "malformed table entry")
+                    broken = True
+                    break
+                sc.pos = em.end()
+                entries += 1
+                if em.group(3) == b"n" and not self._entry_resolves(
+                    int(em.group(1)), first + i, int(em.group(2))
+                ):
+                    mismatches += 1
+            if broken:
+                break
+        if mismatches:
+            self.diag(
+                m.start(),
+                DiagnosticKind.BAD_XREF,
+                f"{mismatches} of {entries} in-use entries do not point at their object",
+            )
+        return resume
+
+    def _entry_resolves(self, offset: int, number: int, generation: int) -> bool:
+        om = _OBJ_RE.match(probe(self.data, offset))
+        return bool(om) and int(om.group(1)) == number and int(om.group(2)) == generation
 
 
 class FivePassParser(_DocumentParser):
@@ -241,7 +299,7 @@ class FivePassParser(_DocumentParser):
             if value >= len(data):
                 self.diag(m.start(), DiagnosticKind.BAD_XREF, f"startxref {value} is past end of file")
                 continue
-            target = _probe(data, value)
+            target = probe(data, value)
             if not (target.startswith(b"xref") or target[:1].isdigit()):
                 self.diag(
                     m.start(),

@@ -146,27 +146,46 @@ def test_extraction_memory_does_not_grow_with_what_a_stream_decodes_to():
     assert peak < 2 << 20
 
 
-def test_extraction_memory_does_not_grow_with_the_file():
-    # A 1.2 MiB file, about half of it outside streams.  Counting it 1 MiB at
-    # a time added ~8.7 MiB; 64 KiB at a time it adds ~1.2 MiB, most of it the
-    # one copy of the bytes between streams.
-    rng = np.random.default_rng(7)
+def _annotations_pdf(seed: int, count: int, streams: bool) -> bytes:
+    """count /Annot dictionaries of 2,000 random letters, each with a content
+    stream of the same letters when streams is set."""
+    rng = np.random.default_rng(seed)
     bodies = [b"<< /Type /Catalog /Pages 2 0 R >>", b"<< /Type /Pages /Kids [] /Count 0 >>"]
-    for _ in range(300):
+    for _ in range(count):
         text = rng.integers(97, 123, size=2000).astype(np.uint8).tobytes()
         bodies.append(b"<< /Type /Annot /Contents (" + text + b") >>")
-        bodies.append(stream_body(b"<< >>", b"BT (" + text + b") Tj ET"))
-    raw = assemble_pdf(bodies)
+        if streams:
+            bodies.append(stream_body(b"<< >>", b"BT (" + text + b") Tj ET"))
+    return assemble_pdf(bodies)
+
+
+def test_extraction_memory_does_not_grow_with_the_file():
+    # A 1.2 MiB file, about half of it outside streams.  Counting it 1 MiB at
+    # a time added ~8.7 MiB, and 64 KiB at a time ~1.2 MiB, most of it one
+    # copy of the bytes between streams.  Counted where they lie, with no
+    # copy, it adds ~0.6 MiB.
+    raw = _annotations_pdf(7, 300, streams=True)
     assert len(raw) >= 1 << 20
     doc = parse_pdf(raw)
     vector, peak = traced_peak(lambda: extract_features(doc, raw))
     assert vector["stream_count"] == 300
-    assert peak < 2 << 20
+    assert peak < 1 << 20
 
 
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_outside_stream_entropy_equals_the_reference_on_any_spans(data):
+def test_extraction_memory_does_not_grow_with_a_streamless_file():
+    # ~4 MiB of dictionaries and no stream.  Joining the bytes between streams
+    # into one buffer copied the whole file, ~4.6 MiB traced; counted where
+    # they lie, they add ~0.6 MiB.
+    raw = _annotations_pdf(11, 2000, streams=False)
+    assert len(raw) >= 3 << 20
+    doc = parse_pdf(raw)
+    vector, peak = traced_peak(lambda: extract_features(doc, raw))
+    assert vector["stream_count"] == 0
+    assert vector["entropy_outside_streams"] == vector["entropy_file"]
+    assert peak < 1 << 20
+
+
+def assert_outside_stream_entropy_equals_the_reference(data):
     # Real parses give sorted, disjoint spans; these may be unsorted,
     # overlapping, nested, empty or run past either end of the input.
     raw = data.draw(st.binary(max_size=64), label="raw")
@@ -176,6 +195,22 @@ def test_outside_stream_entropy_equals_the_reference_on_any_spans(data):
     streams.append(PdfStream({}, b"x"))  # unpacked from an object stream: no span
     expected = features_reference._entropy_outside_streams(raw, streams)
     assert features._entropies(raw, streams)[2] == expected
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_outside_stream_entropy_equals_the_reference_on_any_spans(data):
+    assert_outside_stream_entropy_equals_the_reference(data)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_outside_stream_entropy_equals_the_reference_counted_in_small_pieces(data):
+    # Chunks of 1-16 bytes make each gap counted in several pieces, all in one
+    # input of at most 64 bytes.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(features, "_COUNT_CHUNK", data.draw(st.integers(1, 16), label="chunk"))
+        assert_outside_stream_entropy_equals_the_reference(data)
 
 
 # -- extraction on handcrafted documents ----------------------------------------

@@ -163,8 +163,8 @@ def _startxrefs(offsets) -> bytes:
 )
 def test_declared_offsets_in_a_long_whitespace_run_are_probed_in_bounded_time(build, detail):
     # Each entry or startxref skipped the whole run after its offset: ~1.0-1.3 s
-    # here, now ~0.05 s (2-core VM, Python 3.11).  A probe reads the 1,024
-    # bytes at the offset, and the object or table lies past them.
+    # here, now ~0.05 s (2-core VM, Python 3.11).  A probe skips within the
+    # 1,024 bytes at the offset, and the object or table lies past them.
     data = build()
     assert best_time(lambda: parse_pdf(data), runs=3) < 0.2
     assert detail in [d.detail for d in parse_pdf(data).diagnostics]
@@ -409,7 +409,56 @@ def test_read_uint_matches_former_skip_and_read(data, pos):
 @example(b"x" * 10 + b" " * 1100 + b"1", 10)  # or in a whitespace run
 @settings(max_examples=600, deadline=None)
 def test_probe_matches_former_probe(data, offset):
-    assert _probe(data, offset) == parser_reference.probe(data, offset)
+    # The former probe sliced the window at the token out; _probe says where
+    # the token starts, and its callers match it in place.
+    at = _probe(data, offset)
+    assert (b"" if at is None else data[at : at + 1024]) == parser_reference.probe(data, offset)
+
+
+# What goes before an object header or a table row: whitespace and comment
+# runs, some long enough that a probe's window ends inside them.
+_XREF_GAPS = st.lists(
+    st.sampled_from([b" ", b"\n", b"\r\n", b"%c\n", b" " * 700, b"%" + b"y" * 700 + b"\n"]), max_size=3
+).map(b"".join)
+_MALFORMED_ROWS = [b"12345 00000 n", b"0000000009 0000 n", b"0000000009 00000 x", b"trailer", b""]
+
+
+@st.composite
+def _xref_documents(draw):
+    """Objects after gaps, then an xref table of subsections whose rows point at them."""
+    data = b"%PDF-1.4\n"
+    offsets = [0, len(data)]  # where each gap and each header starts
+    for number in range(1, draw(st.integers(0, 4)) + 1):
+        offsets.append(len(data))
+        data += draw(_XREF_GAPS)
+        offsets.append(len(data))
+        data += b"%d %d obj\n<< >>\nendobj\n" % (number, draw(st.integers(0, 1)))
+    points = st.one_of(
+        st.sampled_from(offsets),
+        st.integers(0, len(data) + 40),
+        st.integers(len(data), 10**10 - 1),  # past the end of the file
+    )
+    data += b"xref\n"
+    for _ in range(draw(st.integers(1, 3))):
+        rows = []
+        for _ in range(draw(st.integers(0, 5))):
+            if draw(st.integers(0, 7)) == 0:
+                rows.append(draw(st.sampled_from(_MALFORMED_ROWS)))
+            else:
+                used = draw(st.sampled_from(b"nnf"))
+                rows.append(b"%010d %05d %c" % (draw(points), draw(st.integers(0, 1)), used))
+        count = max(0, len(rows) + draw(st.integers(-1, 1)))
+        data += b"%d %d" % (draw(st.integers(0, 3)), count)
+        data += b"".join(draw(st.sampled_from([b"\n", b" \r\n"])) + draw(_XREF_GAPS) + row for row in rows)
+    return data + draw(st.sampled_from([b"\ntrailer\n<< /Size 5 >>\n", b"\n", b" junk"]))
+
+
+@given(_xref_documents())
+@example(b"%PDF-1.4\n" + b" " * 1023 + b"1 0 obj\n<< >>\nendobj\nxref\n1 1\n0000000009 00000 n \ntrailer\n<< >>")
+@example(b"%PDF-1.4\n" + b" " * 1024 + b"1 0 obj\n<< >>\nendobj\nxref\n1 1\n0000000009 00000 n \ntrailer\n<< >>")
+@settings(max_examples=400, deadline=None)
+def test_xref_table_diagnostics_match_the_former_row_loop(data):
+    assert parse_pdf(data).diagnostics == parser_reference.FormerXrefParser(data).parse().diagnostics
 
 
 def test_object_stream_header_with_comments_between_its_numbers():
