@@ -22,7 +22,7 @@ from .features import FeatureVector, describe_schema, extract_features
 from .mlp import MlpModel, predict
 from .pdf import parse_pdf
 from .preprocess import Dataset, read_features_csv, transform, write_features_csv
-from .store import ModelStoreError, _layer_arrays, _read_file, dataset_checksum, load, loads, save
+from .store import ModelStoreError, _read_file, dataset_checksum, load, loads, save
 from .train import TrainConfig, TrainingDivergedError, train
 
 EXIT_OK = 0
@@ -215,8 +215,8 @@ class _LastModel:
 
     Each request still reads the file, and only bytes that differ from the
     kept ones are parsed: those just read, so what is kept always matches
-    its key.  Kept arrays are read-only, so no request can change the model
-    the next one scores with.  A failed load keeps nothing.
+    its key.  loads' arrays are read-only, so no request can change the
+    model the next one scores with.  A failed load keeps nothing.
     """
 
     def __init__(self) -> None:
@@ -227,12 +227,6 @@ class _LastModel:
         kept_blob, loaded = self.kept
         if blob != kept_blob:
             loaded = loads(blob)
-            model, scaler, _ = loaded
-            for array in (scaler.means, scaler.stds):
-                array.flags.writeable = False
-            for layer in model.layers:
-                for _, array in _layer_arrays(layer):
-                    array.flags.writeable = False
             self.kept = (blob, loaded)
         return loaded
 

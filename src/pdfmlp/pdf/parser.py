@@ -601,8 +601,8 @@ class _DocumentParser:
             count = stream.dictionary.get("/N")
             first = stream.dictionary.get("/First")
             if (
-                not isinstance(count, int)
-                or not isinstance(first, int)
+                type(count) is not int  # a bool is an int subclass
+                or type(first) is not int
                 or count < 0
                 or first < 0
                 or first > len(stream.decoded)

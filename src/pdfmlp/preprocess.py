@@ -119,18 +119,18 @@ def split_train_validation(
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must be in (0, 1)")
     n = len(d)
-    classes = sorted(set(int(v) for v in d.labels))
-    for c in classes:
-        if int(np.sum(d.labels == c)) < 2:
+    classes, sizes = np.unique(d.labels, return_counts=True)
+    class_sizes = list(zip(classes.tolist(), sizes.tolist()))
+    for c, size in class_sizes:
+        if size < 2:
             raise ValueError(f"cannot stratify: class {c} has fewer than 2 samples")
 
-    n_val = int(math.floor(fraction * n + 0.5))
-    n_val = min(max(n_val, 0), n)
+    n_val = int(math.floor(fraction * n + 0.5))  # in [0, n], as fraction is in (0, 1)
 
     # Largest-remainder apportionment of n_val across classes.
     quotas = []
-    for c in classes:
-        exact = n_val * int(np.sum(d.labels == c)) / n
+    for c, size in class_sizes:
+        exact = n_val * size / n
         quotas.append([c, int(math.floor(exact)), exact - math.floor(exact)])
     short = n_val - sum(q[1] for q in quotas)
     for q in sorted(quotas, key=lambda q: (-q[2], q[0]))[:short]:

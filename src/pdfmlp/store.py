@@ -6,6 +6,8 @@ length, payload).  Section "META" is canonical JSON describing the
 architecture, threshold, schema id and an ordered array manifest;
 section "ARRS" is the manifest's arrays concatenated as raw
 little-endian float64, which makes save/load round trips bit-exact.
+A loaded model's arrays are read-only views of that section; copy() the
+model to change it.
 """
 
 from __future__ import annotations
@@ -90,9 +92,9 @@ def dumps(
     blobs: list[bytes] = []
 
     def put(name: str, arr: np.ndarray) -> None:
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        arr = np.asarray(arr, dtype="<f8")
         manifest.append({"name": name, "shape": list(arr.shape)})
-        blobs.append(arr.astype("<f8").tobytes())
+        blobs.append(arr.tobytes())  # C order for any layout
 
     put("scaler.means", scaler.means)
     put("scaler.stds", scaler.stds)
@@ -245,9 +247,10 @@ def _read_arrays(manifest: Any, payload: bytes) -> dict[str, np.ndarray]:
             raise TruncatedModelError(f"array {name!r} extends past the data section")
         flat = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
         try:
-            arrays[name] = flat.astype(np.float64).reshape(shape)
+            arrays[name] = flat.astype(np.float64, copy=False).reshape(shape)
         except ValueError as exc:  # a dimension numpy cannot index, next to a 0
             raise ModelFormatError(f"bad manifest entry: {entry!r}") from exc
+        arrays[name].flags.writeable = False  # a view of the payload; a copy on big-endian hosts
         offset += nbytes
     if offset != len(payload):
         raise ModelFormatError("data section has trailing bytes")

@@ -377,6 +377,26 @@ def test_evaluate_writes_artifacts(features_csv, model_file, tmp_path, capsys):
     assert auc >= 0.95
 
 
+def test_evaluate_scores_with_a_read_only_model(
+    features_csv, model_file, tmp_path, monkeypatch, capsys
+):
+    scored = []
+    real_evaluate = cli.evaluate
+
+    def capturing(model, scaler, dataset):
+        scored.append((model, scaler))
+        return real_evaluate(model, scaler, dataset)
+
+    monkeypatch.setattr(cli, "evaluate", capturing)
+    out_dir = str(tmp_path / "eval")
+    rc = cli.main(
+        ["evaluate", "--features", features_csv, "--model", model_file, "--out-dir", out_dir]
+    )
+    assert rc == 0
+    assert len(scored) == 1
+    _assert_read_only(*scored[0])
+
+
 def _foreign_model(model_file, tmp_path):
     """A copy of model_file whose META names another feature schema."""
     blob = Path(model_file).read_bytes()
@@ -557,6 +577,7 @@ def test_scan_model_with_a_nan_weight_is_a_load_error(corpus, model_file, tmp_pa
     from pdfmlp.store import load, save
 
     model, scaler, _ = load(model_file)
+    model = model.copy()
     model.layers[0].weights[0, 0] = np.nan
     bad = str(tmp_path / "nan.bin")
     save(model, scaler, bad)
@@ -656,11 +677,10 @@ def test_scan_after_a_corrupt_model_recovers_when_the_bytes_do(
     assert len(counted_loads) == 2  # the corrupt bytes were parsed, and nothing of them kept
 
 
-def test_scan_keeps_its_model_read_only(model_file, corpus, counted_loads, capsys):
+def _assert_read_only(model, scaler):
+    """Every array of a default 48-72-72-1 batch-norm model refuses a write."""
     from pdfmlp.mlp import BATCH_NORM_ARRAYS
 
-    assert _scan(model_file, str(corpus["benign"] / "b01.pdf"), capsys)[0] == 0
-    model, scaler, _ = cli._scan_model.kept[1]
     arrays = [scaler.means, scaler.stds]
     for layer in model.layers:
         arrays += [layer.weights, layer.biases]
@@ -670,6 +690,12 @@ def test_scan_keeps_its_model_read_only(model_file, corpus, counted_loads, capsy
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0.0
+
+
+def test_scan_keeps_its_model_read_only(model_file, corpus, counted_loads, capsys):
+    assert _scan(model_file, str(corpus["benign"] / "b01.pdf"), capsys)[0] == 0
+    model, scaler, _ = cli._scan_model.kept[1]
+    _assert_read_only(model, scaler)
 
 
 def test_scan_empty_file_list_usage_error(model_file):

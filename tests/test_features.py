@@ -582,6 +582,60 @@ def test_features_match_the_former_extractor_on_hand_built_documents(name):
     assert {key: vector[key] for key in expected} == expected
 
 
+# -- the domain of each unit -------------------------------------------------------
+
+
+def _whole(v):
+    return (v >= 0) & (v == np.floor(v))
+
+
+# What each unit allows; stream_size_mean is a mean of byte lengths, so it
+# may be fractional.
+_UNIT_DOMAINS = {
+    "count": _whole,
+    "chars": _whole,
+    "levels": _whole,
+    "bytes": _whole,
+    "bits": lambda v: (v >= 0) & (v <= 8),
+    "flag": lambda v: (v == 0) | (v == 1),
+    "ratio": lambda v: (v >= 0) & (v <= 1),  # top-level stream extents are disjoint
+    "version": lambda v: (v >= 0) & np.isfinite(v),
+}
+_FEATURE_DOMAINS = {"stream_size_mean": lambda v: v >= 0}
+
+
+def assert_features_in_their_domains(matrix):
+    """Every column of an (n, 48) feature matrix lies in its unit's domain."""
+    assert not np.any((matrix == 0) & np.signbit(matrix)), "a negative zero"
+    for i, d in enumerate(describe_schema().descriptors):
+        inside = _FEATURE_DOMAINS.get(d.name, _UNIT_DOMAINS[d.unit])(matrix[:, i])
+        assert inside.all(), f"{d.name} [{d.unit}]: {sorted(set(matrix[~inside, i]))[:5]}"
+
+
+def test_every_feature_lies_in_its_units_domain(fuzz_corpus, corpus):
+    vectors = [extract_features(doc, data).values for data, doc, _ in fuzz_corpus]
+    for path in sorted(corpus["root"].rglob("*.pdf")):
+        vectors.append(extract(path.read_bytes()).values)
+    for source, _ in _FORMER_EXTRACTOR_CASES.values():
+        doc, raw = source if isinstance(source, tuple) else (parse_pdf(source), source)
+        vectors.append(extract_features(doc, raw).values)
+    assert len(vectors) == 10_000 + 40 + len(_FORMER_EXTRACTOR_CASES)
+    assert_features_in_their_domains(np.array(vectors))
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [("file_size", 1.5), ("entropy_file", 8.5), ("js_present", 2.0), ("stream_file_ratio", 1.01),
+     ("stream_size_mean", -1.0), ("page_count", -0.0)],
+)
+def test_a_value_outside_its_domain_is_caught(column, value):
+    matrix = np.zeros((2, N_FEATURES))
+    assert_features_in_their_domains(matrix)
+    matrix[1, describe_schema().index_of(column)] = value
+    with pytest.raises(AssertionError):
+        assert_features_in_their_domains(matrix)
+
+
 # -- the feature blocks --------------------------------------------------------
 
 # Each block function, with the first and last feature of its schema range.

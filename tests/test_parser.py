@@ -730,6 +730,20 @@ def _object_stream(number: int, inner: list[tuple[int, bytes]]) -> bytes:
     return _object(number, stream_body(dictionary, head + payload))
 
 
+@pytest.mark.parametrize("count, first", [(b"true", b"4"), (b"1", b"false"), (b"true", b"true")])
+def test_object_stream_header_of_booleans_is_malformed(count, first):
+    # /N true unpacked one object, and /First false read the index from 0.
+    dictionary = b"<< /Type /ObjStm /N %s /First %s >>" % (count, first)
+    data = b"%PDF-1.4\n" + _object(2, stream_body(dictionary, b"1 0 (inner) "))
+    doc = parse_pdf(data)
+    assert list(doc.objects) == [(2, 0)]
+    assert doc.diagnostics == [
+        ParseDiagnostic(
+            data.index(b"2 0 obj"), DiagnosticKind.GARBAGE_BYTES, "malformed object stream header"
+        )
+    ]
+
+
 def _redefined(at: int, detail: str) -> ParseDiagnostic:
     return ParseDiagnostic(at, DiagnosticKind.DUPLICATE_OBJECT, detail)
 

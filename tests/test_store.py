@@ -30,6 +30,7 @@ from pdfmlp.store import (
 )
 
 from gradcheck import param_arrays
+from test_parser import traced_peak
 
 
 @pytest.fixture
@@ -70,6 +71,54 @@ def test_roundtrip_bit_exact(tmp_path, trained_pair):
     before, _ = forward(model, X, mode="infer")
     after, _ = forward(loaded, X, mode="infer")
     np.testing.assert_array_equal(before, after)
+
+
+def _model_arrays(model, scaler):
+    arrays = [scaler.means, scaler.stds]
+    for layer in model.layers:
+        arrays += [array for _, array in store._layer_arrays(layer)]
+    return arrays
+
+
+@pytest.mark.parametrize("via", ["loads", "load"])
+def test_loaded_arrays_are_read_only_and_a_copy_is_writable(tmp_path, trained_pair, via):
+    model, scaler = trained_pair
+    if via == "loads":
+        loaded, loaded_scaler, _ = loads(dumps(model, scaler))
+    else:
+        path = str(tmp_path / "model.bin")
+        save(model, scaler, path)
+        loaded, loaded_scaler, _ = load(path)
+    arrays = _model_arrays(loaded, loaded_scaler)
+    assert len(arrays) == 2 + 2 * 3 + 4 * 2
+    for array in arrays:
+        assert array.dtype == np.float64
+        if sys.byteorder == "little":
+            assert not array.flags.owndata  # a view of the data section
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0.0
+    copied = loaded.copy()
+    for array in _model_arrays(copied, loaded_scaler)[2:]:
+        assert array.flags.writeable
+        array.flat[0] = 0.0
+
+
+def test_loads_peak_memory_stays_below_one_and_a_half_blobs(trained_pair):
+    # Each array was copied out of the data section, which was itself a copy
+    # of the blob's slice: the traced peak was 2.2 blobs for this model.
+    blob = dumps(*trained_pair)
+    (model, _, _), peak = traced_peak(lambda: loads(blob))
+    assert model.widths() == (48, 72, 72, 1)
+    assert peak < 1.5 * len(blob)
+
+
+def test_dumps_writes_a_non_contiguous_array_in_c_order(trained_pair):
+    model, scaler = trained_pair
+    weights = model.layers[0].weights
+    model.layers[0].weights = np.asfortranarray(weights)
+    fortran = dumps(model, scaler)
+    model.layers[0].weights = weights
+    assert fortran == dumps(model, scaler)
 
 
 def test_repeated_saves_identical(tmp_path, trained_pair):
