@@ -108,7 +108,7 @@ def _param(parm: Any, key: str, default: int) -> int:
     if not isinstance(parm, dict):
         return default
     value = parm.get("/" + key, parm.get(key, default))
-    return value if isinstance(value, int) else default
+    return value if type(value) is int else default
 
 
 def _flate_decode(data: bytes) -> bytes:
@@ -377,46 +377,41 @@ def _png_predictor(data: bytes, colors: int, bpc: int, columns: int, who: str) -
             row += prev
         elif ftype >= 3:  # Average, Paeth: each byte depends on the decoded left byte
             unfilter = _png_average if ftype == 3 else _png_paeth
-            row[:] = np.frombuffer(unfilter(row.tobytes(), prev.tobytes(), bpp), np.uint8)
+            for lane in range(bpp):
+                row[lane::bpp] = unfilter(row[lane::bpp].tobytes(), prev[lane::bpp].tobytes())
         prev = row
     return out[:, :row_len].tobytes()
 
 
-def _png_average(raw: bytes, prev: bytes, bpp: int) -> bytearray:
-    out = bytearray(len(raw))
-    for lane in range(bpp):
-        left = 0
-        decoded = bytearray()
-        for x, up in zip(raw[lane::bpp], prev[lane::bpp]):
-            left = (x + ((left + up) >> 1)) & 0xFF
-            decoded.append(left)
-        out[lane::bpp] = decoded
+def _png_average(raw: bytes, prev: bytes) -> bytearray:
+    out = bytearray()
+    left = 0
+    for x, up in zip(raw, prev):
+        left = (x + ((left + up) >> 1)) & 0xFF
+        out.append(left)
     return out
 
 
-def _png_paeth(raw: bytes, prev: bytes, bpp: int) -> bytearray:
-    out = bytearray(len(raw))
-    for lane in range(bpp):
-        left = up_left = 0
-        decoded = bytearray()
-        for x, up in zip(raw[lane::bpp], prev[lane::bpp]):
-            # Distances from p = left + up - up_left to left, up and up_left.
-            pa = up - up_left
-            pb = left - up_left
-            pc = pa + pb
-            if pa < 0:
-                pa = -pa
-            if pb < 0:
-                pb = -pb
-            if pc < 0:
-                pc = -pc
-            if pa <= pb and pa <= pc:
-                left = (x + left) & 0xFF
-            elif pb <= pc:
-                left = (x + up) & 0xFF
-            else:
-                left = (x + up_left) & 0xFF
-            decoded.append(left)
-            up_left = up
-        out[lane::bpp] = decoded
+def _png_paeth(raw: bytes, prev: bytes) -> bytearray:
+    out = bytearray()
+    left = up_left = 0
+    for x, up in zip(raw, prev):
+        # Distances from p = left + up - up_left to left, up and up_left.
+        pa = up - up_left
+        pb = left - up_left
+        pc = pa + pb
+        if pa < 0:
+            pa = -pa
+        if pb < 0:
+            pb = -pb
+        if pc < 0:
+            pc = -pc
+        if pa <= pb and pa <= pc:
+            left = (x + left) & 0xFF
+        elif pb <= pc:
+            left = (x + up) & 0xFF
+        else:
+            left = (x + up_left) & 0xFF
+        out.append(left)
+        up_left = up
     return out

@@ -450,7 +450,7 @@ class _DocumentParser:
         declared = dictionary.get("/Length")
         end: Optional[int] = None
         after: Optional[int] = None
-        if isinstance(declared, int) and declared >= 0 and start + declared <= len(data):
+        if type(declared) is int and declared >= 0 and start + declared <= len(data):
             follow = _skip_eol(data, start + declared)  # an EOL may precede endstream
             if data.startswith(b"endstream", follow):
                 end = start + declared

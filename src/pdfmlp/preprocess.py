@@ -158,13 +158,9 @@ def write_features_csv(path: str, dataset: Dataset) -> None:
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_HEADER_LINE)
-        for i in range(len(dataset)):
-            values = ",".join(_format_value(v) for v in dataset.features[i])
-            fh.write(f"{_csv_field(dataset.paths[i])},{int(dataset.labels[i])},{values}\n")
-
-
-def _format_value(v: float) -> str:
-    return format(float(v), ".9g")
+        rows = zip(dataset.paths, dataset.labels.tolist(), dataset.features.tolist())
+        for doc_path, label, values in rows:
+            fh.write(_ROW_LINE % (_csv_field(doc_path), label, *values))
 
 
 def _csv_field(text: str) -> str:
@@ -207,6 +203,7 @@ def read_features_csv(path: str) -> Dataset:
 
 
 _HEADER_LINE = ",".join(CSV_HEADER) + "\n"
+_ROW_LINE = "%s,%d" + ",%.9g" * N_FEATURES + "\n"
 # One feature-CSV row as np.loadtxt reads it. The label stays text: numpy
 # releases before 2.0 read "0.9" into an int64 field as 0, with a warning.
 _ROW = np.dtype([("path", object), ("label", object), ("values", np.float64, (N_FEATURES,))])

@@ -246,7 +246,7 @@ def param(parm: Optional[dict], key: str, default: int) -> int:
     if not parm:
         return default
     value = parm.get("/" + key, parm.get(key, default))
-    return value if isinstance(value, int) else default
+    return value if type(value) is int else default  # a bool is no integer
 
 
 # One stage of each filter, without its predictor.

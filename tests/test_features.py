@@ -1,7 +1,10 @@
 """Feature schema and extraction: frozen counts, entropy oracles, properties."""
 
+import importlib.util
 import math
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -620,6 +623,19 @@ def test_every_feature_lies_in_its_units_domain(fuzz_corpus, corpus):
         doc, raw = source if isinstance(source, tuple) else (parse_pdf(source), source)
         vectors.append(extract_features(doc, raw).values)
     assert len(vectors) == 10_000 + 40 + len(_FORMER_EXTRACTOR_CASES)
+    assert_features_in_their_domains(np.array(vectors))
+
+
+def test_every_perfbench_kind_lies_in_its_units_domain(tmp_path, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the module prepends src and tests
+    spec.loader.exec_module(inputs)
+    kinds = [kind for kind, _, _ in inputs.EXTRACT_KINDS] + ["scan-medium"]
+    rng = np.random.default_rng(1)
+    vectors = [extract(inputs.build_document(kind, rng, tmp_path)).values for kind in kinds]
+    assert len(vectors) == 11
     assert_features_in_their_domains(np.array(vectors))
 
 

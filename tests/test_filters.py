@@ -588,8 +588,16 @@ _PARM_DICTS = st.one_of(
     ),
     st.fixed_dictionaries({"/Predictor": st.sampled_from([2, 12]), "/Columns": st.just(4)}),
     st.fixed_dictionaries({"Predictor": st.sampled_from([2, 12]), "Columns": st.just(4)}),
-    st.fixed_dictionaries({"/EarlyChange": st.sampled_from([0, 1])}),
+    st.fixed_dictionaries({"/EarlyChange": st.sampled_from([0, 1, False, True])}),
     st.just({"/Predictor": "/12", "/Columns": 4}),  # a value that is no integer
+    st.fixed_dictionaries(  # nor is a boolean
+        {
+            "/Predictor": st.sampled_from([2, 12, True]),
+            "/Columns": st.sampled_from([4, False, True]),
+            "/Colors": st.sampled_from([1, False, True]),
+            "/BitsPerComponent": st.sampled_from([8, False, True]),
+        }
+    ),
 )
 _PARM_ENTRIES = st.one_of(_PARM_DICTS, st.none(), st.integers(-1, 15), st.just("/Name"), st.just([{}]))
 _PARAMS = st.one_of(
@@ -639,3 +647,23 @@ def test_decode_stream_pairs_parameters_as_the_former_pairing(case):
     data, names, params = case
     expected = typed_outcome(reference.decode_stream, data, names, params)
     assert typed_outcome(decode_stream, data, names, params) == expected
+
+
+_NONE_AND_UP_FLATE = zlib.compress(bytes([0, 1, 2, 3, 2, 1, 1, 1]))  # a None row and an Up row
+
+
+@pytest.mark.parametrize(
+    "encoded, name, parm, key, value",
+    [
+        (_NONE_AND_UP_FLATE, "FlateDecode", {"/Predictor": 12, "/Columns": 3}, "/BitsPerComponent", True),
+        (_NONE_AND_UP_FLATE, "FlateDecode", {"/Predictor": 12}, "/Columns", False),
+        (_NONE_AND_UP_FLATE, "FlateDecode", {"/Predictor": 12, "/Columns": 3}, "/Colors", False),
+        (encode_lzw(random.Random(0).randbytes(2000)), "LZWDecode", {}, "/EarlyChange", False),
+    ],
+    ids=["bpc-true", "columns-false", "colors-false", "early-change-false"],
+)
+def test_a_boolean_parameter_decodes_as_if_absent(encoded, name, parm, key, value):
+    # /BitsPerComponent true read as 1 bit, /Columns or /Colors false as 0,
+    # and /EarlyChange false turned early change off.
+    expected = typed_outcome(decode_stream, encoded, name, parm)
+    assert typed_outcome(decode_stream, encoded, name, {**parm, key: value}) == expected

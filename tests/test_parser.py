@@ -109,6 +109,16 @@ def test_indirect_length_recovers_without_diagnostic():
     assert DiagnosticKind.BAD_LENGTH not in kinds(doc)
 
 
+@pytest.mark.parametrize("payload", [b"x", b"xyz"])
+@pytest.mark.parametrize("length", [b"true", b"false"])
+def test_a_boolean_length_is_no_length(length, payload):
+    # /Length true was read as 1: a 1-byte payload was taken with no diagnostic.
+    data = b"1 0 obj << /Length %s >> stream\n%s\nendstream" % (length, payload)
+    doc = parse_pdf(data)
+    assert doc.objects[(1, 0)].raw == payload
+    assert kinds(doc).count(DiagnosticKind.BAD_LENGTH) == 1
+
+
 def test_duplicate_object_last_definition_wins():
     raw = (
         b"%PDF-1.4\n"

@@ -291,6 +291,23 @@ def test_csv_paths_with_commas_survive(tmp_path):
     assert read_features_csv(path).paths == ['odd, "name".pdf']
 
 
+def test_written_rows_are_the_per_value_rows(tmp_path):
+    # Each value as format(v, ".9g"), each path quoted when it holds a
+    # comma, a quote, a CR or an LF: the rows the writer wrote value by value.
+    paths = ["a,b.pdf", 'q"x.pdf', "cr\r.pdf", "lf\n.pdf", "plain.pdf"]
+    values = np.resize([-0.0, 1e-300, 1e300, 0.1, 1 / 3, -2.5e-7, 123456789.5], (5, N_FEATURES))
+    path = str(tmp_path / "features.csv")
+    write_features_csv(path, Dataset(features=values, labels=np.array([0, 1, -1, 0, 1]), paths=paths))
+    quoted = ['"a,b.pdf"', '"q""x.pdf"', '"cr\r.pdf"', '"lf\n.pdf"', "plain.pdf"]
+    rows = [
+        f"{name},{label}," + ",".join(format(v, ".9g") for v in row) + "\n"
+        for name, label, row in zip(quoted, [0, 1, -1, 0, 1], values.tolist())
+    ]
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert fh.read() == ",".join(CSV_HEADER) + "\n" + "".join(rows)
+    assert "-0,1e-300,1e+300," in rows[0]
+
+
 # The characters a feature CSV must quote (comma, quote, CR, LF), and others
 # a CSV reader may treat specially: tab, NUL, '#', backslash, non-ASCII.
 PATH_ALPHABET = 'a ,"\r\n\t\x00é#\\'
