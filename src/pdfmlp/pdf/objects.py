@@ -7,7 +7,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
 from typing import Any, NamedTuple, Optional
 
 # Byte classes of the PDF lexer, shared by the parser, the filters and the
@@ -134,32 +133,40 @@ class PdfDocument:
         container an object shares with a trailer (an /XRef stream dictionary)
         gets its object level, one reached only from a trailer no depth.  A
         container shared by two objects counts at its first visit; parse_pdf
-        never builds one.  A plain str key is no name, but `in` finds scripts.
-        Cached, as the document is not mutated after parse_pdf returns; two
-        threads that ask at once may both walk, and store equal results.
+        never builds one.  A name is counted where it lies, and only
+        containers go on the stack.  Values are told apart by their exact
+        types, the ones parse_pdf builds: a plain str is no name, though `in`
+        finds a script under a plain str key, and a subclass of dict or list
+        is no container.  Cached, as the document is not mutated after
+        parse_pdf returns; two threads that ask at once may both walk, and
+        store equal results.
         """
         names: list[PdfName] = []
         scripts: list[PdfValue] = []
         depth = 0
         seen: set[int] = set()
-        stack: list[tuple[Any, float]] = [(t, -math.inf) for t in self.trailer_dicts]
-        stack += [(v, 1) for v in self.objects.values()]
+        # The trailers and the object values are containers one level above
+        # what they hold; the object values are popped first.
+        objects = list(self.objects.values())
+        stack: list[tuple[Any, float]] = [(self.trailer_dicts, -math.inf), (objects, 0)]
         while stack:
             value, level = stack.pop()
-            if isinstance(value, PdfName):
-                names.append(value)
+            if id(value) in seen:
                 continue
-            if isinstance(value, PdfStream):
-                value, level = value.dictionary, level + 1
-            if isinstance(value, (dict, list)):
-                if id(value) in seen:
-                    continue
-                seen.add(id(value))
-                if level > depth:
-                    depth = level
-                if isinstance(value, dict):
-                    names += [key for key in value if isinstance(key, PdfName)]
-                    scripts += [value[key] for key in ("/JS", "/JavaScript") if key in value]
-                    value = value.values()
-                stack.extend(zip(value, repeat(level + 1)))
+            seen.add(id(value))
+            if level > depth:
+                depth = level
+            if type(value) is dict:
+                names += [key for key in value if type(key) is PdfName]
+                scripts += [value[key] for key in ("/JS", "/JavaScript") if key in value]
+                value = value.values()
+            level += 1
+            for child in value:
+                kind = type(child)
+                if kind is PdfName:
+                    names.append(child)
+                elif kind is dict or kind is list:
+                    stack.append((child, level))
+                elif kind is PdfStream and type(child.dictionary) in (dict, list):
+                    stack.append((child.dictionary, level + 1))
         return _Graph(Counter(names), depth, scripts)

@@ -44,7 +44,6 @@ _OBJ_RE = re.compile(rb"(\d{1,10})" + _WS + rb"+(\d{1,5})" + _WS + rb"+obj(?![0-
 # would stop the regex engine from searching for the literals.
 _SCAN_RE = re.compile(_OBJ_RE.pattern + rb"|startxref|xref|trailer|%%EOF")
 _HEADER_RE = re.compile(rb"%PDF-(\d+(?:\.\d+)?)")
-_REF_TAIL_RE = re.compile(_WS + rb"+(\d{1,10})" + _WS + rb"+R(?![0-9A-Za-z])")
 # Whitespace and comments, which separate tokens; a comment runs from '%'
 # to the end of its line.  Unrolled as W*(?:%C*W*)*, a turn per comment,
 # and possessive, so that it keeps no regex frame per turn: one match takes
@@ -76,6 +75,9 @@ _STRING_ESCAPES = {
 _NOT_HEX_DIGITS = bytes(range(256)).translate(None, HEX_DIGITS)
 _NAME_ESCAPE_RE = re.compile(rb"#([%s]{2})" % HEX_DIGITS)
 _UINT_RE = re.compile(_SKIP + rb"(\d{1,15})")
+# What ends an object body: the whitespace and comments after its value, then
+# its stream or endobj keyword, if one is there.
+_OBJECT_END_RE = re.compile(_SKIP + rb"(stream|endobj)?")
 # Number tokens longer than this are read as reals.  It is Python's default
 # int-string limit, fixed here so the parse never raises on a long integer
 # and does not depend on sys.set_int_max_str_digits.
@@ -90,17 +92,20 @@ _CONSTANTS = {b"true": True, b"false": False, b"null": None}
 # One token of the value grammar, after the whitespace and comments before
 # it; the group that matched (lastindex) says which token it is.  A name is
 # its '/' and the run of regular bytes after it; a number's first byte is a
-# digit, '+', '-' or '.', and one that is no number is that byte alone.
+# digit, '+', '-' or '.', and one that is no number is that byte alone.  An
+# indirect reference "N G R" is one token, tried before the number: N is an
+# unsigned integer short enough to be read as one, and G at most ten digits,
+# each followed by whitespace only.  Its outer group closes last, so that it
+# is lastindex and starts at the token's first byte.
 _TOKEN_RE = re.compile(
     _SKIP
-    + rb"(?:(/[^%s]*)|([+-]?(?:\d+(?:\.\d*)?|\.\d+))|(<<)|(>>)|(\[)|(\])|(\()|(<)"
-    % re.escape(_REGULAR_END)
-    + rb"|([A-Za-z]{1,32})|([+.-])|(.))",
+    + rb"(?:(/[^%s]*)" % re.escape(_REGULAR_END)
+    + rb"|((\d{1,%d}+)%s++(\d{1,10}+)%s++R(?![0-9A-Za-z]))" % (_MAX_INT_DIGITS, _WS, _WS)
+    + rb"|([+-]?(?:\d+(?:\.\d*)?|\.\d+))|(<<)|(>>)|(\[)|(\])|(\()|(<)|([A-Za-z]{1,32})|([+.-])|(.))",
     re.S,
 )
-_NAME, _NUMBER, _DICT, _DICT_END, _ARRAY, _ARRAY_END, _LITERAL, _HEX, _KEYWORD, _LONE_SIGN = (
-    range(1, 11)
-)
+_NAME, _REF = 1, 2  # the reference's number and generation are groups 3 and 4
+_NUMBER, _DICT, _DICT_END, _ARRAY, _ARRAY_END, _LITERAL, _HEX, _KEYWORD, _LONE_SIGN = range(5, 14)
 
 
 class _Truncated(Exception):
@@ -149,9 +154,6 @@ class _Scanner:
         self.data = data
         self.pos = pos
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.data)
-
     def skip_ws(self) -> None:
         if self.pos < len(self.data):  # a match would clamp a position past the end
             self.pos = _SKIP_RE.match(self.data, self.pos).end()
@@ -189,8 +191,13 @@ class _Scanner:
             kind = m.lastindex
             if kind == _NAME:
                 return _name(m.group(kind))
+            if kind == _REF:
+                return PdfRef(int(m.group(3)), int(m.group(4)))
             if kind == _NUMBER:
-                return self._number(m.group(kind))
+                text = m.group(kind)
+                if b"." in text or len(text) > _MAX_INT_DIGITS:
+                    return float(text)  # accepts every number token; a huge one gives inf
+                return int(text)
             if kind == _DICT:
                 return self.parse_dict(depth + 1)
             if kind == _DICT_END:
@@ -228,13 +235,17 @@ class _Scanner:
                 return out
             if kind == _NAME:
                 key = _name(m.group(kind))
+                if depth > MAX_NESTING_DEPTH:  # parse_value's check, past the key
+                    raise _DepthExceeded
+                m = self._token()
             else:
-                # Junk where a key belongs is read as one value and dropped,
-                # from the junk's first byte.
+                # Junk where a key belongs is read as one value and dropped.
                 key = None
-                self.pos = m.start(kind)
+                if depth > MAX_NESTING_DEPTH:  # parse_value's check, at the junk's first byte
+                    self.pos = m.start(kind)
+                    raise _DepthExceeded
             try:
-                value = self.parse_value(depth)
+                value = self._value(m, depth)
             except _Terminator as t:
                 if t.which == b">>":
                     return out
@@ -259,17 +270,6 @@ class _Scanner:
                 if t.which == b"]":
                     return out
                 # Stray '>>' inside an array: consumed, keep going.
-
-    def _number(self, text: bytes) -> Any:
-        if b"." in text or len(text) > _MAX_INT_DIGITS:
-            return float(text)  # accepts every number token; a huge one gives inf
-        value = int(text)
-        if text[0] not in b"+-":
-            tail = _REF_TAIL_RE.match(self.data, self.pos)
-            if tail:
-                self.pos = tail.end()
-                return PdfRef(value, int(tail.group(1)))
-        return value
 
     def read_literal_string(self) -> PdfString:
         data = self.data
@@ -342,6 +342,9 @@ class _DocumentParser:
         # of doc.trailer_dicts, by which the trailers are put in file order.
         self.object_offsets: dict[tuple[int, int], int] = {}
         self.trailer_offsets: list[int] = []
+        # The key of each header that _scan matched, by where it starts, if
+        # the match fits in _WINDOW bytes: what an xref row's offset there finds.
+        self.header_keys: dict[int, tuple[int, int]] = {}
 
     def diag(self, offset: int, kind: DiagnosticKind, detail: str = "") -> None:
         offset = max(0, min(offset, len(self.data)))
@@ -398,6 +401,8 @@ class _DocumentParser:
             at, pos = m.span()
             if m.group(1) is not None:
                 key = (int(m.group(1)), int(m.group(2)))
+                if pos - at <= _WINDOW:
+                    self.header_keys[at] = key
                 value, pos = self._parse_object_body(pos)
                 self._define(key, value, at, "; keeping the later definition")
                 self.object_offsets[key] = at
@@ -416,17 +421,21 @@ class _DocumentParser:
                 self._parse_startxref(m)
 
     def _parse_object_body(self, pos: int) -> tuple[Any, int]:
-        sc = _Scanner(self.data, pos)
+        data = self.data
+        sc = _Scanner(data, pos)
         value = self._parse_value_tolerant(sc, pos)
-        sc.skip_ws()
-        if isinstance(value, dict) and sc.starts_with(b"stream"):
+        end = _OBJECT_END_RE.match(data, sc.pos)
+        if end[1] == b"stream" and isinstance(value, dict):
+            sc.pos = end.start(1)
             value = self._read_stream(sc, value)
-            sc.skip_ws()
-        if sc.starts_with(b"endobj"):
-            sc.pos += 6
-        elif not sc.at_end():
-            self.diag(sc.pos, DiagnosticKind.GARBAGE_BYTES, "expected endobj")
-        return value, sc.pos
+            end = _OBJECT_END_RE.match(data, sc.pos)
+        if end[1] == b"endobj":
+            return value, end.end()
+        # At a stray stream keyword, or else past the whitespace and comments.
+        pos = end.start(1) if end[1] else end.end()
+        if pos < len(data):
+            self.diag(pos, DiagnosticKind.GARBAGE_BYTES, "expected endobj")
+        return value, pos
 
     def _parse_value_tolerant(self, sc: _Scanner, at: int) -> Any:
         try:
@@ -469,15 +478,14 @@ class _DocumentParser:
                 elif end > start and data[end - 1 : end] in (b"\n", b"\r"):
                     end -= 1
                 after = found + 9
-            if isinstance(declared, int):
+            if declared is None:
+                self.diag(keyword_at, DiagnosticKind.BAD_LENGTH, "stream without /Length")
+            elif type(declared) is not PdfRef:  # an indirect /Length is legal, and recovered silently
                 self.diag(
                     keyword_at,
                     DiagnosticKind.BAD_LENGTH,
                     f"/Length {declared} is wrong; recovered {end - start} bytes",
                 )
-            elif declared is None:
-                self.diag(keyword_at, DiagnosticKind.BAD_LENGTH, "stream without /Length")
-            # an indirect /Length is legal; recovery by scan needs no diagnostic
         sc.pos = after
 
         raw = data[start:end]
@@ -537,11 +545,14 @@ class _DocumentParser:
                 sc.pos = em.end()
                 entries += 1
                 if em.group(3) == b"n":
-                    # An in-use row's offset must hold its object's header.
-                    at = _probe(data, int(em.group(1)))
-                    om = at is not None and _OBJ_RE.match(data, at, at + _WINDOW)
-                    if not (om and int(om.group(1)) == number and int(om.group(2)) == int(em.group(2))):
-                        mismatches += 1
+                    # An in-use row's offset must hold its object's header:
+                    # one the scan matched there, or one matched in place.
+                    offset, key = int(em.group(1)), (number, int(em.group(2)))
+                    if self.header_keys.get(offset) != key:
+                        at = _probe(data, offset)
+                        om = at is not None and _OBJ_RE.match(data, at, at + _WINDOW)
+                        if not (om and (int(om.group(1)), int(om.group(2))) == key):
+                            mismatches += 1
             else:
                 continue  # the next subsection
             break

@@ -19,7 +19,9 @@ Its startxref check probes the declared offset with ``probe``.
 ``PeekScanner`` is the former value grammar, the oracle for the one
 that reads each token with one match: per token it skips whitespace and
 comments, tests for the end of the data, peeks at the next byte and calls
-a reader.  Its string readers and ``skip_ws`` are the library's own.
+a reader.  After an unsigned integer it matches ``_REF_TAIL_RE``, the
+rest of an indirect reference, where the library reads a reference as
+one token.  Its string readers and ``skip_ws`` are the library's own.
 
 ``read_name``, ``read_literal_string`` and ``read_hex_string`` are the
 per-byte readers, the oracles for the ``_Scanner`` methods of the same
@@ -62,7 +64,6 @@ from pdfmlp.pdf.parser import (
     _MAX_INT_DIGITS,
     _NAME_ESCAPE_RE,
     _OBJ_RE,
-    _REF_TAIL_RE,
     _REGULAR_END,
     _WINDOW,
     _WS,
@@ -95,6 +96,7 @@ _TRAILER_RE = re.compile(rb"(?<![A-Za-z])trailer(?![0-9A-Za-z])")
 _STARTXREF_RE = re.compile(rb"(?<![A-Za-z])startxref(?![0-9A-Za-z])")
 _EOF_RE = re.compile(rb"%%EOF")
 _XREF_ENTRY_RE = re.compile(rb"(\d{10})" + _WS + rb"(\d{5})" + _WS + rb"([nf])")
+_REF_TAIL_RE = re.compile(_WS + rb"+(\d{1,10})" + _WS + rb"+R(?![0-9A-Za-z])")
 
 
 class FormerDecodeParser(_DocumentParser):
@@ -323,6 +325,9 @@ class PeekScanner(_Scanner):
 
     ``parse_dict`` starts at its '<<', where the library's starts past it.
     """
+
+    def at_end(self) -> bool:
+        return self.pos >= len(self.data)
 
     def peek(self) -> int:
         return self.data[self.pos] if self.pos < len(self.data) else -1

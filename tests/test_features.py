@@ -626,15 +626,23 @@ def test_every_feature_lies_in_its_units_domain(fuzz_corpus, corpus):
     assert_features_in_their_domains(np.array(vectors))
 
 
-def test_every_perfbench_kind_lies_in_its_units_domain(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def perfbench_documents(tmp_path_factory):
+    """One document of each of perfbench's 11 kinds, by kind, from its builders."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the module prepends src and tests
-    spec.loader.exec_module(inputs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "path", list(sys.path))  # the module prepends src and tests
+        spec.loader.exec_module(inputs)
     kinds = [kind for kind, _, _ in inputs.EXTRACT_KINDS] + ["scan-medium"]
     rng = np.random.default_rng(1)
-    vectors = [extract(inputs.build_document(kind, rng, tmp_path)).values for kind in kinds]
+    cache = tmp_path_factory.mktemp("perfbench")
+    return {kind: inputs.build_document(kind, rng, cache) for kind in kinds}
+
+
+def test_every_perfbench_kind_lies_in_its_units_domain(perfbench_documents):
+    vectors = [extract(data).values for data in perfbench_documents.values()]
     assert len(vectors) == 11
     assert_features_in_their_domains(np.array(vectors))
 
@@ -730,6 +738,13 @@ def test_graph_facts_match_former_walks_on_fuzz_corpus(fuzz_corpus):
         assert graph_facts(doc) == features_reference.graph_facts(doc)
         info = _info_dict(doc)
         assert _longest_hex_run(_info_string_values(info)) == features_reference._longest_hex_run(info)
+
+
+def test_graph_matches_the_recursive_walks_on_every_perfbench_kind(perfbench_documents):
+    for kind, data in perfbench_documents.items():
+        doc = parse_pdf(data)
+        assert graph_facts(doc) == features_reference.graph_facts(doc), kind
+        assert_same_name_counts_as_recursive_walk(doc, set(doc._graph.names))
 
 
 def _nested(depth, leaf):

@@ -1,6 +1,7 @@
 """Parser behavior: recovery, diagnostics, totality, name canonicalization."""
 
 import dataclasses
+import math
 import sys
 import time
 import tracemalloc
@@ -116,6 +117,15 @@ def test_a_boolean_length_is_no_length(length, payload):
     data = b"1 0 obj << /Length %s >> stream\n%s\nendstream" % (length, payload)
     doc = parse_pdf(data)
     assert doc.objects[(1, 0)].raw == payload
+    assert kinds(doc).count(DiagnosticKind.BAD_LENGTH) == 1
+
+
+@pytest.mark.parametrize("length", [b"3.0", b"/Three", b"(3)", b"[3]"])
+def test_a_direct_length_that_is_no_integer_is_a_bad_length(length):
+    # Such a /Length was recovered by scanning with no diagnostic, as if indirect.
+    data = b"1 0 obj << /Length %s >> stream\nxyz\nendstream endobj" % length
+    doc = parse_pdf(data)
+    assert doc.objects[(1, 0)].raw == b"xyz"
     assert kinds(doc).count(DiagnosticKind.BAD_LENGTH) == 1
 
 
@@ -463,9 +473,27 @@ def _xref_documents(draw):
     return data + draw(st.sampled_from([b"\ntrailer\n<< /Size 5 >>\n", b"\n", b" junk"]))
 
 
+def _one_row_table(before: bytes, number: int, target: bytes, after: bytes = b"") -> bytes:
+    """before, a one-row xref table for object number at target's first place
+    in before + the table + after, and after."""
+    table = b"xref\n%d 1\n%%010d 00000 n \ntrailer\n<< >>\n" % number
+    at = (before + table % 0 + after).index(target)
+    return before + table % at + after
+
+
 @given(_xref_documents())
 @example(b"%PDF-1.4\n" + b" " * 1023 + b"1 0 obj\n<< >>\nendobj\nxref\n1 1\n0000000009 00000 n \ntrailer\n<< >>")
 @example(b"%PDF-1.4\n" + b" " * 1024 + b"1 0 obj\n<< >>\nendobj\nxref\n1 1\n0000000009 00000 n \ntrailer\n<< >>")
+# each row below points at a header: one longer than the window,
+@example(_one_row_table(b"%PDF-1.4\n1" + b" " * 1100 + b"0 obj << >> endobj\n", 1, b"1 "))
+# one inside a stream payload, which the scan never sees,
+@example(_one_row_table(b"%PDF-1.4\n1 0 obj << /Length 20 >> stream\n2 0 obj << >> endobj\nendstream endobj\n", 2, b"2 0 obj"))
+# one after the table,
+@example(_one_row_table(b"%PDF-1.4\n", 1, b"1 0 obj", b"1 0 obj << >> endobj\n"))
+# the 2 of 12 0 obj,
+@example(_one_row_table(b"%PDF-1.4\n12 0 obj << >> endobj\n", 2, b"2 0 obj"))
+# and the earlier definition of a redefined object.
+@example(_one_row_table(b"%PDF-1.4\n1 0 obj << /A 1 >> endobj\n1 0 obj << /A 2 >> endobj\n", 1, b"1 0 obj"))
 @settings(max_examples=400, deadline=None)
 def test_xref_table_diagnostics_match_the_former_row_loop(data):
     assert parse_pdf(data).diagnostics == parser_reference.FormerXrefParser(data).parse().diagnostics
@@ -689,6 +717,17 @@ def test_value_grammar_matches_former_on_token_soups(tokens, separator, depth):
         (b"+", None),
         (b"-", None),
         (b".", None),
+        # a reference is one token, where a key, a value or an element belongs
+        (b"<< 1 0 R /A 1 >>", {PdfName("/A"): 1}),  # a junk key is dropped whole
+        (b"<< /A 1 0 R >>", {PdfName("/A"): PdfRef(1, 0)}),
+        (b"[1 0 R 2]", [PdfRef(1, 0), 2]),
+        pytest.param(b"[" + b"7" * 4300 + b" 0 R]", [PdfRef(int(b"7" * 4300), 0)], id="4300-digit-ref"),
+        pytest.param(b"[" + b"7" * 4301 + b" 0 R]", [math.inf, 0], id="4301-digit-number"),
+        (b"[1 0 Rx]", [1, 0]),
+        (b"[1 01234567890 R]", [1, 1234567890]),  # an eleven-digit generation
+        (b"[+1 0 R]", [1, 0]),
+        (b"[1. 0 R]", [1.0, 0]),
+        (b"[1 %c\n0 R]", [1, 0]),  # no comment inside a reference
     ],
 )
 def test_value_grammar_named_cases(data, expected):
