@@ -103,7 +103,7 @@ def _collect_corpus(args: argparse.Namespace) -> list[tuple[str, int]]:
             try:
                 names = sorted(os.listdir(directory))
             except OSError as exc:
-                raise CliError(f"cannot list {directory}: {exc}")
+                raise CliError(f"cannot list {_shown(directory)}: {exc}")
             for name in names:
                 path = os.path.join(directory, name)
                 try:
@@ -152,7 +152,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     )
     write_features_csv(args.out, dataset)
     n_ben, n_mal = dataset.class_counts()
-    print(f"wrote {len(dataset)} rows ({n_ben} benign, {n_mal} malicious) to {args.out}")
+    print(f"wrote {len(dataset)} rows ({n_ben} benign, {n_mal} malicious) to {_shown(args.out)}")
     return EXIT_OK
 
 
@@ -190,7 +190,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"val_loss={best.val_loss:.6f} val_tpr={best.val_tpr:.4f} val_fpr={best.val_fpr:.4f}"
     )
     print(f"model checksum {report.final_model_checksum}")
-    print(f"wrote {args.out} and {report_path}")
+    print(f"wrote {_shown(args.out)} and {_shown(report_path)}")
     return EXIT_OK
 
 
@@ -206,7 +206,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         f"threshold={op.threshold:.4f} tpr={op.tpr:.6f} fpr={op.fpr:.6f} "
         f"fnr={op.fnr:.6f} auc={report.auc:.6f}"
     )
-    print(f"wrote roc.csv, sweep.csv, report.txt under {args.out_dir}")
+    print(f"wrote roc.csv, sweep.csv, report.txt under {_shown(args.out_dir)}")
     return EXIT_OK
 
 
@@ -268,7 +268,7 @@ def _load_model(read, path: str):
     try:
         model, scaler, _ = read(path)
     except (OSError, ModelStoreError) as exc:
-        raise CliError(f"cannot load model {path}: {exc}")
+        raise CliError(f"cannot load model {_shown(path)}: {exc}")
     return model, scaler
 
 

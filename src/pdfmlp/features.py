@@ -174,7 +174,7 @@ _DESCRIPTORS: tuple[FeatureDescriptor, ...] = (
     _d("metadata_hex_run_max", "content-stats", "longest hex-digit run inside Info dictionary string values", "chars"),
     _d("js_obfuscation_score", "content-stats", "eval/unescape/String.fromCharCode/charCodeAt tokens in JavaScript payloads"),
     # metadata (6)
-    _d("page_count", "metadata", "objects typed /Page, or the root page tree /Count when none parse"),
+    _d("page_count", "metadata", "objects typed /Page; if none, the root page tree's /Count, else the first usable one of a page tree in object order"),
     _d("info_present", "metadata", "an Info dictionary resolves from a trailer", "flag"),
     _d("info_total_bytes", "metadata", "total byte length of Info dictionary string values", "bytes"),
     _d("info_long_tag_count", "metadata", "Info string values longer than 256 bytes"),
@@ -225,7 +225,7 @@ def extract_features(doc: PdfDocument, raw: bytes) -> FeatureVector:
     The five block functions below fill the schema in order.  Each is looked
     up as a module global when it runs, so a wrapper set there sees every call.
     """
-    streams = list(doc.iter_streams())
+    streams = doc._graph.streams
     info = _info_dict(doc)
     info_strings = _info_string_values(info)
     values = [
@@ -367,20 +367,12 @@ def _obfuscation_score(doc: PdfDocument) -> int:
 
 
 def _page_count(doc: PdfDocument, root: Any) -> float:
-    pages = 0
-    trees = []
-    for value in doc.objects.values():
-        if isinstance(value, dict):
-            kind = value.get("/Type")
-            if kind == "/Page":
-                pages += 1
-            elif kind == "/Pages":
-                trees.append(value)
-    if pages:
-        return float(pages)
-    # Fall back to the declared /Count of the root page tree, then of any page tree.
+    if doc._graph.pages:
+        return float(doc._graph.pages)
+    # Fall back to the declared /Count of the root page tree, then of each page tree in object order.
+    trees = doc._graph.trees
     if isinstance(root, dict):
-        trees.insert(0, _resolve(doc, root.get("/Pages")))
+        trees = [_resolve(doc, root.get("/Pages")), *trees]
     for tree in trees:
         count = _resolve(doc, tree.get("/Count")) if isinstance(tree, dict) else None
         # a count that is no integer, or too large for a float, is skipped

@@ -94,6 +94,9 @@ class _Graph(NamedTuple):  # see PdfDocument._graph
     names: Counter  # PdfName -> occurrences as a dict key or value
     depth: int  # deepest container level under an object, 0 if none
     scripts: list[PdfValue]  # /JS and /JavaScript values, unresolved
+    streams: list[PdfStream]  # object values that are streams, in object order
+    pages: int  # object values typed /Page
+    trees: list[dict]  # object values typed /Pages, in object order
 
 
 @dataclass
@@ -114,36 +117,32 @@ class PdfDocument:
     total_size: int = 0
     diagnostics: list[ParseDiagnostic] = field(default_factory=list)
 
-    def iter_streams(self):
-        """Yield every PdfStream held as an indirect object value."""
-        for value in self.objects.values():
-            if isinstance(value, PdfStream):
-                yield value
-
     def diagnostic_count(self, kind: DiagnosticKind) -> int:
         return sum(1 for d in self.diagnostics if d.kind is kind)
 
     @cached_property
     def _graph(self) -> _Graph:
-        """Name counts, nesting depth and /JS-/JavaScript values from one walk.
+        """Name counts, depth, scripts, streams and page census from one walk.
 
         Each dict and list is visited once.  An object value is at level 1, a
         child one below its container, a stream's dictionary one below the
         stream.  Trailers lie under the objects on the stack at level -inf: a
         container an object shares with a trailer (an /XRef stream dictionary)
         gets its object level, one reached only from a trailer no depth.  A
-        container shared by two objects counts at its first visit; parse_pdf
-        never builds one.  A name is counted where it lies, and only
-        containers go on the stack.  Values are told apart by their exact
-        types, the ones parse_pdf builds: a plain str is no name, though `in`
-        finds a script under a plain str key, and a subclass of dict or list
-        is no container.  Cached, as the document is not mutated after
-        parse_pdf returns; two threads that ask at once may both walk, and
-        store equal results.
+        container shared by two objects counts at its first visit, for the
+        page census too; parse_pdf never builds one.  A name is counted where
+        it lies, and only containers go on the stack.  Values are told apart
+        by their exact types, the ones parse_pdf builds: a plain str is no
+        name, though `in` finds a script under a plain str key, and a subclass
+        of dict or list is no container.  Cached, as the document is not
+        mutated after parse_pdf returns; two threads that ask at once may both
+        walk, and store equal results.
         """
         names: list[PdfName] = []
         scripts: list[PdfValue] = []
-        depth = 0
+        streams: list[PdfStream] = []
+        trees: list[dict] = []
+        depth = pages = 0
         seen: set[int] = set()
         # The trailers and the object values are containers one level above
         # what they hold; the object values are popped first.
@@ -159,6 +158,10 @@ class PdfDocument:
             if type(value) is dict:
                 names += [key for key in value if type(key) is PdfName]
                 scripts += [value[key] for key in ("/JS", "/JavaScript") if key in value]
+                if level == 1:  # an object value; they pop in reverse object order
+                    pages += value.get("/Type") == "/Page"
+                    if value.get("/Type") == "/Pages":
+                        trees.append(value)
                 value = value.values()
             level += 1
             for child in value:
@@ -167,6 +170,9 @@ class PdfDocument:
                     names.append(child)
                 elif kind is dict or kind is list:
                     stack.append((child, level))
-                elif kind is PdfStream and type(child.dictionary) in (dict, list):
-                    stack.append((child.dictionary, level + 1))
-        return _Graph(Counter(names), depth, scripts)
+                elif kind is PdfStream:
+                    if level == 1:
+                        streams.append(child)
+                    if type(child.dictionary) in (dict, list):
+                        stack.append((child.dictionary, level + 1))
+        return _Graph(Counter(names), depth, scripts, streams, pages, trees[::-1])

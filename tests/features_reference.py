@@ -118,7 +118,7 @@ def _longest_hex_run(info: Optional[dict]) -> int:
 
 def extract_features(doc: PdfDocument, raw: bytes) -> np.ndarray:
     values = np.zeros(N_FEATURES, dtype=np.float64)
-    streams = [s for s in doc.iter_streams()]
+    streams = [v for v in doc.objects.values() if isinstance(v, PdfStream)]
 
     values[0] = doc.total_size
     values[1] = _version_number(doc.header_version)

@@ -609,6 +609,33 @@ def test_scan_prints_one_line_of_three_fields_for_a_name_with_control_characters
     assert captured.err.startswith(f"pdfmlp: warning: cannot read {missing!r}: ")
 
 
+def test_every_printed_path_with_control_characters_is_one_line(corpus, features_csv, model_file, tmp_path, capsys):
+    # A newline in --out split "wrote ... to OUT" into two lines; the other
+    # paths each command prints did the same.
+    def printed(argv, rc):
+        assert cli.main(argv) == rc
+        captured = capsys.readouterr()
+        return (captured.out or captured.err).splitlines()[-1]
+
+    csv_out = str(tmp_path / "rows\n.csv")
+    model_out, report_out = str(tmp_path / "model\r.bin"), str(tmp_path / "report\n.csv")
+    out_dir = str(tmp_path / "eval\n")
+    missing = str(tmp_path / "gone\nforged")
+    benign = ["--benign", str(corpus["benign"])]
+    assert printed(["extract", *benign, "--out", csv_out], 0).endswith(f" to {csv_out!r}")
+    assert printed(["train", "--features", features_csv, "--out", model_out, "--report", report_out,
+                    "--epochs", "2"], 0) == f"wrote {model_out!r} and {report_out!r}"
+    assert printed(["evaluate", "--features", features_csv, "--model", model_file, "--out-dir", out_dir], 0) == (
+        f"wrote roc.csv, sweep.csv, report.txt under {out_dir!r}"
+    )
+    assert printed(["scan", "--model", missing, str(tmp_path)], 2).startswith(
+        f"pdfmlp: error: cannot load model {missing!r}: "
+    )
+    assert printed(["extract", "--benign", missing, "--out", csv_out], 2).startswith(
+        f"pdfmlp: error: cannot list {missing!r}: "
+    )
+
+
 # -- scan's model memo --------------------------------------------------------------
 
 

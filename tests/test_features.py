@@ -31,11 +31,12 @@ from pdfmlp.features import (
     _longest_hex_run,
     _obfuscation_score,
 )
-from pdfmlp.pdf import MAX_NESTING_DEPTH, PdfDocument, PdfName, PdfRef, PdfStream, PdfString
+from pdfmlp.pdf import MAX_NESTING_DEPTH, DiagnosticKind, PdfDocument, PdfName, PdfRef, PdfStream, PdfString
 
 from pdfbuild import assemble_pdf, long_number_pdfs, minimal_pdf, pdf_with_stream, stream_body
 import features_reference
-from test_parser import _bomb_stream_pdf, assert_same_name_counts_as_recursive_walk, best_time, traced_peak
+from costs import best_time, traced_peak
+from test_parser import _bomb_stream_pdf, assert_same_name_counts_as_recursive_walk
 
 
 def extract(raw: bytes) -> FeatureVector:
@@ -660,6 +661,73 @@ def test_a_value_outside_its_domain_is_caught(column, value):
         assert_features_in_their_domains(matrix)
 
 
+# -- an edit and how each feature responds ------------------------------------------
+
+
+def append_incremental_update(data, doc, body=b"<< /Note (appended) >>"):
+    """data and one incremental update: an object numbered past every object
+    of doc, an xref section for it, a trailer, startxref and %%EOF."""
+    number = max((n for n, _ in doc.objects), default=0) + 1
+    obj = b"\n%d 0 obj\n%s\nendobj\n" % (number, body)
+    xref = b"xref\n0 1\n0000000000 65535 f \n%d 1\n%010d 00000 n \n" % (number, len(data) + 1)
+    trailer = b"trailer\n<< /Size %d >>\nstartxref\n%d\n%%%%EOF\n" % (number + 1, len(data) + len(obj))
+    return data + obj + xref + trailer
+
+
+# Each feature's response to an update that adds one object with no counted
+# name: "+1" exactly, ">=" non-decreasing, "=" unchanged, or "any".  A feature
+# not named is unchanged: page_count and the 16 name counts among them.
+_UPDATE_RESPONSES = {
+    **dict.fromkeys((d.name for d in describe_schema().descriptors), "="),
+    **dict.fromkeys(("object_count", "xref_section_count", "trailer_count", "startxref_count", "eof_count"), "+1"),
+    **dict.fromkeys(("file_size", "max_nesting_depth"), ">="),
+    **dict.fromkeys(("bytes_after_last_eof", "entropy_file", "entropy_outside_streams", "stream_file_ratio"), "any"),
+}
+# A document with a `truncated` diagnostic ends inside a value, which takes
+# the update in: no count moves, and an unterminated stream grows.
+_TRUNCATED_UPDATE_RESPONSES = {
+    **_UPDATE_RESPONSES,
+    **{name: "=" for name, response in _UPDATE_RESPONSES.items() if response == "+1"},
+    **dict.fromkeys(("stream_size_mean", "stream_size_max"), ">="),
+    **dict.fromkeys(("entropy_streams", "entropy_stream_max"), "any"),
+}
+_RESPONDS = {
+    "+1": lambda before, after: after == before + 1,
+    ">=": lambda before, after: after >= before,
+    "=": lambda before, after: after == before,
+    "any": lambda before, after: True,
+}
+
+
+def assert_update_responses_hold(data, body=b"<< /Note (appended) >>"):
+    """The declared response of every feature to one appended update; True if data is truncated."""
+    doc = parse_pdf(data)
+    truncated = doc.diagnostic_count(DiagnosticKind.TRUNCATED) > 0
+    before = extract_features(doc, data).values
+    after = extract(append_incremental_update(data, doc, body)).values
+    responses = _TRUNCATED_UPDATE_RESPONSES if truncated else _UPDATE_RESPONSES
+    names = [d.name for d in describe_schema().descriptors]
+    wrong = {name: (b, a) for name, b, a in zip(names, before, after) if not _RESPONDS[responses[name]](b, a)}
+    assert not wrong, wrong
+    return truncated
+
+
+def test_an_appended_update_moves_each_feature_as_declared_on_the_corpus(corpus):
+    paths = sorted(corpus["root"].rglob("*.pdf"))
+    assert len(paths) == 40
+    assert not any(assert_update_responses_hold(path.read_bytes()) for path in paths)
+
+
+def test_an_appended_update_moves_each_feature_as_declared_on_every_perfbench_kind(perfbench_documents):
+    truncated = [kind for kind, data in perfbench_documents.items() if assert_update_responses_hold(data)]
+    assert truncated == ["truncated"]
+
+
+def test_an_update_that_adds_a_counted_name_breaks_the_relation():
+    with pytest.raises(AssertionError, match="count_js"):
+        assert_update_responses_hold(minimal_pdf(), body=b"<< /JS (x) >>")
+
+
 # -- the feature blocks --------------------------------------------------------
 
 # Each block function, with the first and last feature of its schema range.
@@ -853,3 +921,56 @@ def test_shared_container_counts_at_its_first_visit():
     doc = PdfDocument(objects={(1, 0): [[shared]], (2, 0): shared})
     assert graph_facts(doc) == (2, 0)
     assert features_reference.graph_facts(doc) == (4, 0)
+
+
+def assert_walk_takes_what_plain_loops_take(doc):
+    """The walk's streams, /Page count and /Pages trees against loops over the object map."""
+    values = list(doc.objects.values())
+    types = [v.get("/Type") if isinstance(v, dict) else None for v in values]
+    graph = doc._graph
+    assert list(map(id, graph.streams)) == [id(v) for v in values if isinstance(v, PdfStream)]
+    assert graph.pages == types.count("/Page")
+    assert list(map(id, graph.trees)) == [id(v) for v, t in zip(values, types) if t == "/Pages"]
+
+
+def test_walk_takes_streams_and_page_census_as_plain_loops_do(fuzz_corpus, perfbench_documents):
+    for _, doc, _ in fuzz_corpus:
+        assert_walk_takes_what_plain_loops_take(doc)
+    for data in perfbench_documents.values():
+        assert_walk_takes_what_plain_loops_take(parse_pdf(data))
+    for source, _ in _FORMER_EXTRACTOR_CASES.values():
+        assert_walk_takes_what_plain_loops_take(source[0] if isinstance(source, tuple) else parse_pdf(source))
+
+
+_PAGE = {PdfName("/Type"): PdfName("/Page")}
+_PAGES = {PdfName("/Type"): PdfName("/Pages"), PdfName("/Count"): 2}
+_WALK_CASES = {
+    # (document, expected stream objects, /Page count, /Pages object numbers)
+    "xref-stream-dictionary-is-a-trailer": (
+        PdfDocument(objects={(1, 0): _PAGES, (2, 0): PdfStream(_XREF, b""), (3, 0): _PAGE}, trailer_dicts=[_XREF]),
+        [2],
+        1,
+        [1],
+    ),
+    "page-dict-nested-under-an-object": (
+        PdfDocument(objects={(1, 0): {PdfName("/Kids"): [dict(_PAGE)]}, (2, 0): [_PAGES]}),
+        [],
+        0,
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WALK_CASES))
+def test_walk_takes_streams_and_page_census_on_hand_built_documents(name):
+    doc, streams, pages, trees = _WALK_CASES[name]
+    assert doc._graph.streams == [doc.objects[n, 0] for n in streams]
+    assert (doc._graph.pages, doc._graph.trees) == (pages, [doc.objects[n, 0] for n in trees])
+    assert_walk_takes_what_plain_loops_take(doc)
+
+
+def test_page_dict_shared_by_two_objects_counts_once():
+    # The former loop over the object map counted it twice.
+    doc = PdfDocument(objects={(1, 0): _PAGE, (2, 0): _PAGE})
+    assert doc._graph.pages == 1
+    assert features_reference._page_count(doc) == 2

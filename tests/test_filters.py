@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import filters_reference as reference
+from costs import quadrupling_ratios
 from pdfmlp.pdf import filters
 from pdfmlp.pdf.filters import (
     StreamDecodeError,
@@ -258,6 +259,36 @@ def test_lzw_decodes_in_linear_time():
     started = time.perf_counter()
     assert decode_stream(stream, ["LZWDecode"]) == data
     assert time.perf_counter() - started < 3
+
+
+def _lzw_input(n):
+    """n bytes of an eight-letter alphabet, LZW-encoded."""
+    return encode_lzw(bytes(random.Random(n).choices(b"abcdefgh", k=n)))
+
+
+def _short_repeat_runs(n):
+    """n RunLength repeat runs, each of 2 to 5 copies of one byte, and EOD."""
+    rng = random.Random(n)
+    return b"".join(bytes([257 - rng.randrange(2, 6), rng.randrange(256)]) for _ in range(n)) + b"\x80"
+
+
+# Each family's input at its n, where one decode takes 5 ms or more: LZW
+# ~7 ms, ASCII85 ~7.5 ms, RunLength ~7 ms (2-core VM, Python 3.11.7).
+_QUADRUPLING_FAMILIES = {
+    "LZWDecode": (_lzw_input, 24 << 10),
+    "ASCII85Decode": (lambda n: encode_ascii85(random.Random(n).randbytes(n)), 48 << 10),
+    "RunLengthDecode": (_short_repeat_runs, 14_000),
+}
+
+
+@pytest.mark.parametrize("name", _QUADRUPLING_FAMILIES)
+def test_decode_time_and_memory_grow_linearly(name):
+    # Linear gives ~4 for both ratios and quadratic ~16.  On a 2-core VM: LZW
+    # 3.8-4.1 in time and 1.4 in memory, ASCII85 4.0-4.7 and 4.0, RunLength
+    # 2.6-4.1 and 3.8.
+    build, n = _QUADRUPLING_FAMILIES[name]
+    time_ratio, peak_ratio = quadrupling_ratios(lambda data: decode_stream(data, [name]), build, n)
+    assert time_ratio <= 6 and peak_ratio <= 4.5, (time_ratio, peak_ratio)
 
 
 @given(st.binary(min_size=0, max_size=300))

@@ -3,8 +3,6 @@
 import dataclasses
 import math
 import sys
-import time
-import tracemalloc
 import zlib
 from typing import Optional
 
@@ -37,6 +35,7 @@ from pdfmlp.pdf.parser import (
     _probe,
 )
 
+from costs import best_time, traced_peak
 from pdfbuild import (
     assemble_pdf,
     long_number_pdfs,
@@ -321,25 +320,6 @@ def test_string_readers_match_per_byte_readers(opening, body):
         parser_reference.read_literal_string if opening == b"(" else parser_reference.read_hex_string
     )
     assert read_string(data) == reference(data, 0)
-
-
-def best_time(call, runs=5):
-    """The shortest of a few wall-clock timings of call(), in seconds."""
-    best = float("inf")
-    for _ in range(runs):
-        started = time.perf_counter()
-        call()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def traced_peak(call):
-    """call()'s result and the most memory traced while it ran, in bytes."""
-    tracemalloc.start()
-    try:
-        return call(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 _MIB = 1 << 20

@@ -29,8 +29,8 @@ from pdfmlp.store import (
     model_checksum,
 )
 
+from costs import traced_peak
 from gradcheck import param_arrays
-from test_parser import traced_peak
 
 
 @pytest.fixture
