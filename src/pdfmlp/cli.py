@@ -47,6 +47,11 @@ def _shown(path: str) -> str:
     return repr(path) if _CONTROL_RE.search(path) else path
 
 
+def _escaped(message: str) -> str:
+    """The message with each control character escaped, as repr escapes it."""
+    return _CONTROL_RE.sub(lambda m: repr(m[0])[1:-1], message)
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -329,7 +334,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except (CliError, OSError, ValueError, TrainingDivergedError) as exc:
-        print(f"pdfmlp: error: {exc}", file=sys.stderr)
+        print(f"pdfmlp: error: {_escaped(str(exc))}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -50,25 +50,25 @@ _OBFUSCATION_TOKENS = (b"eval", b"unescape", b"String.fromCharCode", b"charCodeA
 # Maps every byte that is no hex digit to a space, so split() yields the hex runs.
 _HEX_RUNS = bytes(b if b in HEX_DIGITS else 0x20 for b in range(256))
 
-# Names counted by the object-properties block, in schema order; each entry
-# sums its names, so the /GoToR-or-GoToE entry sums two.
-_COUNTED_NAMES = (
-    ("/JavaScript",),
-    ("/JS",),
-    ("/OpenAction",),
-    ("/AA",),
-    ("/Launch",),
-    ("/EmbeddedFile",),
-    ("/RichMedia",),
-    ("/AcroForm",),
-    ("/XFA",),
-    ("/URI",),
-    ("/GoToR", "/GoToE"),
-    ("/ObjStm",),
-    ("/Encrypt",),
-    ("/Names",),
-    ("/SubmitForm",),
-    ("/Action",),
+# The object-properties block, in schema order: each feature's name, its
+# description and the PDF names whose occurrences it sums.
+_NAME_COUNTS = (
+    ("count_javascript", "/JavaScript name occurrences (escape-canonicalized)", ("/JavaScript",)),
+    ("count_js", "/JS name occurrences", ("/JS",)),
+    ("count_openaction", "/OpenAction name occurrences", ("/OpenAction",)),
+    ("count_aa", "/AA additional-actions name occurrences", ("/AA",)),
+    ("count_launch", "/Launch action name occurrences", ("/Launch",)),
+    ("count_embeddedfile", "/EmbeddedFile name occurrences", ("/EmbeddedFile",)),
+    ("count_richmedia", "/RichMedia name occurrences", ("/RichMedia",)),
+    ("count_acroform", "/AcroForm name occurrences", ("/AcroForm",)),
+    ("count_xfa", "/XFA form name occurrences", ("/XFA",)),
+    ("count_uri", "/URI name occurrences", ("/URI",)),
+    ("count_goto_remote", "/GoToR plus /GoToE remote-goto name occurrences", ("/GoToR", "/GoToE")),
+    ("count_objstm", "/ObjStm name occurrences", ("/ObjStm",)),
+    ("count_encrypt", "/Encrypt name occurrences", ("/Encrypt",)),
+    ("count_names", "/Names name occurrences", ("/Names",)),
+    ("count_submitform", "/SubmitForm name occurrences", ("/SubmitForm",)),
+    ("count_action", "/Action name occurrences", ("/Action",)),
 )
 
 
@@ -142,22 +142,7 @@ _DESCRIPTORS: tuple[FeatureDescriptor, ...] = (
     _d("duplicate_object_count", "structure", "object numbers defined more than once"),
     _d("diagnostic_count", "structure", "parser diagnostics of any kind"),
     # object-properties (16)
-    _d("count_javascript", "object-properties", "/JavaScript name occurrences (escape-canonicalized)"),
-    _d("count_js", "object-properties", "/JS name occurrences"),
-    _d("count_openaction", "object-properties", "/OpenAction name occurrences"),
-    _d("count_aa", "object-properties", "/AA additional-actions name occurrences"),
-    _d("count_launch", "object-properties", "/Launch action name occurrences"),
-    _d("count_embeddedfile", "object-properties", "/EmbeddedFile name occurrences"),
-    _d("count_richmedia", "object-properties", "/RichMedia name occurrences"),
-    _d("count_acroform", "object-properties", "/AcroForm name occurrences"),
-    _d("count_xfa", "object-properties", "/XFA form name occurrences"),
-    _d("count_uri", "object-properties", "/URI name occurrences"),
-    _d("count_goto_remote", "object-properties", "/GoToR plus /GoToE remote-goto name occurrences"),
-    _d("count_objstm", "object-properties", "/ObjStm name occurrences"),
-    _d("count_encrypt", "object-properties", "/Encrypt name occurrences"),
-    _d("count_names", "object-properties", "/Names name occurrences"),
-    _d("count_submitform", "object-properties", "/SubmitForm name occurrences"),
-    _d("count_action", "object-properties", "/Action name occurrences"),
+    *(_d(name, "object-properties", description) for name, description, _ in _NAME_COUNTS),
     # content-stats (14)
     _d("entropy_file", "content-stats", "byte entropy of the whole file", "bits"),
     _d("entropy_streams", "content-stats", "byte entropy over all stream content (decoded when possible)", "bits"),
@@ -257,8 +242,8 @@ def _structure(doc: PdfDocument, streams: list[PdfStream]) -> list[float]:
 
 
 def _names(doc: PdfDocument) -> list[float]:
-    """Features 12-27: the _COUNTED_NAMES occurrences."""
-    return [sum(iter_name_occurrences(doc, n) for n in names) for names in _COUNTED_NAMES]
+    """Features 12-27: the _NAME_COUNTS occurrences."""
+    return [sum(iter_name_occurrences(doc, n) for n in names) for _, _, names in _NAME_COUNTS]
 
 
 def _entropies(raw: bytes, streams: list[PdfStream]) -> list[float]:

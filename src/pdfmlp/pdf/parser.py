@@ -620,19 +620,22 @@ class _DocumentParser:
             ):
                 self.diag(at, DiagnosticKind.GARBAGE_BYTES, "malformed object stream header")
                 continue
-            pairs = self._objstm_pairs(stream.decoded[:first], min(count, 10_000), at)
-            targets: set[int] = set()
+            decoded = stream.decoded
+            pairs = self._objstm_pairs(decoded[:first], min(count, 10_000), at)
+            # Each entry is parsed within its extent, from its offset to the
+            # next larger one, so each decoded byte is read by at most one entry.
+            offsets = sorted({first + rel for _, rel in pairs if first + rel <= len(decoded)})
+            extents = dict(zip(offsets, [*offsets[1:], len(decoded)]))
             for number, rel in pairs:
                 target = first + rel
-                if target > len(stream.decoded):
+                if target > len(decoded):
                     self.diag(at, DiagnosticKind.GARBAGE_BYTES, "object stream offset out of range")
                     continue
-                if target in targets:
+                if target not in extents:
                     # Each offset is parsed once, and no value is shared.
                     self.diag(at, DiagnosticKind.GARBAGE_BYTES, "object stream offset repeated")
                     continue
-                targets.add(target)
-                sc = _Scanner(stream.decoded, target)
+                sc = _Scanner(decoded[target : extents.pop(target)])
                 try:
                     value = sc.parse_value(0)
                 except (_Truncated, _DepthExceeded, _StopKeyword, _Terminator):

@@ -10,7 +10,7 @@ gets back, which doubles as the overfitting guard.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -91,7 +91,6 @@ def train(
     train_set: Dataset,
     config: TrainConfig,
     *,
-    hidden_widths: Sequence[int] = (72, 72),
     batch_norm: bool = True,
     threshold: float = MlpModel.threshold,
 ) -> tuple[MlpModel, Scaler, TrainReport]:
@@ -108,7 +107,6 @@ def train(
         raise ValueError("training needs both classes present")
     model = build_model(
         input_width=train_set.features.shape[1],
-        hidden_widths=hidden_widths,
         dropout_rate=config.dropout_rate,
         batch_norm=batch_norm,
         threshold=threshold,

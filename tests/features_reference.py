@@ -27,7 +27,7 @@ from typing import Any, Iterable, Optional
 import numpy as np
 
 from pdfmlp.features import (
-    _COUNTED_NAMES,
+    _NAME_COUNTS,
     _OBFUSCATION_TOKENS,
     N_FEATURES,
     _bytes_after_last_eof,
@@ -133,8 +133,7 @@ def extract_features(doc: PdfDocument, raw: bytes) -> np.ndarray:
     values[10] = doc.diagnostic_count(DiagnosticKind.DUPLICATE_OBJECT)
     values[11] = len(doc.diagnostics)
 
-    for i, entry in enumerate(_COUNTED_NAMES):
-        names = entry if isinstance(entry, tuple) else (entry,)
+    for i, (_, _, names) in enumerate(_NAME_COUNTS):
         values[12 + i] = sum(iter_name_occurrences(doc, n) for n in names)
 
     values[28] = shannon_entropy(raw)

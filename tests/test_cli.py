@@ -636,6 +636,18 @@ def test_every_printed_path_with_control_characters_is_one_line(corpus, features
     )
 
 
+def test_every_error_prints_on_one_line(tmp_path, capsys):
+    # The library names the path as it is: a feature CSV named 'bad\nforged.csv'
+    # printed 'pdfmlp: error: bad' and then 'forged.csv: unexpected header...'.
+    forged = tmp_path / "bad\nforged\x85.csv"
+    forged.write_text("not,a,feature,csv\n", encoding="utf-8")
+    out = str(tmp_path / "model.bin")
+    assert cli.main(["train", "--features", str(forged), "--out", out]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    escaped = str(forged).replace("\n", "\\n").replace("\x85", "\\x85")
+    assert captured.err == f"pdfmlp: error: {escaped}: unexpected header; not a feature CSV\n"
+
+
 # -- scan's model memo --------------------------------------------------------------
 
 

@@ -790,7 +790,7 @@ def test_names_block_makes_17_name_lookups_per_document(monkeypatch, fuzz_corpus
     for calls, (doc, raw) in enumerate(_block_documents(fuzz_corpus), start=1):
         extract_features(doc, raw)
         assert len(lookups) == 17 * calls
-    assert lookups[:17] == [n for names in features._COUNTED_NAMES for n in names]
+    assert lookups[:17] == [n for _, _, names in features._NAME_COUNTS for n in names]
 
 
 # -- the graph walk ------------------------------------------------------------

@@ -206,6 +206,15 @@ def test_tiff_predictor():
     assert out == bytes([10, 11, 12]) + bytes([0, 5, 255])
 
 
+@pytest.mark.parametrize("predictor", range(3, 10))
+@pytest.mark.parametrize("name, encode", [("FlateDecode", zlib.compress), ("LZWDecode", encode_lzw)])
+def test_predictors_3_to_9_are_refused(name, encode, predictor):
+    # 2 is TIFF and 10 to 15 are PNG; the numbers between name no predictor.
+    with pytest.raises(StreamDecodeError) as info:
+        decode_stream(encode(b"abc"), [name], {"/Predictor": predictor})
+    assert str(info.value) == f"{name}: unsupported predictor {predictor}"
+
+
 # -- round-trip properties ---------------------------------------------------
 
 _blobs = st.binary(min_size=0, max_size=2000)

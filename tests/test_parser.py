@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdfmlp.features import _COUNTED_NAMES, extract_features
+from pdfmlp.features import _NAME_COUNTS, extract_features
 from pdfmlp.pdf import (
     MAX_NESTING_DEPTH,
     DiagnosticKind,
@@ -35,7 +35,7 @@ from pdfmlp.pdf.parser import (
     _probe,
 )
 
-from costs import best_time, traced_peak
+from costs import best_time, quadrupling_ratios, traced_peak
 from pdfbuild import (
     assemble_pdf,
     long_number_pdfs,
@@ -117,6 +117,22 @@ def test_a_boolean_length_is_no_length(length, payload):
     doc = parse_pdf(data)
     assert doc.objects[(1, 0)].raw == payload
     assert kinds(doc).count(DiagnosticKind.BAD_LENGTH) == 1
+
+
+@pytest.mark.parametrize(
+    "length, diagnostics",
+    [(b"6", []), (b"9", [(DiagnosticKind.BAD_LENGTH, "/Length 9 is wrong; recovered 6 bytes")])],
+    ids=["declared", "recovered"],
+)
+def test_a_crlf_after_stream_and_before_endstream_is_syntax(length, diagnostics):
+    # The declared length is checked against the endstream after the CRLF; a
+    # wrong one is recovered by the endstream scan, which drops the CRLF too.
+    data = b"%%PDF-1.4\n1 0 obj << /Length %s >> stream\r\n\r\nabc\r\r\nendstream\r\nendobj" % length
+    doc = parse_pdf(data)
+    start = data.index(b"stream") + 8
+    assert doc.objects[(1, 0)].raw == b"\r\nabc\r"
+    assert doc.objects[(1, 0)].span == (start, start + 6)
+    assert doc.diagnostics == [ParseDiagnostic(data.index(b"stream"), *d) for d in diagnostics]
 
 
 @pytest.mark.parametrize("length", [b"3.0", b"/Three", b"(3)", b"[3]"])
@@ -556,6 +572,59 @@ def test_long_whitespace_run_is_skipped_in_bounded_time():
     assert best_time(lambda: _Scanner(data, 0).skip_ws()) < 0.025
 
 
+# -- cost shape: parse time and memory grow linearly in each hostile family ----
+
+
+def _objstm_over_letters(n: int) -> bytes:
+    """An object stream of n letters whose entries, one per 256, parse no value."""
+    entries = n // 256
+    head = b" ".join(b"%d %d" % (10 + i, 256 * i) for i in range(entries)) + b" "
+    dictionary = b"<< /Type /ObjStm /N %d /First %d /Filter /FlateDecode >>" % (entries, len(head))
+    return b"%PDF-1.4\n" + _object(1, stream_body(dictionary, zlib.compress(head + b"a" * n)))
+
+
+def _escaped_string(n: int) -> bytes:
+    """One literal string of n runs, each with four escapes: a parenthesis, octal, n and an EOL."""
+    return b"%PDF-1.4\n" + _object(1, b"(" + b"ab\\(c\\053\\n\\\n" * n + b")")
+
+
+def _commented_array(n: int) -> bytes:
+    """An array of n elements, each followed by a 260-byte comment line ending in LF."""
+    return b"%PDF-1.4\n" + _object(1, b"[" + (b"1 %" + b" comment" * 32 + b"\n") * n + b"]")
+
+
+def _xref_rows_off_target(n: int) -> bytes:
+    """An xref table of n in-use rows, each pointing at object 1's header as its own."""
+    rows = b"0000000009 00000 n \n" * n
+    return b"%PDF-1.4\n" + _object(1, b"null") + b"xref\n2 %d\n%strailer\n<< >>\n" % (n, rows)
+
+
+def _startxrefs_into_blanks(n: int) -> bytes:
+    """n startxref markers, each declaring the start of a 64 n-byte whitespace run."""
+    return b"%PDF-1.4\n" + b" " * (64 * n) + b"xref\n" + b"startxref\n9\n%%EOF\n" * n
+
+
+# Each family's input at its n, where one parse takes 5 ms or more: ~7, ~8,
+# ~10, ~13 and ~11 ms in this order (2-core VM, Python 3.11.7).
+_QUADRUPLING_FAMILIES = {
+    "objstm-entries-in-letters": (_objstm_over_letters, 64 << 10),
+    "string-escapes": (_escaped_string, 6000),
+    "comment-lines": (_commented_array, 2000),
+    "xref-rows": (_xref_rows_off_target, 8000),
+    "startxref-offsets": (_startxrefs_into_blanks, 1000),
+}
+
+
+@pytest.mark.parametrize("family", _QUADRUPLING_FAMILIES)
+def test_parse_time_and_memory_grow_linearly(family):
+    # Linear gives ~4 for both ratios and quadratic ~16.  Object-stream
+    # entries that each parsed on to the stream's end took 15-16 times as
+    # long at 4n (2-core VM, Python 3.11.7).
+    build, n = _QUADRUPLING_FAMILIES[family]
+    time_ratio, peak_ratio = quadrupling_ratios(parse_pdf, build, n)
+    assert time_ratio <= 6 and peak_ratio <= 4.5, (time_ratio, peak_ratio)
+
+
 def _bomb_stream_pdf(filters: bytes, payload: bytes) -> bytes:
     return assemble_pdf(
         [
@@ -856,6 +925,36 @@ def test_object_stream_pairs_sharing_an_offset_are_parsed_once():
     assert [d.detail for d in doc.diagnostics] == ["object stream offset repeated"] * 24
 
 
+def _object_stream_at(pairs: list[tuple[int, int]], payload: bytes) -> bytes:
+    """Object 2: an unfiltered object stream of the (number, offset) pairs over payload."""
+    head = b"".join(b"%d %d " % pair for pair in pairs)
+    dictionary = b"<< /Type /ObjStm /N %d /First %d >>" % (len(pairs), len(head))
+    return b"%PDF-1.4\n" + _object(2, stream_body(dictionary, head + payload))
+
+
+def _s(data: bytes) -> PdfString:
+    return PdfString(data, hex=False)
+
+
+@pytest.mark.parametrize(
+    "pairs, payload, objects, details",
+    [
+        # The array was read whole, past the next offset.
+        ([(10, 0), (11, 4)], b"[1 2 3]", [(10, None), (11, 3)], ["unparseable object inside object stream"]),
+        # Abutting numbers were 12345 and 345.
+        ([(10, 0), (11, 2)], b"12345", [(10, 12), (11, 345)], []),
+        ([(10, 0), (11, 0), (12, 4)], b"(a) (b)", [(10, _s(b"a")), (12, _s(b"b"))], ["object stream offset repeated"]),
+        # Defined in index order; each entry still ends at the next larger offset.
+        ([(10, 4), (11, 0)], b"(a) (b)", [(10, _s(b"b")), (11, _s(b"a"))], []),
+    ],
+    ids=["value-past-next-offset", "abutting-objects", "repeated-offset", "offsets-out-of-order"],
+)
+def test_object_stream_entry_is_parsed_within_its_extent(pairs, payload, objects, details):
+    doc = parse_pdf(_object_stream_at(pairs, payload))
+    assert [(key[0], value) for key, value in doc.objects.items() if key != (2, 0)] == objects
+    assert [d.detail for d in doc.diagnostics] == details
+
+
 def test_encrypted_stays_raw():
     raw = assemble_pdf(
         [
@@ -961,7 +1060,7 @@ def test_xref_stream_counts_as_section_and_trailer():
     assert len(doc.trailer_dicts) == 2
 
 
-_ALL_COUNTED_NAMES = [n for names in _COUNTED_NAMES for n in names]
+_ALL_COUNTED_NAMES = [n for _, _, names in _NAME_COUNTS for n in names]
 
 
 def assert_same_name_counts_as_recursive_walk(doc, more_names=()):

@@ -280,6 +280,17 @@ def test_csv_accepts_unlabeled_rows(tmp_path):
     np.testing.assert_array_equal(back.labels, [0, 1, -1])
 
 
+def test_header_only_csv_is_an_empty_dataset(tmp_path):
+    # No row: the streamed reader declines the file, and the csv reader
+    # returns the empty dataset.
+    path = tmp_path / "features.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n", encoding="utf-8")
+    empty = read_features_csv(str(path))
+    assert empty.features.shape == (0, N_FEATURES) and empty.features.dtype == np.float64
+    assert empty.labels.shape == (0,) and empty.labels.dtype == np.int64
+    assert empty.paths == []
+
+
 def test_csv_paths_with_commas_survive(tmp_path):
     d = Dataset(
         features=np.ones((1, N_FEATURES)),

@@ -442,6 +442,61 @@ def test_manifest_must_name_each_array_once(trained_pair, entry, message):
         loads(_with_extra_array(dumps(model, scaler), entry))
 
 
+def _file_of(*sections: tuple[bytes, bytes]) -> bytes:
+    """A model file of the fixed header and the (tag, payload) sections."""
+    out = MAGIC + struct.pack("<I", FORMAT_VERSION)
+    for tag, payload in sections:
+        out += tag + struct.pack("<Q", len(payload)) + payload
+    return out
+
+
+def _sections_of(blob: bytes) -> tuple[bytes, bytes]:
+    """The META and ARRS payloads of a file dumps wrote."""
+    at = len(MAGIC) + 4
+    (meta_length,) = struct.unpack_from("<Q", blob, at + 4)
+    meta = blob[at + 12 : at + 12 + meta_length]
+    return meta, blob[at + 24 + meta_length :]
+
+
+def _meta_edited(edit):
+    def file_of(meta: bytes, arrs: bytes) -> bytes:
+        edited = json.loads(meta)
+        edit(edited)
+        return _file_of((b"META", json.dumps(edited).encode()), (b"ARRS", arrs))
+
+    return file_of
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda meta, arrs: _file_of((b"META", meta)) + b"ARRS" + b"\0" * 7,
+         TruncatedModelError, "truncated section header"),
+        (lambda meta, arrs: _file_of((b"META", meta)), ModelFormatError, "missing b'ARRS' section"),
+        (lambda meta, arrs: _file_of((b"META", b"\xff" + meta), (b"ARRS", arrs)), ModelFormatError,
+         "unreadable metadata: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (lambda meta, arrs: _file_of((b"META", b"{"), (b"ARRS", arrs)), ModelFormatError,
+         "unreadable metadata: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (lambda meta, arrs: _file_of((b"META", b"[]"), (b"ARRS", arrs)), ModelFormatError,
+         "metadata does not describe a model"),
+        (_meta_edited(lambda meta: meta.update(format="other")), ModelFormatError,
+         "metadata does not describe a model"),
+        (_meta_edited(lambda meta: meta.pop("arrays")), ModelFormatError, "array manifest missing"),
+        (_meta_edited(lambda meta: meta["arrays"].insert(0, 7)), ModelFormatError, "bad manifest entry: 7"),
+        (lambda meta, arrs: _file_of((b"META", meta), (b"ARRS", arrs + b"\0" * 8)), ModelFormatError,
+         "data section has trailing bytes"),
+    ],
+    ids=["section-header-cut", "no-arrays-section", "meta-not-utf8", "meta-not-json", "meta-a-list",
+         "meta-of-another-format", "no-manifest", "manifest-entry-not-a-mapping", "trailing-array-bytes"],
+)
+def test_malformed_file_is_refused_with_its_message(trained_pair, build, error, message):
+    meta, arrs = _sections_of(dumps(*trained_pair))
+    assert _file_of((b"META", meta), (b"ARRS", arrs)) == dumps(*trained_pair)
+    with pytest.raises(error) as info:
+        loads(build(meta, arrs))
+    assert str(info.value) == message
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(OSError):
         load(str(tmp_path / "nope.bin"))
