@@ -59,20 +59,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("must be inside (0, 1)")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
-
-
 def _default_seed(value: Optional[int]) -> int:
     if value is not None:
         return value
@@ -162,9 +148,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    dataset = read_features_csv(args.features)
-    if np.any(dataset.labels == -1):
-        raise CliError("training data contains unlabeled rows")
+    # Every value is checked, and the paths told apart, before the features are read.
     config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
@@ -174,6 +158,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         seed=_default_seed(args.seed),
         early_stop_loss=args.early_stop_loss,
     )
+    report_path = args.report or args.out + ".train.csv"
+    if len({os.path.realpath(p) for p in (args.features, args.out, report_path)}) < 3:
+        raise CliError(
+            f"--features, --out and the report ({_shown(report_path)}) must be three different files"
+        )
+    dataset = read_features_csv(args.features)
     # A diverging run is reported once, by TrainingDivergedError, not by
     # numpy's overflow warnings on the way there.
     with np.errstate(all="ignore"):
@@ -186,7 +176,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         "data_checksum": dataset_checksum(dataset),
     }
     save(model, scaler, args.out, fingerprint)
-    report_path = args.report or args.out + ".train.csv"
     report.write_csv(report_path)
 
     best = report.records[report.selected_epoch]
@@ -202,8 +191,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model, scaler = _load_model(load, args.model)
     dataset = read_features_csv(args.features)
-    if np.any(dataset.labels == -1):
-        raise CliError("evaluation data contains unlabeled rows")
     report = evaluate(model, scaler, dataset)
     write_report_files(report, args.out_dir)
     op = report.operating_point
@@ -302,14 +289,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, metavar="CSV")
     p.add_argument("--out", required=True, metavar="MODEL")
     p.add_argument("--report", metavar="CSV", help="per-epoch report (default: MODEL.train.csv)")
-    p.add_argument("--epochs", type=_positive_int, default=TrainConfig.epochs)
-    p.add_argument("--batch-size", type=_positive_int, default=TrainConfig.batch_size)
-    p.add_argument("--eta", type=_positive_float, default=TrainConfig.eta)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--eta", type=float, default=TrainConfig.eta)
     p.add_argument("--dropout", type=float, default=TrainConfig.dropout_rate)
-    p.add_argument("--val-frac", type=_fraction, default=TrainConfig.validation_fraction)
+    p.add_argument("--val-frac", type=float, default=TrainConfig.validation_fraction)
     p.add_argument("--seed", type=int, default=None, help="defaults to $PDFMLP_SEED, then 0")
-    p.add_argument("--threshold", type=_fraction, default=MlpModel.threshold)
-    p.add_argument("--early-stop-loss", type=_positive_float, default=None)
+    p.add_argument("--threshold", type=float, default=MlpModel.threshold)
+    p.add_argument("--early-stop-loss", type=float, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="sweep thresholds over a labeled test CSV")

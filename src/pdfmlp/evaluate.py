@@ -72,6 +72,8 @@ def evaluate(
     model's own threshold.
     """
     labels = test.labels
+    if np.any((labels != 0) & (labels != 1)):
+        raise ValueError("evaluation labels must be 0 or 1")
     n_mal = int(np.sum(labels == 1))
     n_ben = int(np.sum(labels == 0))
     if n_mal == 0 or n_ben == 0:

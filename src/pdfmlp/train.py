@@ -36,6 +36,13 @@ class TrainConfig:
     early_stop_loss: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            # What operator.index takes, as range() and numpy's seeding do; a bool is no count.
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 1:
             raise ValueError("no training performed: epochs must be at least 1")
         if self.batch_size < 1:
@@ -91,7 +98,6 @@ def train(
     train_set: Dataset,
     config: TrainConfig,
     *,
-    batch_norm: bool = True,
     threshold: float = MlpModel.threshold,
 ) -> tuple[MlpModel, Scaler, TrainReport]:
     """Fit a fresh network on ``train_set``.
@@ -108,7 +114,6 @@ def train(
     model = build_model(
         input_width=train_set.features.shape[1],
         dropout_rate=config.dropout_rate,
-        batch_norm=batch_norm,
         threshold=threshold,
         rng=_rng(config.seed, 0),
     )

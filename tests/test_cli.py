@@ -253,6 +253,69 @@ def test_train_epochs_zero_is_usage_error(features_csv, tmp_path):
         ["train", "--features", features_csv, "--out", str(tmp_path / "m.bin"), "--epochs", "0"]
     )
     assert result.returncode == 2
+    assert result.stderr.splitlines() == ["pdfmlp: error: no training performed: epochs must be at least 1"]
+    assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, text, field, value",
+    [
+        ("--epochs", "0", "epochs", 0),
+        ("--epochs", "-3", "epochs", -3),
+        ("--batch-size", "0", "batch_size", 0),
+        ("--eta", "0", "eta", 0.0),
+        ("--eta", "inf", "eta", float("inf")),
+        ("--eta", "nan", "eta", float("nan")),
+        ("--dropout", "1", "dropout_rate", 1.0),
+        ("--dropout", "-0.1", "dropout_rate", -0.1),
+        ("--val-frac", "0", "validation_fraction", 0.0),
+        ("--val-frac", "1", "validation_fraction", 1.0),
+        ("--early-stop-loss", "0", "early_stop_loss", 0.0),
+        ("--seed", "-1", "seed", -1),
+    ],
+)
+def test_train_value_the_library_refuses_is_one_error_line_before_any_read(
+    flag, text, field, value, tmp_path, capsys
+):
+    # The features file does not exist: an error naming it would mean the
+    # value was checked after the read.
+    with pytest.raises(ValueError) as refused:
+        TrainConfig(**{field: value})
+    out = tmp_path / "m.bin"
+    argv = ["train", "--features", str(tmp_path / "missing.csv"), "--out", str(out), flag, text]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"pdfmlp: error: {refused.value}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_seed_from_environment_is_checked_by_the_library(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PDFMLP_SEED", "-1")
+    argv = ["train", "--features", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "m.bin")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "pdfmlp: error: seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "report, features",
+    [("m.bin", "f.csv"), ("./m.bin", "f.csv"), ("r.csv", "m.bin"), ("f.csv", "f.csv"), (None, "m.bin.train.csv")],
+    ids=["report-is-model", "report-is-model-by-another-name", "model-is-features",
+         "report-is-features", "default-report-is-features"],
+)
+def test_train_refuses_paths_that_name_one_file_twice(features_csv, tmp_path, report, features, capsys):
+    # --report m.bin wrote the epoch CSV over the model it had just saved.
+    Path(tmp_path, "f.csv").write_bytes(Path(features_csv).read_bytes())
+    Path(tmp_path, "m.bin.train.csv").write_bytes(Path(features_csv).read_bytes())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = ["train", "--features", str(tmp_path / features), "--out", str(tmp_path / "m.bin"), "--epochs", "1"]
+    shown = os.path.join(tmp_path, report or "m.bin.train.csv")
+    if report is not None:
+        argv += ["--report", shown]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"pdfmlp: error: --features, --out and the report ({shown}) must be three different files\n"
+    )
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_train_defaults_are_the_library_defaults():
@@ -353,6 +416,24 @@ def test_train_single_class_csv_is_error(corpus, tmp_path, capsys):
     rc = cli.main(["train", "--features", out, "--out", str(tmp_path / "m.bin"), "--epochs", "2"])
     assert rc == 2
     assert "both classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, message", [("train", "training labels"), ("evaluate", "evaluation labels")])
+def test_an_unlabeled_row_is_refused_by_the_library(command, message, features_csv, model_file, tmp_path, capsys):
+    lines = Path(features_csv).read_text(encoding="utf-8").splitlines()
+    fields = lines[3].split(",")
+    fields[1] = "-1"
+    lines[3] = ",".join(fields)
+    unlabeled = tmp_path / "unlabeled.csv"
+    unlabeled.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert list(read_features_csv(str(unlabeled)).labels).count(-1) == 1
+    if command == "train":
+        argv = ["train", "--features", str(unlabeled), "--out", str(tmp_path / "m.bin"), "--epochs", "1"]
+    else:
+        argv = ["evaluate", "--features", str(unlabeled), "--model", model_file, "--out-dir", str(tmp_path / "e")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"pdfmlp: error: {message} must be 0 or 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["unlabeled.csv"]
 
 
 # -- evaluate ---------------------------------------------------------------------

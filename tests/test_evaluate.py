@@ -83,6 +83,16 @@ def test_constant_scorer_gives_diagonal_roc():
     assert (0.0, 0.0) in pairs and (1.0, 1.0) in pairs
 
 
+@pytest.mark.parametrize("label", [-1, 2])
+def test_a_label_other_than_0_or_1_is_refused(label):
+    # Such a row was dropped from every count without a word.
+    d = dataset_with_scores([0.9, 0.8], [0.2, 0.1])
+    d.labels[1] = label
+    with pytest.raises(ValueError) as refused:
+        evaluate(passthrough_model(), identity_scaler(), d)
+    assert str(refused.value) == "evaluation labels must be 0 or 1"
+
+
 def test_hand_enumerated_confusion_counts():
     # mal: 0.9, 0.8, 0.3; ben: 0.7, 0.2, 0.1 at threshold 0.75:
     # TP = {0.9, 0.8}, FN = {0.3}, FP = {}, TN = all benign

@@ -604,14 +604,38 @@ def _startxrefs_into_blanks(n: int) -> bytes:
     return b"%PDF-1.4\n" + b" " * (64 * n) + b"xref\n" + b"startxref\n9\n%%EOF\n" * n
 
 
+def _nested_to_and_past_the_cap(n: int) -> bytes:
+    """n pairs of objects: an array nested to the depth cap, and one nested a level past it.
+
+    The innermost array holds 4 KiB of blanks, so the file is large against
+    the parse work and work per container over the rest of the file shows.
+    """
+    at_cap = b"[" * (MAX_NESTING_DEPTH + 1) + b" " * 4096 + b"]" * (MAX_NESTING_DEPTH + 1)
+    past_cap = b"[" + at_cap + b"]"
+    return b"%PDF-1.4\n" + b"".join(_object(2 * i + 1, at_cap) + _object(2 * i + 2, past_cap) for i in range(n))
+
+
+def _trailers_nested_in_a_string(n: int) -> bytes:
+    """One trailer whose string holds n - 1 more trailer keywords, each opening a dictionary and a string."""
+    return b"%PDF-1.4\n" + b"trailer << /A (" * n + b")" * n + b" >>"
+
+
+def _objstm_pairs_sharing_an_offset(n: int) -> bytes:
+    """An object stream of n pairs that all point at one array of 64 n zeros."""
+    return _objstm_sharing_one_offset(n, 64 * n)
+
+
 # Each family's input at its n, where one parse takes 5 ms or more: ~7, ~8,
-# ~10, ~13 and ~11 ms in this order (2-core VM, Python 3.11.7).
+# ~10, ~13, ~11, ~8, ~7 and ~11 ms in this order (2-core VM, Python 3.11.7).
 _QUADRUPLING_FAMILIES = {
     "objstm-entries-in-letters": (_objstm_over_letters, 64 << 10),
     "string-escapes": (_escaped_string, 6000),
     "comment-lines": (_commented_array, 2000),
     "xref-rows": (_xref_rows_off_target, 8000),
     "startxref-offsets": (_startxrefs_into_blanks, 1000),
+    "nesting-to-and-past-the-cap": (_nested_to_and_past_the_cap, 40),
+    "nested-trailers": (_trailers_nested_in_a_string, 10_000),
+    "objstm-pairs-sharing-an-offset": (_objstm_pairs_sharing_an_offset, 128),
 }
 
 

@@ -1,5 +1,7 @@
 """Training loop: learning capacity, determinism, model selection."""
 
+import functools
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +54,24 @@ def test_config_validation():
             TrainConfig(early_stop_loss=loss)
     with pytest.raises(ValueError, match="epochs"):
         TrainConfig(epochs=-1)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        TrainConfig(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("epochs", 1.5), ("epochs", 3.0), ("epochs", True), ("epochs", "3"), ("batch_size", 2.5),
+     ("batch_size", False), ("seed", True), ("seed", 0.0), ("seed", None), ("seed", np.float64(1))],
+)
+def test_config_refuses_a_count_or_seed_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError) as refused:
+        TrainConfig(**{field: value})
+    assert str(refused.value) == f"{field} must be an integer, got {value!r}"
+
+
+def test_config_takes_numpy_integers():
+    config = TrainConfig(epochs=np.int64(2), batch_size=np.int32(3), seed=np.uint8(4))
+    assert (config.epochs, config.batch_size, config.seed) == (2, 3, 4)
 
 
 # -- learning capacity ---------------------------------------------------------------
@@ -147,13 +167,16 @@ def test_early_stop_cuts_epochs():
     assert report.records[-1].val_loss < 0.05
 
 
-def test_every_sample_visits_each_epoch_exactly_once():
+def test_every_sample_visits_each_epoch_exactly_once(monkeypatch):
     # With a vanishing learning rate and no batch statistics in play, the
     # recorded epoch loss equals the whole-set loss of the initial model
-    # only when the batches partition the training rows.
+    # only when the batches partition the training rows.  The attribute
+    # pdfmlp.train is the function, so the module is imported by name.
+    train_module = importlib.import_module("pdfmlp.train")
+    monkeypatch.setattr(train_module, "build_model", functools.partial(build_model, batch_norm=False))
     dataset = separable_dataset(n=300, seed=11)
     config = TrainConfig(epochs=1, batch_size=7, eta=1e-300, dropout_rate=0.0, seed=12)
-    model, scaler, report = train(dataset, config, batch_norm=False)
+    model, scaler, report = train(dataset, config)
     fit_part, _ = split_train_validation(dataset, config.validation_fraction, config.seed)
     fresh = build_model(
         input_width=N_FEATURES,
